@@ -11,8 +11,10 @@ c0 + c1*ln|x|) describing the function outside the window.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from typing import Mapping
 
 from .errors import DivergentIntegralError, UltrafracError
@@ -34,7 +36,29 @@ from .numerics import (
     as_fraction,
     geometric_tail,
     q_pow,
+    value_kind,
 )
+
+
+@dataclass(frozen=True, slots=True)
+class BallSum:
+    """Exact-aware sum of table entries over a ball or sphere.
+
+    ``re_kind``/``im_kind`` OR together the ``value_kind`` of every entry's
+    real/imaginary part, so that a kernel times the sum can take the path
+    the kernel times each entry would (see ``numerics.scale_sum``).
+    """
+
+    value: ComplexValue
+    re_kind: int
+    im_kind: int
+
+    def __add__(self, other: "BallSum") -> "BallSum":
+        return BallSum(self.value + other.value, self.re_kind | other.re_kind, self.im_kind | other.im_kind)
+
+    @classmethod
+    def of(cls, v: ComplexValue) -> "BallSum":
+        return cls(v, value_kind(v.re), value_kind(v.im))
 
 
 @dataclass(frozen=True)
@@ -77,6 +101,59 @@ class TestFunction:
             return CV_ZERO
         d = coset_digits(self.fp, x, self.support_level, self.constancy_level)
         return self.values[d]
+
+    def _ball_index(self, d: Digits) -> int:
+        """Position of a constancy-level coset in the ball-sum layout.
+
+        The base-q digit at each position packs the n coordinate digits, and
+        the support-level position leads, so the ball at level l holding the
+        coset has index ``_ball_index(d) // q**(constancy_level - l)``.
+        """
+        p, q = self.fp.p, self.fp.q
+        idx = 0
+        for t in range(self.constancy_level - self.support_level):
+            idx = idx * q + sum(di[t] * p**i for i, di in enumerate(d))
+        return idx
+
+    @cached_property
+    def _ball_sums(self) -> list[list[BallSum]]:
+        """Sums over every ball, as ``[level - support_level][ball index]``.
+
+        One bottom-up pass over the digit tree, run once per table: the q
+        children of ball b are balls q*b .. q*b + q - 1 one level down.
+        Sums are only ever added, so each is exact iff all its entries are.
+        """
+        q = self.fp.q
+        leaves: list = [None] * len(self.values)
+        for d, v in self.values.items():
+            leaves[self._ball_index(d)] = BallSum.of(v)
+        levels = [leaves]
+        while len(levels[-1]) > 1:
+            below = levels[-1]
+            levels.append([reduce(operator.add, below[i : i + q]) for i in range(0, len(below), q)])
+        levels.reverse()
+        return levels
+
+    def ball_sum(self) -> BallSum:
+        """Sum of the whole table (the support ball)."""
+        return self._ball_sums[0][0]
+
+    def sphere_sums(self, d: Digits) -> list[BallSum]:
+        """Sums over the spheres {|z - x| = q**(-j)} around the coset x with address d.
+
+        Entry j - support_level covers j = support_level .. constancy_level - 1:
+        the sphere at level j is the q - 1 sibling balls of x's own ball at
+        level j + 1, so a point costs O(q * depth) once the table is summed.
+        """
+        levels = self._ball_sums
+        q = self.fp.q
+        idx = self._ball_index(d)
+        out = []
+        for t in range(1, len(levels)):
+            own = idx // q ** (len(levels) - 1 - t)
+            first = own - own % q
+            out.append(reduce(operator.add, (levels[t][b] for b in range(first, first + q) if b != own)))
+        return out
 
     def integral(self) -> ComplexValue:
         """Exact Haar integral: sum of table values times the coset measure."""
@@ -141,8 +218,10 @@ class TestFunction:
         k = max(self.constancy_level, other.constancy_level)
         a, b = self.refined(sl, k), other.refined(sl, k)
         for d in a.addresses():
-            if (a.values[d] - b.values[d]).to_complex() != 0:
-                return False
+            diff = a.values[d] - b.values[d]
+            for part in (diff.re, diff.im):
+                if not (part.is_exact_zero() if part.is_exact else float(part) == 0):
+                    return False
         return True
 
 

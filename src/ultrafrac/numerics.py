@@ -37,16 +37,21 @@ def as_fraction(x) -> Fraction:
 
 
 def _integer_root(base: int, k: int) -> int | None:
-    """Integer r with r**k == base, or None."""
+    """Integer r with r**k == base, or None; exact for integers of any size."""
     if k == 1:
         return base
     if base < 1:
         return None
-    guess = round(base ** (1.0 / k))
-    for r in range(max(1, guess - 2), guess + 3):
-        if r**k == base:
-            return r
-    return None
+    if base.bit_length() <= k:  # base < 2**k, so only 1 can be a root
+        return 1 if base == 1 else None
+    # integer Newton iteration down from 2**ceil(bits / k) >= the root
+    r = 1 << -(-base.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + base // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == base else None
 
 
 @dataclass(frozen=True)
@@ -267,6 +272,47 @@ class NumericValue:
 
 NV_ZERO = NumericValue.from_rational(0)
 NV_ONE = NumericValue.from_rational(1)
+
+# What a sum of values was built from: the kinds of its terms, OR-ed together.
+KIND_NONZERO = 1  # some term is not an exact zero
+KIND_FLOAT = 2  # some term is a float
+KIND_LN = 4  # some exact term has a ln(q) part
+KIND_INV_LN = 8  # some exact term has a 1/ln(q) part
+
+
+def value_kind(v: NumericValue) -> int:
+    """The KIND_* bits of a single value."""
+    if v.exact is None:
+        return KIND_NONZERO | KIND_FLOAT
+    e = v.exact
+    kind = 0 if e.is_zero() else KIND_NONZERO
+    if e.b != 0:
+        kind |= KIND_LN
+    if e.c != 0:
+        kind |= KIND_INV_LN
+    return kind
+
+
+def scale_sum(factor: NumericValue, total: NumericValue, kind: int) -> NumericValue:
+    """factor * total, on the path that summing factor * term term by term takes.
+
+    ``total`` is an exact-aware sum of terms whose kinds OR to ``kind``.  Each
+    product factor * term is an exact zero when either side is, exact when both
+    are exact and the product stays in the ring, and a float otherwise; their
+    sum is exact iff every nonzero product is.  So terms that cancel to an
+    exact zero against a float factor still give a float zero here.
+    """
+    if not kind & KIND_NONZERO or factor.is_exact_zero():
+        return NV_ZERO
+    fs = factor.exact
+    if (
+        fs is None
+        or kind & KIND_FLOAT
+        or (kind & KIND_LN and fs.b != 0)
+        or (kind & KIND_INV_LN and fs.c != 0)
+    ):
+        return NumericValue.from_float(float(factor) * float(total))
+    return factor * total
 
 
 def q_pow(fp: FieldParams, exponent) -> NumericValue:

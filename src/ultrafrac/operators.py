@@ -20,6 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DivergentIntegralError,
@@ -30,6 +31,7 @@ from .field import (
     FieldParams,
     Point,
     abs_exponent,
+    coset_digits,
     digits_to_point,
     enumerate_cosets,
     enumerate_digits,
@@ -37,6 +39,7 @@ from .field import (
     sphere_coset_reps,
 )
 from .functions import (
+    BallSum,
     ExtendedFunction,
     TestFunction,
     ZeroTail,
@@ -49,12 +52,14 @@ from .functions import (
 from .integrate import LogProfile, PowerProfile, profile_coset_integral
 from .numerics import (
     CV_ZERO,
+    NV_ZERO,
     ComplexValue,
     ExactScalar,
     NumericValue,
     as_fraction,
     geometric_tail,
     q_pow,
+    scale_sum,
     weighted_geometric_tail,
 )
 
@@ -92,6 +97,7 @@ class OperatorConstants:
     cd: NumericValue
 
 
+@lru_cache(maxsize=256)
 def constants(params: OperatorParams) -> OperatorConstants:
     """Normalizers of the hypersingular operator and the Riesz potential.
 
@@ -161,6 +167,7 @@ def kernel_table(params: OperatorParams, j_max: int) -> KernelShellTable:
     return KernelShellTable(params, cd, shells)
 
 
+@lru_cache(maxsize=1024)
 def kernel_normalization_tail(params: OperatorParams, j_from: int) -> NumericValue:
     """Closed form of sum over shells j >= j_from of R1 times the shell measure."""
     fp = params.fp
@@ -273,6 +280,15 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
 # Riesz potentials
 
 
+def _radial_sum(terms) -> ComplexValue:
+    """Sum of kernel * (sum over a ball or sphere), on the per-entry exactness path."""
+    re = im = NV_ZERO
+    for kernel, s in terms:
+        re = re + scale_sum(kernel, s.value.re, s.re_kind)
+        im = im + scale_sum(kernel, s.value.im, s.im_kind)
+    return ComplexValue(re, im)
+
+
 def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int | None = None) -> ExtendedFunction:
     """Riesz potential: convolution with d*|x|**(gamma-1) (d1*ln|x| at gamma = 1).
 
@@ -280,25 +296,36 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     support ball of phi; constancy is preserved by the translation argument),
     and beyond the window the value is exactly d * (integral of phi) times
     the radial kernel, recorded as the analytic tail.
+
+    The kernel is constant on each sphere |c - x| = q**(-j), so a core value
+    is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
+    ball integral times phi(x); a point outside the support sees the whole
+    table at the single distance |x|.
     """
     fp = params.fp
     g = params.gamma
     if window_level is not None and window_level > phi.support_level:
         raise ValueError("window must contain the support of the input")
     w = phi.support_level if window_level is None else window_level
+    s = phi.support_level
     k = phi.constancy_level
     d = constants(params).d
     profile = LogProfile() if g == 1 else PowerProfile(g - 1)
-    sources = [(pt, v) for _, pt, v in phi.items() if not v.is_exact_zero()]
+    shell_kernels = [profile_coset_integral(fp, profile, -j, k) for j in range(w, k)]
+    inner_kernel = profile_coset_integral(fp, profile, None, k)
 
     table = {}
     for d_out in enumerate_digits(fp, w, k):
-        x = digits_to_point(fp, d_out, w)
-        acc = CV_ZERO
-        for c_pt, v in sources:
-            rel_e = abs_exponent(fp, x - c_pt)
-            acc = acc + v * profile_coset_integral(fp, profile, rel_e, k)
-        table[d_out] = acc * d
+        outer = [di[: s - w] for di in d_out]
+        if any(any(di) for di in outer):
+            # |x| = q**(-w - t): t is the first nonzero digit position beyond the support
+            t = min(next(i for i, a in enumerate(di) if a) for di in outer if any(di))
+            terms = [(shell_kernels[t], phi.ball_sum())]
+        else:
+            addr = tuple(di[s - w :] for di in d_out)
+            terms = list(zip(shell_kernels[s - w :], phi.sphere_sums(addr)))
+            terms.append((inner_kernel, BallSum.of(phi.values[addr])))
+        table[d_out] = _radial_sum(terms) * d
     total = phi.integral()
     if g == 1:
         tail = log_tail(CV_ZERO, total * d)
@@ -338,34 +365,43 @@ def _far_difference_sum(params: OperatorParams, u: ExtendedFunction, ux: Complex
 
 
 def _difference_shell_sum(params: OperatorParams, u: ExtendedFunction, x: Point, j_hi: int) -> ComplexValue:
-    """Shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi."""
+    """Shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
+
+    A finite shell is a sum over its q**(k-j) - q**(k-j-1) constancy-level
+    cosets, taken as (sum of u over them) - (their count) * u(x).
+    """
     fp = params.fp
     g = params.gamma
+    q = fp.q
     ux = u.evaluate(x)
     k = u.constancy_level
     window = u.window_level
     e_x = abs_exponent(fp, x)
     l_x = None if e_x is None else -e_x  # sphere level of x
 
-    # shells where u(x+z) can differ from the tail formula
+    # sums of u(x+z) over the shells where it can differ from the tail formula
     if l_x is not None and l_x < window:
-        # x beyond the window: only the |z| = |x| shell mixes scales
+        # x beyond the window: only the |z| = |x| shell mixes scales.  It holds
+        # the whole window, and outside it every coset with |x + z| = q**(-m),
+        # l_x <= m < window, except the ball of radius q**(-l_x-1) around x.
         j_t = l_x
-        finite_js = [l_x] if l_x <= j_hi else []
+        shells = []
+        if l_x <= j_hi:
+            acc = u.core.ball_sum().value
+            for m in range(l_x, window):
+                count = (q - 2 if m == l_x else q - 1) * q ** (k - m - 1)
+                if count:
+                    acc = acc + u.tail_value_at_exponent(-m) * count
+            shells.append((l_x, acc))
     else:
         j_t = window
-        finite_js = list(range(j_t, j_hi + 1))
+        sums = u.core.sphere_sums(coset_digits(fp, x, window, k))
+        shells = [(j, sums[j - window].value) for j in range(window, j_hi + 1)]
 
+    coset_meas = Fraction(q) ** (-k)
     total = CV_ZERO
-    for j in finite_js:
-        res = max(k, j + 1)
-        coset_meas = Fraction(fp.q) ** (-res)
-        shell_acc = CV_ZERO
-        for rep in sphere_coset_reps(fp, j, res):
-            dv = u.evaluate(x + rep) - ux
-            if dv.is_exact_zero():
-                continue
-            shell_acc = shell_acc + dv
+    for j, shell_sum in shells:
+        shell_acc = shell_sum - ux * ((q - 1) * q ** (k - j - 1))
         if not shell_acc.is_exact_zero():
             total = total + shell_acc * (q_pow(fp, (g + 1) * j) * coset_meas)
     total = total + _far_difference_sum(params, u, ux, min(j_t - 1, j_hi))

@@ -133,6 +133,19 @@ class TestModulusOfContinuity:
         assert f.translated(h).table_equal(f)
 
 
+class TestTableEqual:
+    def test_tiny_exact_difference_is_not_equal(self, fp2):
+        # 1/10**400 rounds to 0.0 as a float; exact tables must still differ
+        tiny = constant_on_ball(fp2, 0, Fraction(1, 10**400))
+        assert not tiny.table_equal(zero_function(fp2))
+        assert tiny.table_equal(constant_on_ball(fp2, 0, Fraction(1, 10**400)))
+
+    def test_float_entries_compare_as_floats(self, fp2):
+        a = constant_on_ball(fp2, 0, ComplexValue.from_complex(0.5 + 0j))
+        assert a.table_equal(constant_on_ball(fp2, 0, Fraction(1, 2)))
+        assert not a.table_equal(constant_on_ball(fp2, 0, Fraction(1, 3)))
+
+
 class TestLizorkinProject:
     def test_unit_ball_projection(self, fp2):
         f = lizorkin_project(indicator_ball(fp2, 0), -1)

@@ -12,6 +12,7 @@ from ultrafrac.numerics import (
     ExactScalar,
     NumericValue,
     geometric_tail,
+    q_pow,
     q_power,
     weighted_geometric_tail,
 )
@@ -65,6 +66,19 @@ class TestQPower:
     def test_negative_exponent(self, fp3):
         v = q_power(fp3, 2, -1)
         assert v.is_exact and v.exact.a == Fraction(1, 9)
+
+    def test_root_of_q_beyond_float_range(self):
+        # q = 2**1100 overflows a float; its square root is still found exactly
+        v = q_pow(FieldParams(2, 1100), Fraction(1, 2))
+        assert v.is_exact and v.exact.a == 2**550
+
+    @given(r=st.integers(1, 10**40), k=st.integers(2, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_root_is_exact(self, r, k):
+        from ultrafrac.numerics import _integer_root
+
+        assert _integer_root(r**k, k) == r
+        assert _integer_root(r**k + 1, k) is None
 
     @given(
         q=st.sampled_from([2, 3, 5]),
