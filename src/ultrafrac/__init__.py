@@ -15,7 +15,6 @@ from .errors import (
 )
 from .field import (
     BallSpec,
-    CosetAddress,
     FieldParams,
     Point,
     SphereSpec,
@@ -26,7 +25,7 @@ from .field import (
     point,
     zero_point,
 )
-from .fourier import Character, character_eval, fourier_transform, multiplier_vladimirov
+from .fourier import character_eval, fourier_transform, multiplier_vladimirov
 from .funcfile import read_function, write_function
 from .functions import (
     ExtendedFunction,
@@ -65,11 +64,10 @@ from .numerics import (
     ExactScalar,
     NumericValue,
     geometric_tail,
-    q_power,
+    q_pow,
     weighted_geometric_tail,
 )
 from .operators import (
-    KernelShellTable,
     OperatorConstants,
     OperatorParams,
     averaging_apply,
@@ -79,7 +77,6 @@ from .operators import (
     kernel_r,
     kernel_r1,
     kernel_r_oracle,
-    kernel_table,
     minkowski_bound,
     riesz_potential,
     truncated_vladimirov,

@@ -4,15 +4,15 @@ experiments and emit machine-readable tables.
 Every subcommand writes deterministic CSV (or the same rows as JSON):
 fixed column sets, canonical row order, floats at 15 significant digits.
 Exit codes: 0 all in-run assertions pass, 1 an assertion failed, 2 bad
-configuration or input file.  The environment variable ``ULTRA_TOL``
-(a decimal string) overrides every tolerance; hypothesis-range warnings go
-to the ``warnings`` column, never to the exit code.
+configuration, an unreadable input file or unwritable output, or a value
+beyond float range.  The environment variable ``ULTRA_TOL`` (a decimal
+string) overrides every tolerance; hypothesis-range warnings go to the
+``warnings`` column, never to the exit code.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -24,13 +24,11 @@ from pathlib import Path
 
 import click
 
-from contextlib import contextmanager
-
 from .errors import FunctionFileError, UltrafracError
 from .field import FieldParams
 from .fourier import fourier_transform, multiplier_vladimirov
 from .funcfile import read_function
-from .functions import ExtendedFunction, TestFunction, lp_norm
+from .functions import TestFunction, lp_norm
 from .integrate import (
     log_over_ball,
     oracle_log_over_ball,
@@ -42,6 +40,7 @@ from .integrate import (
     shifted_power_over_sphere,
 )
 from .multidim import DimensionBridge, taibleson_on_window
+from .numerics import ComplexValue
 from .operators import (
     OperatorParams,
     inversion_residual,
@@ -55,58 +54,38 @@ from .operators import (
 )
 
 
-class _ConfigError(click.ClickException):
-    """Configuration or input-file problem; exits with code 2."""
-
-    exit_code = 2
-
-
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
-@contextmanager
-def _config_errors():
-    """Map library-level validation failures to exit code 2."""
-    try:
-        yield
-    except (UltrafracError, ValueError) as exc:
-        raise _ConfigError(str(exc)) from exc
+def _exact(v) -> str:
+    """Exact form of a value, or empty when it took the float path."""
+    return str(v.exact) if v.is_exact else ""
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with _config_errors():
-            return fn(*args, **kwargs)
-
-    return wrapper
+def _check(delta: float, tol: float) -> dict:
+    """The delta, tol and status cells of a row that compares two routes."""
+    return {"delta": _fmt(delta), "tol": _fmt(tol), "status": "pass" if delta <= tol else "fail"}
 
 
-def _field(p: int, degree: int) -> FieldParams:
-    try:
-        return FieldParams(p, degree)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-
-
-def _parse_alpha(text: str) -> Fraction:
+def _order(ctx, param, text: str) -> Fraction:
     try:
         a = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _ConfigError(f"cannot parse order {text!r}") from exc
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(f"cannot parse order {text!r}") from None
     if a <= 0:
-        raise _ConfigError(f"order must be positive, got {a}")
+        raise click.BadParameter(f"order must be positive, got {a}")
     return a
 
 
-def _parse_range(text: str) -> range:
+def _index_range(ctx, param, text: str) -> range:
     """'a..b' inclusive, or a single integer."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise click.BadParameter(f"not an integer range {text!r}") from None
     if hi < lo:
         raise click.BadParameter(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -117,23 +96,25 @@ def _tol(default: float, override: float | None) -> float:
     if env is not None:
         try:
             return float(env)
-        except ValueError as exc:
-            raise click.UsageError(f"ULTRA_TOL={env!r} is not a decimal string") from exc
+        except ValueError:
+            raise click.UsageError(f"ULTRA_TOL={env!r} is not a decimal string") from None
     return default if override is None else override
 
 
-def _resolve_fn(path_text: str) -> TestFunction:
-    try:
-        path = Path(path_text)
-        if path.exists():
-            return read_function(path)
-        packaged = resources.files("ultrafrac") / "data" / path_text
-        if packaged.is_file():
-            with resources.as_file(packaged) as real:
-                return read_function(real)
+def _function(fp: FieldParams, path_text: str) -> TestFunction:
+    """Read a function file (a path, else a packaged example) over the field ``fp``."""
+    path = Path(path_text)
+    packaged = resources.files("ultrafrac") / "data" / path_text
+    if path.exists():
+        f = read_function(path)
+    elif packaged.is_file():
+        with resources.as_file(packaged) as real:
+            f = read_function(real)
+    else:
         raise FunctionFileError(f"no such function file: {path_text}")
-    except FunctionFileError as exc:
-        raise _ConfigError(str(exc)) from exc
+    if f.fp != fp:
+        raise click.UsageError(f"--p/--degree disagree with the file ({f.fp.p}, {f.fp.n})")
+    return f
 
 
 def _emit(rows: list[dict], columns: list[str], fmt: str, out: str | None) -> None:
@@ -151,359 +132,217 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: str | None) -> No
         click.echo(payload, nl=False)
 
 
-def _finish(ctx: click.Context, rows: list[dict]) -> None:
-    if any(r.get("status") == "fail" for r in rows):
-        ctx.exit(1)
-
-
-def _collect_warnings(ws) -> str:
-    return "; ".join(str(w.message) for w in ws)
-
-
-_COMMON = [
-    click.option("--p", "p_", type=int, required=True, help="Prime of the base field."),
-    click.option("--degree", "--deg", "degree", type=int, default=1, show_default=True, help="Extension degree / number of coordinates."),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
-    click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output here instead of stdout."),
-]
-
-
-def _common(fn):
-    for deco in reversed(_COMMON):
-        fn = deco(fn)
-    return fn
-
-
 @click.group()
 def main():
     """Exact fractional differentiation experiments on p-adic coordinate fields."""
 
 
-@main.command("integrate")
-@_common
-@click.option("--alpha", required=True, help="Power exponent (rational like 1/2 or decimal).")
-@click.option("--levels", default="-2..2", show_default=True, help="Radius exponents n (|x| <= q**n).")
-@click.option("--depth", type=int, default=40, show_default=True, help="Oracle shell depth.")
-@click.option("--tol", type=float, default=None, help="Tolerance [default 1e-8].")
-@click.pass_context
-@_guarded
-def integrate_cmd(ctx, p_, degree, fmt, out, alpha, levels, depth, tol):
+_COMMON = (
+    click.option("--p", "p_", type=int, required=True, help="Prime of the base field."),
+    click.option("--degree", "--deg", "degree", type=int, default=1, show_default=True, help="Extension degree / number of coordinates."),
+    click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
+    click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write output here instead of stdout."),
+)
+_ALPHA = click.option("--alpha", required=True, callback=_order, help="Order (rational like 1/2 or decimal).")
+_FN = click.option("--fn", required=True, help="Function file (path or packaged example name).")
+
+
+def _command(name: str, columns: list[str], *options):
+    """Register ``body`` as a subcommand producing rows over ``columns``.
+
+    ``body(fp, **options)`` yields row dicts; a missing cell is written
+    empty.  The command adds the shared --p/--degree/--format/--out options,
+    writes the rows, and exits 1 when a row's status reads ``fail``.
+    """
+
+    def register(body):
+        def command(p_, degree, fmt, out, **kwargs):
+            rows = [{c: r.get(c, "") for c in columns} for r in body(FieldParams(p_, degree), **kwargs)]
+            _emit(rows, columns, fmt, out)
+            if any(r.get("status") == "fail" for r in rows):
+                click.get_current_context().exit(1)
+
+        for option in reversed(_COMMON + options):
+            command = option(command)
+        return main.command(name, help=body.__doc__)(command)
+
+    return register
+
+
+@_command(
+    "integrate",
+    ["check", "q", "degree", "alpha", "level", "closed_form", "oracle", "exact", "delta", "tol", "status", "warnings"],
+    _ALPHA,
+    click.option("--levels", default="-2..2", show_default=True, callback=_index_range, help="Radius exponents n (|x| <= q**n)."),
+    click.option("--depth", type=click.IntRange(min=0), default=40, show_default=True, help="Oracle shell depth."),
+    click.option("--tol", type=float, default=None, help="Tolerance [default 1e-8]."),
+)
+def integrate_cmd(fp, alpha, levels, depth, tol):
     """Closed-form ball/sphere integrals against their brute-force oracles."""
-    fp = _field(p_, degree)
-    a = _parse_alpha(alpha)
     tol_v = _tol(1e-8, tol)
-    rows = []
-    for n in _parse_range(levels):
+    for n in levels:
         checks = [
-            ("power_ball", power_over_ball(fp, a, n), oracle_power_over_ball(fp, a, n, depth)),
-            ("power_sphere", shifted_power_over_sphere(fp, a, n), oracle_shifted_power_over_sphere(fp, a, n, depth)),
+            ("power_ball", power_over_ball(fp, alpha, n), oracle_power_over_ball(fp, alpha, n, depth)),
+            ("power_sphere", shifted_power_over_sphere(fp, alpha, n), oracle_shifted_power_over_sphere(fp, alpha, n, depth)),
             ("log_ball", log_over_ball(fp, n), oracle_log_over_ball(fp, n, depth)),
             ("log_sphere", shifted_log_over_sphere(fp, n), oracle_shifted_log_over_sphere(fp, n, depth)),
         ]
         for name, closed, oracle in checks:
-            delta = abs(float(closed) - float(oracle))
-            rows.append(
-                {
-                    "check": name,
-                    "q": fp.q,
-                    "degree": degree,
-                    "alpha": str(a),
-                    "level": n,
-                    "closed_form": _fmt(float(closed)),
-                    "oracle": _fmt(float(oracle)),
-                    "exact": str(closed.exact) if closed.is_exact else "",
-                    "delta": _fmt(delta),
-                    "tol": _fmt(tol_v),
-                    "status": "pass" if delta <= tol_v else "fail",
-                    "warnings": "",
-                }
-            )
-    cols = ["check", "q", "degree", "alpha", "level", "closed_form", "oracle", "exact", "delta", "tol", "status", "warnings"]
-    _emit(rows, cols, fmt, out)
-    _finish(ctx, rows)
+            yield {
+                "check": name, "q": fp.q, "degree": fp.n, "alpha": str(alpha), "level": n,
+                "closed_form": _fmt(closed), "oracle": _fmt(oracle), "exact": _exact(closed),
+                **_check(abs(float(closed) - float(oracle)), tol_v),
+            }
 
 
-@main.command("kernel")
-@_common
-@click.option("--alpha", required=True)
-@click.option("--shells", default="-3..6", show_default=True, help="Shell indices j (|tau| = q**-j).")
-@click.option("--check-integral", is_flag=True, help="Append the unit-mass normalization row.")
-@click.option("--depth", type=int, default=None, help="Oracle refinement depth override.")
-@click.option("--tol", type=float, default=None, help="Tolerance [default 1e-10].")
-@click.pass_context
-@_guarded
-def kernel_cmd(ctx, p_, degree, fmt, out, alpha, shells, check_integral, depth, tol):
+@_command(
+    "kernel",
+    ["row", "q", "alpha", "j", "R", "R_exact", "R_oracle", "R1", "delta", "tol", "status"],
+    _ALPHA,
+    click.option("--shells", default="-3..6", show_default=True, callback=_index_range, help="Shell indices j (|tau| = q**-j)."),
+    click.option("--check-integral", is_flag=True, help="Append the unit-mass normalization row."),
+    click.option("--depth", type=click.IntRange(min=0), default=None, help="Oracle refinement depth override."),
+    click.option("--tol", type=float, default=None, help="Tolerance [default 1e-10]."),
+)
+def kernel_cmd(fp, alpha, shells, check_integral, depth, tol):
     """Averaging-kernel shell values: closed form vs the defining integral."""
-    fp = _field(p_, degree)
-    params = OperatorParams(fp, _parse_alpha(alpha))
+    params = OperatorParams(fp, alpha)
     tol_v = _tol(1e-10, tol)
-    rows = []
-    for j in _parse_range(shells):
+    for j in shells:
         closed = kernel_r(params, j)
         oracle = kernel_r_oracle(params, j, depth=depth)
-        delta = abs(float(closed) - oracle)
-        rows.append(
-            {
-                "row": "shell",
-                "q": fp.q,
-                "alpha": str(params.alpha),
-                "j": j,
-                "R": _fmt(float(closed)),
-                "R_exact": str(closed.exact) if closed.is_exact else "",
-                "R_oracle": _fmt(oracle),
-                "R1": _fmt(float(kernel_r1(params, j))),
-                "delta": _fmt(delta),
-                "tol": _fmt(tol_v),
-                "status": "pass" if delta <= tol_v else "fail",
-            }
-        )
+        yield {
+            "row": "shell", "q": fp.q, "alpha": str(alpha), "j": j, "R": _fmt(closed), "R_exact": _exact(closed),
+            "R_oracle": _fmt(oracle), "R1": _fmt(kernel_r1(params, j)),
+            **_check(abs(float(closed) - oracle), tol_v),
+        }
     if check_integral:
         total = kernel_normalization(params)
-        norm_tol = _tol(1e-12, None if tol is None else tol)
-        delta = abs(float(total) - 1.0)
-        rows.append(
-            {
-                "row": "normalization",
-                "q": fp.q,
-                "alpha": str(params.alpha),
-                "j": "",
-                "R": _fmt(float(total)),
-                "R_exact": str(total.exact) if total.is_exact else "",
-                "R_oracle": _fmt(1.0),
-                "R1": "",
-                "delta": _fmt(delta),
-                "tol": _fmt(norm_tol),
-                "status": "pass" if delta <= norm_tol else "fail",
-            }
-        )
-    cols = ["row", "q", "alpha", "j", "R", "R_exact", "R_oracle", "R1", "delta", "tol", "status"]
-    _emit(rows, cols, fmt, out)
-    _finish(ctx, rows)
+        yield {
+            "row": "normalization", "q": fp.q, "alpha": str(alpha), "R": _fmt(total), "R_exact": _exact(total),
+            "R_oracle": _fmt(1.0), **_check(abs(float(total) - 1.0), _tol(1e-12, tol)),
+        }
 
 
-@main.command("apply")
-@_common
-@click.option("--op", type=click.Choice(["riesz", "vladimirov", "truncated", "multiplier"]), required=True)
-@click.option("--alpha", required=True)
-@click.option("--fn", required=True, help="Function file (path or packaged example name).")
-@click.option("--nu", type=int, default=None, help="Truncation index (required for --op truncated).")
-@click.option("--window", type=int, default=None, help="Output window level override.")
-@click.pass_context
-@_guarded
-def apply_cmd(ctx, p_, degree, fmt, out, op, alpha, fn, nu, window):
+@_command(
+    "apply",
+    ["op", "q", "alpha", "nu", "point", "re", "im", "exact"],
+    click.option("--op", type=click.Choice(["riesz", "vladimirov", "truncated", "multiplier"]), required=True),
+    _ALPHA,
+    _FN,
+    click.option("--nu", type=int, default=None, help="Truncation index (required for --op truncated)."),
+    click.option("--window", type=int, default=None, help="Output window level override."),
+)
+def apply_cmd(fp, op, alpha, fn, nu, window):
     """Apply an operator to a function file and tabulate window values."""
-    fp = _field(p_, degree)
-    params = OperatorParams(fp, _parse_alpha(alpha))
-    f = _resolve_fn(fn)
-    if f.fp != fp:
-        raise click.UsageError(f"--p/--degree disagree with the file ({f.fp.p}, {f.fp.n})")
+    params = OperatorParams(fp, alpha)
+    f = _function(fp, fn)
     if op == "truncated" and nu is None:
         raise click.UsageError("--op truncated requires --nu")
-
-    rows = []
-
-    def add_row(pt, re, im, exact=""):
-        rows.append(
-            {
-                "op": op,
-                "q": fp.q,
-                "alpha": str(params.alpha),
-                "nu": "" if nu is None else nu,
-                "point": str(pt),
-                "re": _fmt(re),
-                "im": _fmt(im),
-                "exact": exact,
-            }
-        )
-
     if op == "riesz":
         u = riesz_potential(params, f, window_level=window)
-        for _, pt, v in u.core.items():
-            add_row(pt, float(v.re), float(v.im), str(v.re.exact) if v.re.is_exact else "")
-        rows.append(
-            {
-                "op": op,
-                "q": fp.q,
-                "alpha": str(params.alpha),
-                "nu": "",
-                "point": "tail",
-                "re": "",
-                "im": "",
-                "exact": str(u.tail),
-            }
-        )
-    elif op in ("vladimirov", "truncated"):
-        u = ExtendedFunction.from_test_function(f)
-        for pt, v in vladimirov_on_window(params, u, window_level=window, nu=nu):
-            add_row(pt, float(v.re), float(v.im), str(v.re.exact) if v.re.is_exact else "")
+        values = [(pt, v) for _, pt, v in u.core.items()]
+    elif op == "multiplier":
+        values = [(pt, ComplexValue.from_complex(z)) for pt, z in multiplier_vladimirov(fp, params.gamma, f, window)]
     else:
-        for pt, z in multiplier_vladimirov(fp, params.gamma, f, window_level=window):
-            add_row(pt, z.real, z.imag)
-    cols = ["op", "q", "alpha", "nu", "point", "re", "im", "exact"]
-    _emit(rows, cols, fmt, out)
-    _finish(ctx, rows)
+        values = vladimirov_on_window(params, f, window_level=window, nu=nu)
+    head = {"op": op, "q": fp.q, "alpha": str(alpha), "nu": "" if nu is None else nu}
+    for pt, v in values:
+        yield {**head, "point": str(pt), "re": _fmt(v.re), "im": _fmt(v.im), "exact": _exact(v.re)}
+    if op == "riesz":
+        yield {**head, "nu": "", "point": "tail", "exact": str(u.tail)}
 
 
-@main.command("invert")
-@_common
-@click.option("--alpha", required=True)
-@click.option("--lp", type=float, default=1.0, show_default=True, help="Exponent of the L^p norm.")
-@click.option("--fn", required=True)
-@click.option("--nu-min", type=int, default=1, show_default=True)
-@click.option("--nu-max", type=int, required=True)
-@click.option("--tol", type=float, default=None, help="Zero-residual tolerance [default 1e-12].")
-@click.pass_context
-@_guarded
-def invert_cmd(ctx, p_, degree, fmt, out, alpha, lp, fn, nu_min, nu_max, tol):
+@_command(
+    "invert",
+    ["q", "alpha", "lp", "nu", "residual", "bound", "exact_recovery_expected", "status", "warnings"],
+    _ALPHA,
+    click.option("--lp", type=float, default=1.0, show_default=True, help="Exponent of the L^p norm."),
+    _FN,
+    click.option("--nu-min", type=int, default=1, show_default=True),
+    click.option("--nu-max", type=int, required=True),
+    click.option("--tol", type=float, default=None, help="Tolerance [default 1e-12]."),
+)
+def invert_cmd(fp, alpha, lp, fn, nu_min, nu_max, tol):
     """Inversion residuals ||D_eps(Riesz(phi)) - phi||_p over a truncation sweep."""
-    fp = _field(p_, degree)
-    params = OperatorParams(fp, _parse_alpha(alpha))
-    f = _resolve_fn(fn)
-    if f.fp != fp:
-        raise click.UsageError(f"--p/--degree disagree with the file ({f.fp.p}, {f.fp.n})")
+    params = OperatorParams(fp, alpha)
+    f = _function(fp, fn)
     zero_tol = _tol(1e-12, tol)
     bound_tol = _tol(1e-10, tol)
-    k = f.constancy_level
-    rows = []
     for nu in range(nu_min, nu_max + 1):
         with warnings.catch_warnings(record=True) as ws:
             warnings.simplefilter("always")
             resid = inversion_residual(params, lp, f, nu)
             bound = minkowski_bound(params, lp, f, nu)
-        expect_zero = nu >= k - 1
+        expect_zero = nu >= f.constancy_level - 1
         ok = resid <= zero_tol if expect_zero else resid <= bound + bound_tol
-        rows.append(
-            {
-                "q": fp.q,
-                "alpha": str(params.alpha),
-                "lp": _fmt(lp),
-                "nu": nu,
-                "residual": _fmt(resid),
-                "bound": _fmt(bound),
-                "exact_recovery_expected": "yes" if expect_zero else "no",
-                "status": "pass" if ok else "fail",
-                "warnings": _collect_warnings(ws),
-            }
-        )
-    cols = ["q", "alpha", "lp", "nu", "residual", "bound", "exact_recovery_expected", "status", "warnings"]
-    _emit(rows, cols, fmt, out)
-    _finish(ctx, rows)
+        yield {
+            "q": fp.q, "alpha": str(alpha), "lp": _fmt(lp), "nu": nu, "residual": _fmt(resid), "bound": _fmt(bound),
+            "exact_recovery_expected": "yes" if expect_zero else "no", "status": "pass" if ok else "fail",
+            "warnings": "; ".join(str(w.message) for w in ws),
+        }
 
 
-@main.command("fourier-check")
-@_common
-@click.option("--fn", required=True)
-@click.option("--tol", type=float, default=None, help="Tolerance [default 1e-10].")
-@click.pass_context
-@_guarded
-def fourier_cmd(ctx, p_, degree, fmt, out, fn, tol):
+@_command(
+    "fourier-check",
+    ["check", "q", "left", "right", "delta", "tol", "status"],
+    _FN,
+    click.option("--tol", type=float, default=None, help="Tolerance [default 1e-10]."),
+)
+def fourier_cmd(fp, fn, tol):
     """Plancherel identity and transform round-trip for a function file."""
-    fp = _field(p_, degree)
-    f = _resolve_fn(fn)
-    if f.fp != fp:
-        raise click.UsageError(f"--p/--degree disagree with the file ({f.fp.p}, {f.fp.n})")
+    f = _function(fp, fn)
     tol_v = _tol(1e-10, tol)
     hat = fourier_transform(f)
     lhs, rhs = lp_norm(f, 2), lp_norm(hat, 2)
     rt = fourier_transform(hat, inverse=True)
-    rt_delta = max(
-        abs((rt.evaluate(pt) - v).to_complex()) for _, pt, v in f.items()
-    )
-    rows = [
-        {
-            "check": "plancherel",
-            "q": fp.q,
-            "left": _fmt(lhs),
-            "right": _fmt(rhs),
-            "delta": _fmt(abs(lhs - rhs)),
-            "tol": _fmt(tol_v),
-            "status": "pass" if abs(lhs - rhs) <= tol_v else "fail",
-        },
-        {
-            "check": "roundtrip",
-            "q": fp.q,
-            "left": "",
-            "right": "",
-            "delta": _fmt(rt_delta),
-            "tol": _fmt(tol_v),
-            "status": "pass" if rt_delta <= tol_v else "fail",
-        },
-    ]
-    cols = ["check", "q", "left", "right", "delta", "tol", "status"]
-    _emit(rows, cols, fmt, out)
-    _finish(ctx, rows)
+    rt_delta = max(abs((rt.evaluate(pt) - v).to_complex()) for _, pt, v in f.items())
+    yield {"check": "plancherel", "q": fp.q, "left": _fmt(lhs), "right": _fmt(rhs), **_check(abs(lhs - rhs), tol_v)}
+    yield {"check": "roundtrip", "q": fp.q, **_check(rt_delta, tol_v)}
 
 
-@main.command("multidim-check")
-@_common
-@click.option("--alpha", required=True)
-@click.option("--fn", required=True)
-@click.option("--tol", type=float, default=None, help="Tolerance [default 1e-10].")
-@click.pass_context
-@_guarded
-def multidim_cmd(ctx, p_, degree, fmt, out, alpha, fn, tol):
+@_command(
+    "multidim-check",
+    ["row", "q", "alpha", "point", "direct_re", "direct_im", "ext_re", "ext_im", "delta", "tol", "status"],
+    _ALPHA,
+    _FN,
+    click.option("--tol", type=float, default=None, help="Tolerance [default 1e-10]."),
+)
+def multidim_cmd(fp, alpha, fn, tol):
     """Max-norm operator vs its one-dimensional extension reading."""
-    if degree < 2:
+    if fp.n < 2:
         raise click.UsageError("multidim-check needs --degree >= 2")
-    _field(p_, degree)
-    bridge = DimensionBridge(p_, degree, _parse_alpha(alpha))
-    f = _resolve_fn(fn)
-    if f.fp != bridge.ext:
-        raise click.UsageError(f"--p/--degree disagree with the file ({f.fp.p}, {f.fp.n})")
+    bridge = DimensionBridge(fp.p, fp.n, alpha)
+    f = _function(fp, fn)
     tol_v = _tol(1e-10, tol)
-    rows = []
     worst = 0.0
     for pt, direct, via_ext in taibleson_on_window(bridge, f):
         delta = abs((direct - via_ext).to_complex())
         worst = max(worst, delta)
-        rows.append(
-            {
-                "row": "point",
-                "q": bridge.ext.q,
-                "alpha": str(bridge.alpha),
-                "point": str(pt),
-                "direct_re": _fmt(float(direct.re)),
-                "direct_im": _fmt(float(direct.im)),
-                "ext_re": _fmt(float(via_ext.re)),
-                "ext_im": _fmt(float(via_ext.im)),
-                "delta": _fmt(delta),
-                "tol": _fmt(tol_v),
-                "status": "pass" if delta <= tol_v else "fail",
-            }
-        )
-    rows.append(
-        {
-            "row": "max",
-            "q": bridge.ext.q,
-            "alpha": str(bridge.alpha),
-            "point": "",
-            "direct_re": "",
-            "direct_im": "",
-            "ext_re": "",
-            "ext_im": "",
-            "delta": _fmt(worst),
-            "tol": _fmt(tol_v),
-            "status": "pass" if worst <= tol_v else "fail",
+        yield {
+            "row": "point", "q": fp.q, "alpha": str(alpha), "point": str(pt),
+            "direct_re": _fmt(direct.re), "direct_im": _fmt(direct.im),
+            "ext_re": _fmt(via_ext.re), "ext_im": _fmt(via_ext.im), **_check(delta, tol_v),
         }
-    )
-    cols = ["row", "q", "alpha", "point", "direct_re", "direct_im", "ext_re", "ext_im", "delta", "tol", "status"]
-    _emit(rows, cols, fmt, out)
-    _finish(ctx, rows)
+    yield {"row": "max", "q": fp.q, "alpha": str(alpha), **_check(worst, tol_v)}
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Programmatic entry point returning the exit code."""
+    """Run the CLI and return its exit code; the one place errors become exit codes.
+
+    Both the ``ultrafrac`` script and ``python -m ultrafrac.cli`` enter here.
+    """
     try:
         rv = main.main(args=argv, standalone_mode=False)
         return rv if isinstance(rv, int) else 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return exc.exit_code
-    except (FunctionFileError, UltrafracError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
+        message, code = exc.format_message(), exc.exit_code
+    except OverflowError as exc:
+        message, code = f"a value is beyond float range (about 1.8e308): {exc}", 2
+    except (UltrafracError, ValueError, OSError) as exc:
+        message, code = str(exc), 2
+    click.echo(f"error: {message}", err=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -169,23 +169,6 @@ def haar_measure(fp: FieldParams, region: BallSpec | SphereSpec) -> Fraction:
     raise TypeError(f"not a ball or sphere: {region!r}")
 
 
-@dataclass(frozen=True)
-class CosetAddress:
-    """Digit address of a resolution-level coset inside an ambient ball.
-
-    ``digits[i]`` lists the base-p digits of coordinate i at the positions
-    ambient level .. resolution-1, lowest position first.  Two points share
-    an address iff their difference lies in the resolution-level ball.
-    """
-
-    ball: BallSpec
-    digits: Digits
-
-    @property
-    def resolution(self) -> int:
-        return self.ball.level + len(self.digits[0]) if self.digits else self.ball.level
-
-
 def coset_digits(
     fp: FieldParams,
     x: Point,

@@ -10,7 +10,6 @@ arguments are exact rationals; only the final complex exponential floats.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (
@@ -29,13 +28,6 @@ _EXACT_PHASES = {
     Fraction(1, 4): ComplexValue.from_rational(0, 1),
     Fraction(3, 4): ComplexValue.from_rational(0, -1),
 }
-
-
-@dataclass(frozen=True)
-class Character:
-    """Additive character of rank zero on the coordinate model."""
-
-    fp: FieldParams
 
 
 def fractional_part(fr: Fraction) -> Fraction:
@@ -67,9 +59,9 @@ def phase_value(arg: Fraction) -> ComplexValue:
     return ComplexValue.from_complex(cmath.exp(2j * cmath.pi * float(arg)))
 
 
-def character_eval(chi: Character, x: Point) -> complex:
-    """Character value at x; a root of unity of p-power order."""
-    return phase_value(character_arg(chi.fp, x)).to_complex()
+def character_eval(fp: FieldParams, x: Point) -> complex:
+    """Rank-zero additive character at x; a root of unity of p-power order."""
+    return phase_value(character_arg(fp, x)).to_complex()
 
 
 def fourier_transform(f: TestFunction, inverse: bool = False) -> TestFunction:

@@ -179,13 +179,7 @@ class TestFunction:
 
     def translated(self, h: Point) -> "TestFunction":
         """The function x -> f(x - h)."""
-        e = abs_exponent(self.fp, h)
-        sl = self.support_level if e is None else min(self.support_level, -e)
-        table = {
-            d: self.evaluate(digits_to_point(self.fp, d, sl) - h)
-            for d in enumerate_digits(self.fp, sl, self.constancy_level)
-        }
-        return TestFunction(self.fp, sl, self.constancy_level, table)
+        return ExtendedFunction.from_test_function(self).translated(h).core
 
     def _combined(self, other: "TestFunction", op) -> "TestFunction":
         if self.fp != other.fp:
@@ -372,6 +366,17 @@ class ExtendedFunction:
             return self.tail_value_at_exponent(e)
         return self.core.evaluate(x)
 
+    def translated(self, h: Point) -> "ExtendedFunction":
+        """The function x -> f(x - h); the window grows to hold the translated core."""
+        e = abs_exponent(self.fp, h)
+        window = self.window_level if e is None else min(self.window_level, -e)
+        k = self.constancy_level
+        table = {
+            d: self.evaluate(digits_to_point(self.fp, d, window) - h)
+            for d in enumerate_digits(self.fp, window, k)
+        }
+        return ExtendedFunction(TestFunction(self.fp, window, k, table), self.tail)
+
 
 def _as_extended(f) -> ExtendedFunction:
     if isinstance(f, ExtendedFunction):
@@ -432,6 +437,18 @@ def _tail_lp_contribution(fp: FieldParams, terms, p: float, outer_level: int) ->
     return total
 
 
+def lp_window_sum(fp: FieldParams, window: int, k: int, p: float, diff) -> float:
+    """Sum of |diff(x)|**p times the coset measure over the level-k cosets of the window ball.
+
+    Left unrooted so that a caller can add a tail integral before taking the
+    p-th root; 0.0 when every difference is an exact zero.
+    """
+    diffs = [diff(digits_to_point(fp, d, window)) for d in enumerate_digits(fp, window, k)]
+    if all(dv.is_exact_zero() for dv in diffs):
+        return 0.0
+    return sum(abs(dv) ** p for dv in diffs) * float(Fraction(fp.q) ** (-k))
+
+
 def lp_distance(f, g, p) -> float:
     """L^p distance between two core-plus-tail functions.
 
@@ -450,20 +467,8 @@ def lp_distance(f, g, p) -> float:
     terms, logc = _combined_tail_terms(fe, ge)
     if not logc.is_exact_zero():
         raise DivergentIntegralError("L^p norm of a log-growth tail diverges")
-
-    diffs = []
-    all_exact_zero = True
-    for d in enumerate_digits(fp, window, k):
-        pt = digits_to_point(fp, d, window)
-        dv = fe.evaluate(pt) - ge.evaluate(pt)
-        if not dv.is_exact_zero():
-            all_exact_zero = False
-        diffs.append(dv)
+    window_part = lp_window_sum(fp, window, k, p, lambda x: fe.evaluate(x) - ge.evaluate(x))
     tail_part = _tail_lp_contribution(fp, terms, p, window)
-    if all_exact_zero and tail_part == 0.0:
-        return 0.0
-    meas = float(Fraction(fp.q) ** (-k))
-    window_part = sum(abs(dv) ** p for dv in diffs) * meas
     return (window_part + tail_part) ** (1.0 / p)
 
 

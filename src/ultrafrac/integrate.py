@@ -20,12 +20,14 @@ from .errors import (
 from .field import (
     FieldParams,
     Point,
+    SphereSpec,
     abs_exponent,
+    haar_measure,
     point,
     sphere_coset_reps,
     zero_point,
 )
-from .functions import ExtendedFunction, TestFunction, _as_extended, tail_log_coeff, tail_power_terms
+from .functions import ExtendedFunction, _as_extended, tail_log_coeff, tail_power_terms
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
@@ -96,10 +98,6 @@ class Region:
     def outside(cls, level: int) -> "Region":
         """{x : |x| >= q**(-level)}."""
         return cls(None, level)
-
-
-def _sphere_measure(fp: FieldParams, level: int) -> Fraction:
-    return (1 - Fraction(1, fp.q)) * Fraction(fp.q) ** (-level)
 
 
 def profile_value(fp: FieldParams, profile: RadialProfile, e: int) -> NumericValue:
@@ -179,20 +177,6 @@ def profile_coset_integral(fp: FieldParams, profile: RadialProfile, rel_exp: int
 # the quadrature workhorse
 
 
-def translate_extended(f: ExtendedFunction, a: Point) -> ExtendedFunction:
-    """The core-plus-tail function t -> f(a + t)."""
-    e = abs_exponent(f.fp, a)
-    window = f.window_level if e is None else min(f.window_level, -e)
-    k = f.constancy_level
-    from .field import digits_to_point, enumerate_digits
-
-    table = {
-        d: f.evaluate(a + digits_to_point(f.fp, d, window))
-        for d in enumerate_digits(f.fp, window, k)
-    }
-    return ExtendedFunction(TestFunction(f.fp, window, k, table), f.tail)
-
-
 def _closed_far_sum(fp: FieldParams, profile: RadialProfile, f: ExtendedFunction, j_hi: int) -> ComplexValue:
     """Sum of profile * f over all shells j <= j_hi, where f is in tail regime."""
     one_minus = 1 - Fraction(1, fp.q)
@@ -251,7 +235,7 @@ def integrate_product(profile: RadialProfile, f, region: Region | None = None) -
             raise UnsupportedIntegrandError(
                 "shifted profiles are only supported over the whole field"
             )
-        return integrate_product(profile.base, translate_extended(fe, profile.shift), region)
+        return integrate_product(profile.base, fe.translated(-profile.shift), region)
 
     window = fe.window_level
     k = fe.constancy_level
@@ -266,7 +250,7 @@ def integrate_product(profile: RadialProfile, f, region: Region | None = None) -
             val = fe.tail_value_at_exponent(-j)
             if val.is_exact_zero():
                 continue
-            total = total + val * (profile_value(fp, profile, -j) * _sphere_measure(fp, j))
+            total = total + val * (profile_value(fp, profile, -j) * haar_measure(fp, SphereSpec(zero_point(fp), j)))
 
     # window shells where f varies: coset sums at the constancy level
     w_lo = window if region.lo is None else max(window, region.lo)
@@ -288,7 +272,7 @@ def integrate_product(profile: RadialProfile, f, region: Region | None = None) -
             total = total + v0 * ball_profile_integral(fp, profile, -deep_lo)
         else:
             for j in range(deep_lo, region.hi + 1):
-                total = total + v0 * (profile_value(fp, profile, -j) * _sphere_measure(fp, j))
+                total = total + v0 * (profile_value(fp, profile, -j) * haar_measure(fp, SphereSpec(zero_point(fp), j)))
     return total
 
 

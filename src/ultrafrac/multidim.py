@@ -21,7 +21,6 @@ from .field import (
     digits_to_point,
     enumerate_digits,
     sphere_coset_reps,
-    valuation,
 )
 from .functions import ExtendedFunction, TestFunction
 from .numerics import (
@@ -65,20 +64,9 @@ class DimensionBridge:
         return OperatorParams(self.ext, self.alpha)
 
 
-def max_norm_exponent(fp: FieldParams, x: Point) -> int | None:
-    """Exponent e with max_j |x_j|_p = p**e; None for the zero vector."""
-    best: int | None = None
-    for c in x.coords:
-        v = valuation(c, fp.p)
-        if v is None:
-            continue
-        if best is None or -v > best:
-            best = -v
-    return best
-
-
 def max_norm(fp: FieldParams, x: Point) -> Fraction:
-    e = max_norm_exponent(fp, x)
+    """max_j |x_j|_p, the base-prime norm whose n-th power is |x|."""
+    e = abs_exponent(fp, x)
     if e is None:
         return Fraction(0)
     return Fraction(fp.p) ** e

@@ -18,9 +18,6 @@ from fractions import Fraction
 from .errors import DivergentSeriesError, ExactnessLost
 from .field import FieldParams
 
-DEFAULT_REL_TOL = 1e-10
-
-
 def as_fraction(x) -> Fraction:
     """Exact conversion to Fraction; floats convert via their binary expansion."""
     if isinstance(x, Fraction):
@@ -326,11 +323,6 @@ def q_pow(fp: FieldParams, exponent) -> NumericValue:
     return NumericValue.from_float(float(fp.q) ** float(e))
 
 
-def q_power(fp: FieldParams, alpha, k: int) -> NumericValue:
-    """q**(alpha*k), exact when that power of q is rational."""
-    return q_pow(fp, as_fraction(alpha) * k)
-
-
 def geometric_tail(fp: FieldParams, s, j0: int) -> NumericValue:
     """Sum over j >= j0 of q**(-s*j), s > 0, in closed form."""
     s = as_fraction(s)
@@ -362,16 +354,8 @@ class ComplexValue:
         return cls(NV_ZERO, NV_ZERO)
 
     @classmethod
-    def one(cls) -> "ComplexValue":
-        return cls(NV_ONE, NV_ZERO)
-
-    @classmethod
     def from_rational(cls, re, im=0) -> "ComplexValue":
         return cls(NumericValue.from_rational(re), NumericValue.from_rational(im))
-
-    @classmethod
-    def from_numeric(cls, nv) -> "ComplexValue":
-        return cls(NumericValue._coerce(nv), NV_ZERO)
 
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexValue":
@@ -426,9 +410,6 @@ class ComplexValue:
     def __truediv__(self, other):
         other = NumericValue._coerce(other)
         return ComplexValue(self.re / other, self.im / other)
-
-    def conj(self) -> "ComplexValue":
-        return ComplexValue(self.re, -self.im)
 
     def __str__(self) -> str:
         return f"({self.re}) + ({self.im})i"

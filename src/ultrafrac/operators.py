@@ -45,6 +45,7 @@ from .functions import (
     ZeroTail,
     _as_extended,
     log_tail,
+    lp_window_sum,
     power_tail,
     tail_log_coeff,
     tail_power_terms,
@@ -147,24 +148,6 @@ def kernel_r(params: OperatorParams, j: int) -> NumericValue:
 def kernel_r1(params: OperatorParams, j: int) -> NumericValue:
     """Normalized kernel R1 = c*d*R; positive with unit mass for 0 < gamma <= 1."""
     return constants(params).cd * kernel_r(params, j)
-
-
-@dataclass(frozen=True)
-class KernelShellTable:
-    """Shell values of R and R1 for j = 1..j_max, plus the normalizer product."""
-
-    params: OperatorParams
-    cd: NumericValue
-    shells: dict[int, tuple[NumericValue, NumericValue]]
-
-
-def kernel_table(params: OperatorParams, j_max: int) -> KernelShellTable:
-    cd = constants(params).cd
-    shells = {}
-    for j in range(1, j_max + 1):
-        r = kernel_r(params, j)
-        shells[j] = (r, cd * r)
-    return KernelShellTable(params, cd, shells)
 
 
 @lru_cache(maxsize=1024)
@@ -516,6 +499,8 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     p = float(p)
     if p < 1:
         raise ValueError(f"L^p norms need p >= 1, got {p}")
+    if nu < 1:
+        raise ValueError(f"truncation index must be a positive integer, got {nu}")
     _decay_gate(params, phi)
     g = params.gamma
     if g < 1 and p >= 1.0 / float(g):
@@ -531,22 +516,11 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
             stacklevel=2,
         )
     pe = _as_extended(phi)
-    fp = params.fp
-    k = pe.constancy_level
     w = min(pe.window_level, nu + 1)
-
-    diffs = []
-    all_zero = True
-    for d in enumerate_digits(fp, w, k):
-        x = digits_to_point(fp, d, w)
-        r = averaging_apply(params, nu, phi, x) - pe.evaluate(x)
-        if not r.is_exact_zero():
-            all_zero = False
-        diffs.append(r)
-    if all_zero:
-        return 0.0
-    meas = float(Fraction(fp.q) ** (-k))
-    return (sum(abs(r) ** p for r in diffs) * meas) ** (1.0 / p)
+    residual = lp_window_sum(
+        params.fp, w, pe.constancy_level, p, lambda x: averaging_apply(params, nu, phi, x) - pe.evaluate(x)
+    )
+    return residual ** (1.0 / p)
 
 
 def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> float:

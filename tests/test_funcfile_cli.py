@@ -156,6 +156,25 @@ class TestCli:
     def test_nonprime_exits_2(self, capsys):
         assert run(["kernel", "--p", "4", "--alpha", "1", "--shells", "1..2"]) == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["integrate", "--p", "2", "--alpha", "1/2", "--levels", "2100..2100"], "float range"),
+            (["kernel", "--p", "2", "--alpha", "1/3", "--shells", "-1200..-1200"], "float range"),
+            (["integrate", "--p", "2", "--alpha", "1/2", "--depth", "-5"], "--depth"),
+            (["kernel", "--p", "2", "--alpha", "1/2", "--depth", "-5"], "--depth"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, args, message, capsys):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["integrate", "--p", "2", "--alpha", "1/2", "--levels", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_warning_goes_to_column_not_exit_code(self, capsys):
         code = run(
             ["invert", "--p", "2", "--alpha", "0.5", "--lp", "3", "--fn", "one_O.json",

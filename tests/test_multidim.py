@@ -5,14 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point, random_test_function
-from ultrafrac.field import FieldParams, abs_value, point, zero_point
+from ultrafrac.field import FieldParams, abs_exponent, abs_value, point, zero_point
 from ultrafrac.functions import indicator_ball
 from ultrafrac.multidim import (
     DimensionBridge,
     inversion_residual_multidim,
     kernel_r_multidim,
     max_norm,
-    max_norm_exponent,
     taibleson_direct,
     taibleson_on_window,
     taibleson_via_extension,
@@ -27,7 +26,8 @@ class TestMaxNorm:
 
     def test_zero_marker(self):
         fp = FieldParams(2, 2)
-        assert max_norm_exponent(fp, zero_point(fp)) is None
+        assert abs_exponent(fp, zero_point(fp)) is None
+        assert max_norm(fp, zero_point(fp)) == 0
 
     def test_degree_one_is_absolute_value(self):
         fp = FieldParams(3, 1)

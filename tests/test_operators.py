@@ -32,7 +32,6 @@ from ultrafrac.operators import (
     kernel_r,
     kernel_r1,
     kernel_r_oracle,
-    kernel_table,
     minkowski_bound,
     riesz_potential,
     truncated_vladimirov,
@@ -99,10 +98,11 @@ class TestKernel:
         assert kernel_r1(pr, 1).exact.a == Fraction(4, 3)
 
     def test_table_contents(self):
+        # R1 = c*d*R shell by shell, exactly on the log branch
         pr = params(2, 1)
-        tbl = kernel_table(pr, 4)
-        assert set(tbl.shells) == {1, 2, 3, 4}
-        assert tbl.shells[1][1].exact.a == Fraction(4, 3)
+        cd = constants(pr).cd
+        for j in range(1, 5):
+            assert kernel_r1(pr, j).exact == (cd * kernel_r(pr, j)).exact
 
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1])
