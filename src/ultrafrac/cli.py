@@ -6,8 +6,9 @@ fixed column sets, canonical row order, floats at 15 significant digits.
 Exit codes: 0 all in-run assertions pass, 1 an assertion failed, 2 bad
 configuration, an unreadable input file or unwritable output, or a value
 beyond float range.  The environment variable ``ULTRA_TOL`` (a decimal
-string) overrides every tolerance; hypothesis-range warnings go to the
-``warnings`` column, never to the exit code.
+string) overrides every tolerance; the ``integrate`` rows and the
+``kernel`` shell rows scale it by max(1, |closed form|).  Hypothesis-range
+warnings go to the ``warnings`` column, never to the exit code.
 """
 
 from __future__ import annotations
@@ -63,9 +64,15 @@ def _exact(v) -> str:
     return str(v.exact) if v.is_exact else ""
 
 
-def _check(delta: float, tol: float) -> dict:
-    """The delta, tol and status cells of a row that compares two routes."""
-    return {"delta": _fmt(delta), "tol": _fmt(tol), "status": "pass" if delta <= tol else "fail"}
+def _check(delta: float, tol: float, scale: float = 1.0) -> dict:
+    """The delta, tol and status cells of a row that compares two routes.
+
+    A row passes when delta <= tol * max(1, |scale|).  The integrate rows
+    and the kernel shell rows pass their closed form as ``scale``, so that
+    tol is relative where the values are large.
+    """
+    ok = delta <= tol * max(1.0, abs(scale))
+    return {"delta": _fmt(delta), "tol": _fmt(tol), "status": "pass" if ok else "fail"}
 
 
 def _order(ctx, param, text: str) -> Fraction:
@@ -191,7 +198,7 @@ def integrate_cmd(fp, alpha, levels, depth, tol):
             yield {
                 "check": name, "q": fp.q, "degree": fp.n, "alpha": str(alpha), "level": n,
                 "closed_form": _fmt(closed), "oracle": _fmt(oracle), "exact": _exact(closed),
-                **_check(abs(float(closed) - float(oracle)), tol_v),
+                **_check(abs(float(closed) - float(oracle)), tol_v, float(closed)),
             }
 
 
@@ -214,7 +221,7 @@ def kernel_cmd(fp, alpha, shells, check_integral, depth, tol):
         yield {
             "row": "shell", "q": fp.q, "alpha": str(alpha), "j": j, "R": _fmt(closed), "R_exact": _exact(closed),
             "R_oracle": _fmt(oracle), "R1": _fmt(kernel_r1(params, j)),
-            **_check(abs(float(closed) - oracle), tol_v),
+            **_check(abs(float(closed) - oracle), tol_v, float(closed)),
         }
     if check_integral:
         total = kernel_normalization(params)

@@ -20,7 +20,7 @@ from .field import (
     enumerate_digits,
 )
 from .functions import TestFunction
-from .numerics import ComplexValue, as_fraction, geometric_tail, q_pow
+from .numerics import CV_ZERO, ComplexValue, as_fraction, geometric_tail, q_pow
 
 _EXACT_PHASES = {
     Fraction(0): ComplexValue.from_rational(1, 0),
@@ -91,19 +91,6 @@ def fourier_transform(f: TestFunction, inverse: bool = False) -> TestFunction:
     return TestFunction(fp, out_support, out_constancy, table)
 
 
-def _sphere_character_integral(fp: FieldParams, level: int, x_exp: int | None) -> Fraction:
-    """Exact value of the character integral over the sphere at ``level``.
-
-    For |x| = q**x_exp: (1-1/q)*q**(-level) when x lies in the dual ball,
-    -q**(-level-1) one level past it, 0 beyond.
-    """
-    if x_exp is None or x_exp <= level:
-        return (1 - Fraction(1, fp.q)) * Fraction(fp.q) ** (-level)
-    if x_exp == level + 1:
-        return -(Fraction(fp.q) ** (-level - 1))
-    return Fraction(0)
-
-
 def multiplier_vladimirov(
     fp: FieldParams,
     exponent,
@@ -114,9 +101,10 @@ def multiplier_vladimirov(
 
     Computes the inverse transform of |xi|**exponent * (F f)(xi) at the
     cosets of the window (input window dilated by one level by default).
-    The multiplier times the transform is locally constant away from zero;
-    the shells accumulating at zero integrate against the character in
-    closed form, so every value is a finite sum.
+    The multiplier times the transform is locally constant away from zero,
+    so that part is the inverse transform of a table whose zero coset is
+    zeroed; the shells accumulating at zero integrate against the character
+    in closed form, so every value is a finite sum.
     """
     exponent = as_fraction(exponent)
     if exponent <= 0:
@@ -124,28 +112,19 @@ def multiplier_vladimirov(
     ft = fourier_transform(f)
     k_hat = ft.constancy_level
     window = (f.support_level - 1) if window_level is None else window_level
-    scale = Fraction(fp.q) ** (-k_hat)
 
-    nonzero = []
     zero_addr = tuple((0,) * (k_hat - ft.support_level) for _ in range(fp.n))
-    for d in ft.addresses():
-        pt = digits_to_point(fp, d, ft.support_level)
-        if d == zero_addr:
-            hat_at_zero = ft.values[d]
-            continue
-        nonzero.append((pt, abs_exponent(fp, pt), ft.values[d]))
+    hat_at_zero = ft.values[zero_addr]
+    weighted = {
+        d: CV_ZERO if d == zero_addr else v * q_pow(fp, exponent * abs_exponent(fp, pt))
+        for d, pt, v in ft.items()
+    }
+    away = fourier_transform(TestFunction(fp, ft.support_level, k_hat, weighted), inverse=True)
 
     out = []
     for d in enumerate_digits(fp, window, f.constancy_level):
         x = digits_to_point(fp, d, window)
         e_x = abs_exponent(fp, x)
-        acc = ComplexValue.zero()
-        if e_x is None or e_x <= k_hat:
-            for c_pt, e_c, v in nonzero:
-                if v.is_exact_zero():
-                    continue
-                phase = phase_value(fractional_part(-pairing_arg(fp, x, c_pt)))
-                acc = acc + v * phase * q_pow(fp, exponent * e_c) * scale
         # radial shells of the zero coset against the character, closed form:
         # full character mass on shells at or inside |x|**-1, one negative
         # shell just outside it, nothing beyond
@@ -153,6 +132,5 @@ def multiplier_vladimirov(
         s = (1 - Fraction(1, fp.q)) * geometric_tail(fp, exponent + 1, j_start)
         if e_x is not None and e_x - 1 >= k_hat:
             s = s - q_pow(fp, -exponent * (e_x - 1)) * Fraction(fp.q) ** (-e_x)
-        acc = acc + hat_at_zero * s
-        out.append((x, acc.to_complex()))
+        out.append((x, (away.evaluate(x) + hat_at_zero * s).to_complex()))
     return out

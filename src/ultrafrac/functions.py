@@ -26,16 +26,17 @@ from .field import (
     coset_digits,
     digits_to_point,
     enumerate_digits,
-    zero_point,
 )
 from .numerics import (
     CV_ZERO,
+    NV_ZERO,
     ComplexValue,
     ExactScalar,
     NumericValue,
     as_fraction,
     geometric_tail,
     q_pow,
+    scale_sum,
     value_kind,
 )
 
@@ -59,6 +60,15 @@ class BallSum:
     @classmethod
     def of(cls, v: ComplexValue) -> "BallSum":
         return cls(v, value_kind(v.re), value_kind(v.im))
+
+
+def radial_sum(terms) -> ComplexValue:
+    """Sum of weight * (sum over a ball or sphere), on the per-entry exactness path."""
+    re = im = NV_ZERO
+    for weight, s in terms:
+        re = re + scale_sum(weight, s.value.re, s.re_kind)
+        im = im + scale_sum(weight, s.value.im, s.im_kind)
+    return ComplexValue(re, im)
 
 
 @dataclass(frozen=True)
@@ -156,12 +166,8 @@ class TestFunction:
         return out
 
     def integral(self) -> ComplexValue:
-        """Exact Haar integral: sum of table values times the coset measure."""
-        meas = Fraction(self.fp.q) ** (-self.constancy_level)
-        total = CV_ZERO
-        for v in self.values.values():
-            total = total + v * meas
-        return total
+        """Exact Haar integral: the sum of the table times the coset measure."""
+        return self.ball_sum().value * Fraction(self.fp.q) ** (-self.constancy_level)
 
     def refined(self, support_level: int | None = None, constancy_level: int | None = None) -> "TestFunction":
         """Same function on a coarser window and/or finer constancy level."""
@@ -197,14 +203,6 @@ class TestFunction:
 
     def __sub__(self, other: "TestFunction") -> "TestFunction":
         return self._combined(other, lambda a, b: a - b)
-
-    def scaled(self, factor) -> "TestFunction":
-        return TestFunction(
-            self.fp,
-            self.support_level,
-            self.constancy_level,
-            {d: v * factor for d, v in self.values.items()},
-        )
 
     def table_equal(self, other: "TestFunction") -> bool:
         """Exact table equality after refining to a common window/constancy."""
@@ -366,6 +364,29 @@ class ExtendedFunction:
             return self.tail_value_at_exponent(e)
         return self.core.evaluate(x)
 
+    def sphere_sums(self, x: Point) -> tuple[int, list[BallSum]]:
+        """Sums of f over the spheres {|z - x| = q**(-j)} around x that need an explicit sum.
+
+        Returns (j0, sums), with sums[j - j0] the sum over the sphere's
+        constancy-level cosets.  On every sphere j < j0, |z| = |z - x| lies
+        beyond the window and f is its tail; on the ball |z - x| <= q**(-j)
+        with j = j0 + len(sums), f is constant, equal to f(x).  Inside the
+        window these are the core's sibling sums.  Beyond it, at |x| = q**(-l),
+        there is one mixed sphere, |z - x| = |x|: the whole window, plus the
+        tail on the levels l .. window - 1, minus the ball around x.
+        """
+        fp, window, k = self.fp, self.window_level, self.constancy_level
+        e = abs_exponent(fp, x)
+        if e is None or -e >= window:
+            return window, self.core.sphere_sums(coset_digits(fp, x, window, k))
+        q = fp.q
+        total = self.core.ball_sum()
+        for m in range(-e, window):
+            count = (q - 2 if m == -e else q - 1) * q ** (k - m - 1)
+            if count:
+                total = total + BallSum.of(self.tail_value_at_exponent(-m) * count)
+        return -e, [total]
+
     def translated(self, h: Point) -> "ExtendedFunction":
         """The function x -> f(x - h); the window grows to hold the translated core."""
         e = abs_exponent(self.fp, h)
@@ -402,39 +423,38 @@ def _combined_tail_terms(f: ExtendedFunction, g: ExtendedFunction):
     return terms, logc
 
 
+_MAX_TAIL_SHELLS = 100_000  # shells summed before a multi-term L^p tail is given up
+
+
 def _tail_lp_contribution(fp: FieldParams, terms, p: float, outer_level: int) -> float:
     """Integral of |tail difference|**p over {|x| > q**(-outer_level)}."""
     if not terms:
         return 0.0
-    q = fp.q
+    q = float(fp.q)
     s_max = max(terms)
-    if float(s_max) * p >= -1:
+    sigma = float(s_max) * p + 1
+    if sigma >= 0:
         raise DivergentIntegralError(
             f"L^{p} tail with slowest decay |x|**{s_max} diverges"
         )
+    one_minus = 1 - 1 / q
     if len(terms) == 1:
-        ((s, c),) = terms.items()
-        sigma = float(s) * p + 1  # < 0
-        closed = float(geometric_tail(fp, -sigma, -(outer_level - 1)))
-        return abs(c) ** p * (1 - 1 / q) * closed
-    # several decay rates: sum shells until the dominated remainder is negligible
+        (c,) = terms.values()
+        return abs(c) ** p * one_minus * float(geometric_tail(fp, -sigma, -(outer_level - 1)))
+    # several decay rates: sum the shells |x| = q**i until the dominated
+    # remainder is negligible.  The slowest power q**(i*s_max) is pulled out of
+    # every term, so no factor overflows unless the shell value itself does.
+    bound_coeff = sum(abs(c) for c in terms.values()) ** p * one_minus / (1 - q**sigma)
     total = 0.0
-    j = outer_level - 1
-    ratio = float(q) ** (float(s_max) * p + 1)
-    for _ in range(100_000):
-        shell_val = abs(sum(c.to_complex() * float(q) ** (-j * float(s)) for s, c in terms.items()))
-        total += shell_val**p * (1 - 1 / q) * float(q) ** (-j)
-        # domination bound only valid once all exponents act as decay (j < 0)
-        if j <= -1:
-            bound = (
-                (sum(abs(c) for c in terms.values()) * float(q) ** (-(j - 1) * float(s_max))) ** p
-                * float(q) ** (-(j - 1))
-                / (1 - ratio)
-            )
-            if bound <= 1e-17 * max(total, 1e-300):
-                break
-        j -= 1
-    return total
+    first = 1 - outer_level
+    for i in range(first, first + _MAX_TAIL_SHELLS):
+        rel = abs(sum(c.to_complex() * q ** (i * float(s - s_max)) for s, c in terms.items()))
+        total += rel**p * one_minus * q ** (i * sigma)
+        # past shell i every q**(i*(s - s_max)) is at most 1, which bounds the remainder
+        if i >= 0 and bound_coeff * q ** ((i + 1) * sigma) <= 1e-17 * max(total, 1e-300):
+            return total
+    rates = ", ".join(str(s) for s in sorted(terms))
+    raise UltrafracError(f"L^{p} tail with decay rates {rates} did not converge within {_MAX_TAIL_SHELLS} shells")
 
 
 def lp_window_sum(fp: FieldParams, window: int, k: int, p: float, diff) -> float:

@@ -27,7 +27,7 @@ from .field import (
     sphere_coset_reps,
     zero_point,
 )
-from .functions import ExtendedFunction, _as_extended, tail_log_coeff, tail_power_terms
+from .functions import ExtendedFunction, _as_extended, radial_sum, tail_log_coeff, tail_power_terms
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
@@ -178,71 +178,64 @@ def profile_coset_integral(fp: FieldParams, profile: RadialProfile, rel_exp: int
 
 
 def _closed_far_sum(fp: FieldParams, profile: RadialProfile, f: ExtendedFunction, j_hi: int) -> ComplexValue:
-    """Sum of profile * f over all shells j <= j_hi, where f is in tail regime."""
+    """Sum of profile * f over all shells j <= j_hi, where f is in tail regime.
+
+    Each product term is c * |x|**s * (ln|x|)**m; over the shells j <= j_hi it
+    is a geometric series (m = 0) or a j-weighted one (m = 1).
+    """
+    if isinstance(profile, PowerProfile):
+        s_p, m_p = profile.exponent, 0
+    elif isinstance(profile, LogProfile):
+        s_p, m_p = Fraction(0), 1
+    else:
+        raise TypeError(f"not a centered radial profile: {profile!r}")
+    terms = [(s_t, 0, c) for s_t, c in tail_power_terms(f.tail)]
+    log_coeff = tail_log_coeff(f.tail)
+    if not log_coeff.is_exact_zero():
+        terms.append((Fraction(0), 1, log_coeff))
     one_minus = 1 - Fraction(1, fp.q)
     total = CV_ZERO
-    ln_q = NumericValue.from_exact(ExactScalar.ln_q(fp))
-    power_terms = tail_power_terms(f.tail)
-    log_coeff = tail_log_coeff(f.tail)
-
-    if isinstance(profile, PowerProfile):
-        for s_t, c in power_terms:
-            sigma = profile.exponent + s_t + 1
-            if sigma >= 0:
-                raise DivergentIntegralError(
-                    f"far shells of |x|**{profile.exponent} against a |x|**{s_t} tail diverge"
-                )
-            total = total + c * (one_minus * geometric_tail(fp, -sigma, -j_hi))
-        if not log_coeff.is_exact_zero():
-            sigma = profile.exponent + 1
-            if sigma >= 0:
-                raise DivergentIntegralError(
-                    f"far shells of |x|**{profile.exponent} against a log tail diverge"
-                )
-            total = total + log_coeff * (
-                one_minus * ln_q * weighted_geometric_tail(fp, -sigma, -j_hi)
-            )
-        return total
-
-    if isinstance(profile, LogProfile):
-        for s_t, c in power_terms:
-            sigma = s_t + 1
-            if sigma >= 0:
-                raise DivergentIntegralError(
-                    f"far shells of ln|x| against a |x|**{s_t} tail diverge"
-                )
-            total = total + c * (one_minus * ln_q * weighted_geometric_tail(fp, -sigma, -j_hi))
-        if not log_coeff.is_exact_zero():
+    for s_t, m_t, c in terms:
+        s, m = s_p + s_t, m_p + m_t
+        if m > 1:
             raise UnsupportedIntegrandError("ln|x| against a log tail has no closed form here")
-        return total
-
-    raise TypeError(f"not a centered radial profile: {profile!r}")
+        if s + 1 >= 0:
+            raise DivergentIntegralError(f"far shells of the product term |x|**{s} * (ln|x|)**{m} diverge")
+        weight = one_minus * NumericValue.from_exact(ExactScalar.ln_q(fp)) if m else one_minus
+        series = weighted_geometric_tail if m else geometric_tail
+        total = total + c * (weight * series(fp, -(s + 1), -j_hi))
+    return total
 
 
 def integrate_product(profile: RadialProfile, f, region: Region | None = None) -> ComplexValue:
     """Exact integral of profile(x) * f(x) over a shell-range region.
 
-    Decomposes the region into shells where f is constant, applies the
-    closed ball/sphere forms, and sums tails in closed form; divergence is
-    detected structurally from the exponents, never by truncation.
+    Splits the region into the shells |x - c| = q**(-j) around the profile's
+    center c (zero unless the profile is shifted).  The far shells, where f
+    is its tail, sum in closed form; the sphere sums of f are weighted by the
+    profile; the ball where f is constant takes the closed ball form.
+    Divergence is detected structurally from the exponents, never by
+    truncation.
     """
     fe = _as_extended(f)
     fp = fe.fp
     region = Region.everything() if region is None else region
 
-    if isinstance(profile, ShiftedProfile):
+    center = zero_point(fp)
+    while isinstance(profile, ShiftedProfile):
         if region.lo is not None or region.hi is not None:
             raise UnsupportedIntegrandError(
                 "shifted profiles are only supported over the whole field"
             )
-        return integrate_product(profile.base, fe.translated(-profile.shift), region)
+        center = center + profile.shift
+        profile = profile.base
 
-    window = fe.window_level
-    k = fe.constancy_level
+    j0, sums = fe.sphere_sums(center)
+    j_end = j0 + len(sums)  # f equals f(center) on |x - center| <= q**(-j_end)
     total = CV_ZERO
 
-    # far shells (f in tail regime): j <= min(window - 1, hi)
-    tail_hi = window - 1 if region.hi is None else min(window - 1, region.hi)
+    # far shells (f in tail regime, |x| = |x - center|): j <= min(j0 - 1, hi)
+    tail_hi = j0 - 1 if region.hi is None else min(j0 - 1, region.hi)
     if region.lo is None:
         total = total + _closed_far_sum(fp, profile, fe, tail_hi)
     else:
@@ -252,21 +245,17 @@ def integrate_product(profile: RadialProfile, f, region: Region | None = None) -
                 continue
             total = total + val * (profile_value(fp, profile, -j) * haar_measure(fp, SphereSpec(zero_point(fp), j)))
 
-    # window shells where f varies: coset sums at the constancy level
-    w_lo = window if region.lo is None else max(window, region.lo)
-    mid_hi = k - 1 if region.hi is None else min(k - 1, region.hi)
-    coset_meas = Fraction(fp.q) ** (-k)
-    for j in range(w_lo, mid_hi + 1):
-        pv = profile_value(fp, profile, -j)
-        for rep in sphere_coset_reps(fp, j, k):
-            v = fe.core.evaluate(rep)
-            if v.is_exact_zero():
-                continue
-            total = total + v * (pv * coset_meas)
+    # spheres where f varies: the profile is constant on each
+    w_lo = j0 if region.lo is None else max(j0, region.lo)
+    mid_hi = j_end - 1 if region.hi is None else min(j_end - 1, region.hi)
+    coset_meas = Fraction(fp.q) ** (-fe.constancy_level)
+    total = total + radial_sum(
+        (profile_value(fp, profile, -j) * coset_meas, sums[j - j0]) for j in range(w_lo, mid_hi + 1)
+    )
 
-    # shells at or beyond the constancy level: f is constant there
-    deep_lo = max(w_lo, k)
-    v0 = fe.core.evaluate(zero_point(fp))
+    # shells from j_end inward: f is constant there
+    deep_lo = max(w_lo, j_end)
+    v0 = fe.evaluate(center)
     if not v0.is_exact_zero():
         if region.hi is None:
             total = total + v0 * ball_profile_integral(fp, profile, -deep_lo)

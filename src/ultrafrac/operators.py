@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
-    DivergentIntegralError,
     HypothesisBoundaryWarning,
     HypothesisViolationError,
 )
@@ -31,7 +30,6 @@ from .field import (
     FieldParams,
     Point,
     abs_exponent,
-    coset_digits,
     digits_to_point,
     enumerate_cosets,
     enumerate_digits,
@@ -47,20 +45,17 @@ from .functions import (
     log_tail,
     lp_window_sum,
     power_tail,
-    tail_log_coeff,
-    tail_power_terms,
+    radial_sum,
 )
-from .integrate import LogProfile, PowerProfile, profile_coset_integral
+from .integrate import LogProfile, PowerProfile, _closed_far_sum, profile_coset_integral
 from .numerics import (
     CV_ZERO,
-    NV_ZERO,
     ComplexValue,
     ExactScalar,
     NumericValue,
     as_fraction,
     geometric_tail,
     q_pow,
-    scale_sum,
     weighted_geometric_tail,
 )
 
@@ -263,15 +258,6 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
 # Riesz potentials
 
 
-def _radial_sum(terms) -> ComplexValue:
-    """Sum of kernel * (sum over a ball or sphere), on the per-entry exactness path."""
-    re = im = NV_ZERO
-    for kernel, s in terms:
-        re = re + scale_sum(kernel, s.value.re, s.re_kind)
-        im = im + scale_sum(kernel, s.value.im, s.im_kind)
-    return ComplexValue(re, im)
-
-
 def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int | None = None) -> ExtendedFunction:
     """Riesz potential: convolution with d*|x|**(gamma-1) (d1*ln|x| at gamma = 1).
 
@@ -282,33 +268,26 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 
     The kernel is constant on each sphere |c - x| = q**(-j), so a core value
     is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
-    ball integral times phi(x); a point outside the support sees the whole
-    table at the single distance |x|.
+    ball integral times phi(x).
     """
     fp = params.fp
     g = params.gamma
     if window_level is not None and window_level > phi.support_level:
         raise ValueError("window must contain the support of the input")
     w = phi.support_level if window_level is None else window_level
-    s = phi.support_level
     k = phi.constancy_level
     d = constants(params).d
     profile = LogProfile() if g == 1 else PowerProfile(g - 1)
     shell_kernels = [profile_coset_integral(fp, profile, -j, k) for j in range(w, k)]
     inner_kernel = profile_coset_integral(fp, profile, None, k)
 
+    fe = ExtendedFunction(phi)
     table = {}
     for d_out in enumerate_digits(fp, w, k):
-        outer = [di[: s - w] for di in d_out]
-        if any(any(di) for di in outer):
-            # |x| = q**(-w - t): t is the first nonzero digit position beyond the support
-            t = min(next(i for i, a in enumerate(di) if a) for di in outer if any(di))
-            terms = [(shell_kernels[t], phi.ball_sum())]
-        else:
-            addr = tuple(di[s - w :] for di in d_out)
-            terms = list(zip(shell_kernels[s - w :], phi.sphere_sums(addr)))
-            terms.append((inner_kernel, BallSum.of(phi.values[addr])))
-        table[d_out] = _radial_sum(terms) * d
+        x = digits_to_point(fp, d_out, w)
+        j0, sums = fe.sphere_sums(x)
+        terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(phi.evaluate(x)))]
+        table[d_out] = radial_sum(terms) * d
     total = phi.integral()
     if g == 1:
         tail = log_tail(CV_ZERO, total * d)
@@ -321,74 +300,31 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 # hypersingular operator and its truncation
 
 
-def _far_difference_sum(params: OperatorParams, u: ExtendedFunction, ux: ComplexValue, j_hi: int) -> ComplexValue:
-    """Closed form of the difference integral over all shells j <= j_hi.
-
-    On these shells |x + z| = |z| and u is given by its tail, so each tail
-    term contributes a geometric (or log-weighted) series; a power tail must
-    grow strictly slower than |z|**gamma for convergence.
-    """
-    fp = params.fp
-    g = params.gamma
-    one_minus = 1 - Fraction(1, fp.q)
-    total = CV_ZERO
-    for s, cc in tail_power_terms(u.tail):
-        if g - s <= 0:
-            raise DivergentIntegralError(
-                f"tail |x|**{s} grows too fast against the order-{g} difference kernel"
-            )
-        total = total + cc * (one_minus * geometric_tail(fp, g - s, -j_hi))
-    logc = tail_log_coeff(u.tail)
-    if not logc.is_exact_zero():
-        ln_q = NumericValue.from_exact(ExactScalar.ln_q(fp))
-        total = total + logc * (one_minus * ln_q * weighted_geometric_tail(fp, g, -j_hi))
-    if not ux.is_exact_zero():
-        total = total - ux * (one_minus * geometric_tail(fp, g, -j_hi))
-    return total
-
-
 def _difference_shell_sum(params: OperatorParams, u: ExtendedFunction, x: Point, j_hi: int) -> ComplexValue:
     """Shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
 
     A finite shell is a sum over its q**(k-j) - q**(k-j-1) constancy-level
-    cosets, taken as (sum of u over them) - (their count) * u(x).
+    cosets, taken as (sum of u over them) - (their count) * u(x).  The shells
+    before the first sphere sum see u's tail, and sum in closed form; a power
+    tail must grow strictly slower than |z|**gamma for convergence.
     """
     fp = params.fp
     g = params.gamma
     q = fp.q
     ux = u.evaluate(x)
     k = u.constancy_level
-    window = u.window_level
-    e_x = abs_exponent(fp, x)
-    l_x = None if e_x is None else -e_x  # sphere level of x
-
-    # sums of u(x+z) over the shells where it can differ from the tail formula
-    if l_x is not None and l_x < window:
-        # x beyond the window: only the |z| = |x| shell mixes scales.  It holds
-        # the whole window, and outside it every coset with |x + z| = q**(-m),
-        # l_x <= m < window, except the ball of radius q**(-l_x-1) around x.
-        j_t = l_x
-        shells = []
-        if l_x <= j_hi:
-            acc = u.core.ball_sum().value
-            for m in range(l_x, window):
-                count = (q - 2 if m == l_x else q - 1) * q ** (k - m - 1)
-                if count:
-                    acc = acc + u.tail_value_at_exponent(-m) * count
-            shells.append((l_x, acc))
-    else:
-        j_t = window
-        sums = u.core.sphere_sums(coset_digits(fp, x, window, k))
-        shells = [(j, sums[j - window].value) for j in range(window, j_hi + 1)]
-
+    j0, sums = u.sphere_sums(x)
     coset_meas = Fraction(q) ** (-k)
     total = CV_ZERO
-    for j, shell_sum in shells:
-        shell_acc = shell_sum - ux * ((q - 1) * q ** (k - j - 1))
+    for j, shell_sum in zip(range(j0, j_hi + 1), sums):
+        shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
         if not shell_acc.is_exact_zero():
             total = total + shell_acc * (q_pow(fp, (g + 1) * j) * coset_meas)
-    total = total + _far_difference_sum(params, u, ux, min(j_t - 1, j_hi))
-    return total
+    j_far = min(j0 - 1, j_hi)
+    far = _closed_far_sum(fp, PowerProfile(-g - 1), u, j_far)
+    if not ux.is_exact_zero():
+        far = far - ux * ((1 - Fraction(1, q)) * geometric_tail(fp, g, -j_far))
+    return total + far
 
 
 def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValue:

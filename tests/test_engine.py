@@ -1,41 +1,64 @@
 """Differential tests of the ball-sum engine against the per-pair coset loops.
 
-``riesz_potential`` and ``_difference_shell_sum`` sum each table over whole
-balls and spheres.  The oracles below are the direct loops over every
-(output, source) coset pair that the engine replaced; on exact inputs both
-must give the same exact values and the same exact-versus-float decision
-for every part of every value.
+``riesz_potential``, ``_difference_shell_sum`` and ``integrate_product`` sum
+each table over whole balls and spheres (``ExtendedFunction.sphere_sums``).
+The oracles below are the direct loops over every (output, source) coset
+pair that the engine replaced; on exact inputs both must give the same exact
+values and the same exact-versus-float decision for every part of every
+value.  ``multiplier_vladimirov`` is checked against its former double loop
+over (output, frequency) pairs.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from ultrafrac.errors import UltrafracError, UnsupportedIntegrandError
 from ultrafrac.field import (
     FieldParams,
+    SphereSpec,
     abs_exponent,
     digits_to_point,
     enumerate_digits,
+    haar_measure,
     point,
     sphere_coset_reps,
     zero_point,
+)
+from ultrafrac.fourier import (
+    fourier_transform,
+    fractional_part,
+    multiplier_vladimirov,
+    pairing_arg,
+    phase_value,
 )
 from ultrafrac.functions import (
     ExtendedFunction,
     LogTail,
     PowerTail,
     TestFunction,
+    ZeroTail,
+    _as_extended,
     log_tail,
     power_tail,
 )
-from ultrafrac.integrate import LogProfile, PowerProfile, profile_coset_integral
-from ultrafrac.numerics import CV_ZERO, ComplexValue, ExactScalar, NumericValue, q_pow
+from ultrafrac.integrate import (
+    LogProfile,
+    PowerProfile,
+    Region,
+    ShiftedProfile,
+    _closed_far_sum,
+    ball_profile_integral,
+    integrate_product,
+    profile_coset_integral,
+    profile_value,
+)
+from ultrafrac.numerics import CV_ZERO, ComplexValue, ExactScalar, NumericValue, geometric_tail, q_pow
 from ultrafrac.operators import (
     OperatorParams,
     _difference_shell_sum,
-    _far_difference_sum,
     constants,
     riesz_potential,
 )
@@ -91,7 +114,77 @@ def difference_shell_sum_oracle(params, u, x, j_hi):
             shell_acc = shell_acc + dv
         if not shell_acc.is_exact_zero():
             total = total + shell_acc * (q_pow(fp, (g + 1) * j) * coset_meas)
-    return total + _far_difference_sum(params, u, ux, min(j_t - 1, j_hi))
+    j_far = min(j_t - 1, j_hi)
+    far = _closed_far_sum(fp, PowerProfile(-g - 1), u, j_far)
+    return total + (far - ux * ((1 - Fraction(1, fp.q)) * geometric_tail(fp, g, -j_far)))
+
+
+def integrate_product_oracle(profile, f, region=None):
+    """integrate_product as a coset loop: a shift translates the table to the origin first."""
+    fe = _as_extended(f)
+    fp = fe.fp
+    region = Region.everything() if region is None else region
+    if isinstance(profile, ShiftedProfile):
+        if region.lo is not None or region.hi is not None:
+            raise UnsupportedIntegrandError("shifted profiles are only supported over the whole field")
+        return integrate_product_oracle(profile.base, fe.translated(-profile.shift), region)
+    window = fe.window_level
+    k = fe.constancy_level
+    total = CV_ZERO
+    tail_hi = window - 1 if region.hi is None else min(window - 1, region.hi)
+    if region.lo is None:
+        total = total + _closed_far_sum(fp, profile, fe, tail_hi)
+    else:
+        for j in range(region.lo, tail_hi + 1):
+            val = fe.tail_value_at_exponent(-j)
+            if not val.is_exact_zero():
+                total = total + val * (profile_value(fp, profile, -j) * haar_measure(fp, SphereSpec(zero_point(fp), j)))
+    w_lo = window if region.lo is None else max(window, region.lo)
+    mid_hi = k - 1 if region.hi is None else min(k - 1, region.hi)
+    coset_meas = Fraction(fp.q) ** (-k)
+    for j in range(w_lo, mid_hi + 1):
+        pv = profile_value(fp, profile, -j)
+        for rep in sphere_coset_reps(fp, j, k):
+            v = fe.core.evaluate(rep)
+            if not v.is_exact_zero():
+                total = total + v * (pv * coset_meas)
+    deep_lo = max(w_lo, k)
+    v0 = fe.core.evaluate(zero_point(fp))
+    if not v0.is_exact_zero():
+        if region.hi is None:
+            total = total + v0 * ball_profile_integral(fp, profile, -deep_lo)
+        else:
+            for j in range(deep_lo, region.hi + 1):
+                total = total + v0 * (profile_value(fp, profile, -j) * haar_measure(fp, SphereSpec(zero_point(fp), j)))
+    return total
+
+
+def multiplier_oracle(fp, exponent, f, window_level=None):
+    """multiplier_vladimirov as a double loop over (output coset, nonzero frequency coset)."""
+    exponent = Fraction(exponent)
+    ft = fourier_transform(f)
+    k_hat = ft.constancy_level
+    window = (f.support_level - 1) if window_level is None else window_level
+    scale = Fraction(fp.q) ** (-k_hat)
+    zero_addr = tuple((0,) * (k_hat - ft.support_level) for _ in range(fp.n))
+    hat_at_zero = ft.values[zero_addr]
+    nonzero = [(pt, abs_exponent(fp, pt), v) for d, pt, v in ft.items() if d != zero_addr]
+    out = []
+    for d in enumerate_digits(fp, window, f.constancy_level):
+        x = digits_to_point(fp, d, window)
+        e_x = abs_exponent(fp, x)
+        acc = CV_ZERO
+        if e_x is None or e_x <= k_hat:
+            for c_pt, e_c, v in nonzero:
+                if not v.is_exact_zero():
+                    phase = phase_value(fractional_part(-pairing_arg(fp, x, c_pt)))
+                    acc = acc + v * phase * q_pow(fp, exponent * e_c) * scale
+        j_start = k_hat if e_x is None else max(k_hat, e_x)
+        s = (1 - Fraction(1, fp.q)) * geometric_tail(fp, exponent + 1, j_start)
+        if e_x is not None and e_x - 1 >= k_hat:
+            s = s - q_pow(fp, -exponent * (e_x - 1)) * Fraction(fp.q) ** (-e_x)
+        out.append((x, (acc + hat_at_zero * s).to_complex()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +294,59 @@ def shell_case(params, u, widen, cut):
             assert_same(_difference_shell_sum(params, u, x, j_hi), want, slack)
 
 
+PROFILES = [LogProfile()] + [
+    PowerProfile(e) for e in (-3, -2, Fraction(-3, 2), -1, Fraction(-1, 2), Fraction(-1, 3), 0, Fraction(1, 2), 1, 2)
+]
+
+
+@st.composite
+def points_at(draw, fp, lo, hi):
+    """A point with |x| = q**(-lo) and p-adic digits only at positions lo .. hi - 1."""
+    coords = [
+        sum((draw(st.integers(0, fp.p - 1)) * Fraction(fp.p) ** t for t in range(lo + 1, hi)), Fraction(0))
+        for _ in range(fp.n)
+    ]
+    coords[0] += draw(st.integers(1, fp.p - 1)) * Fraction(fp.p) ** lo
+    return point(fp, *coords)
+
+
+@st.composite
+def integrals(draw, kinds):
+    """(profile, f, region): bounded and unbounded regions, shifts inside and beyond the window."""
+    _, u = draw(extended(kinds))
+    w, k = u.window_level, u.constancy_level
+    profile = draw(st.sampled_from(PROFILES))
+    shape = draw(st.sampled_from(["all", "ball", "sphere", "outside", "range", "shift", "shift", "nested", "nested"]))
+    if shape == "all":
+        return profile, u, None
+    if shape in ("shift", "nested"):
+        # |shift| from the window's own level up to three levels beyond it
+        for _ in range(1 + (shape == "nested")):
+            profile = ShiftedProfile(profile, draw(points_at(u.fp, w - draw(st.integers(0, 3)), k + 1)))
+        return profile, u, draw(st.sampled_from([None, None, Region.ball(w)]))
+    lo = draw(st.integers(w - 3, k + 1))
+    if shape == "range":
+        return profile, u, Region(lo, lo + draw(st.integers(0, 4)))
+    return profile, u, getattr(Region, shape)(lo)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the package error it raised."""
+    try:
+        return fn(*args)
+    except UltrafracError as exc:
+        return type(exc)
+
+
+def integrate_case(profile, u, region):
+    got = outcome(integrate_product, profile, u, region)
+    want = outcome(integrate_product_oracle, profile, u, region)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+    else:
+        assert_same(got, want, 1e-12 * l1_scale(u.core))
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -227,6 +373,93 @@ def test_shell_sums_match_coset_loop_on_exact_inputs(case, widen, cut):
 @given(case=extended(ALL_KINDS), widen=st.integers(0, 2), cut=st.integers(1, 5))
 def test_shell_sums_match_coset_loop_on_float_inputs(case, widen, cut):
     shell_case(*case, widen, cut)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=integrals(EXACT_KINDS))
+def test_integrate_product_matches_coset_loop_on_exact_inputs(case):
+    integrate_case(*case)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=integrals(ALL_KINDS))
+def test_integrate_product_matches_coset_loop_on_float_inputs(case):
+    integrate_case(*case)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=extended(ALL_KINDS), profile=st.sampled_from(PROFILES), data=st.data())
+def test_closed_far_shells_telescope_against_shell_loop(case, profile, data):
+    # the shells lo .. hi summed one by one, plus the closed form beyond lo, are
+    # the closed form beyond hi; lo is beyond the window, where f is its tail
+    _, u = case
+    assume(not isinstance(u.tail, ZeroTail))
+    lo = u.window_level - data.draw(st.integers(1, 4))
+    hi = lo + data.draw(st.integers(0, 4))
+    whole = outcome(integrate_product, profile, u, Region.outside(hi))
+    beyond = outcome(integrate_product, profile, u, Region.outside(lo - 1))
+    if isinstance(whole, type):
+        assert beyond is whole
+        return
+    shells = integrate_product(profile, u, Region(lo, hi))
+    got, want = (shells + beyond).to_complex(), whole.to_complex()
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want), abs(shells.to_complex()), abs(beyond.to_complex()))
+
+
+def test_shift_beyond_window_weights_the_tail_inside_the_shift():
+    # |shift| = 9 is beyond the window, so on the ball |x - shift| <= 3 the function is its tail at 9
+    fp = FieldParams(3)
+    u = ExtendedFunction(_table(fp, 0, 2, [Fraction(i - 4, 2) for i in range(9)]), power_tail(2, -3))
+    for base in (PowerProfile(1), PowerProfile(0), LogProfile()):
+        profile = ShiftedProfile(base, point(fp, Fraction(2, 9)))
+        got = integrate_product(profile, u)
+        assert got.is_exact
+        assert_same(got, integrate_product_oracle(profile, u), 0.0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=extended(EXACT_KINDS), widen=st.integers(0, 2))
+def test_extended_sphere_sums_are_direct_sphere_sums(case, widen):
+    # at points inside and beyond the window: each listed sphere is the sum over
+    # its cosets, the sphere before the list is in the tail, the one after is u(x)
+    _, u = case
+    fp, k = u.fp, u.constancy_level
+    w = dilated_window(u.core, widen)
+    for d in enumerate_digits(fp, w, k):
+        x = digits_to_point(fp, d, w)
+        j0, sums = u.sphere_sums(x)
+        for j, s in enumerate(sums, start=j0):
+            direct = sum((u.evaluate(x + rep) for rep in sphere_coset_reps(fp, j, k)), CV_ZERO)
+            assert_same(s.value, direct, 1e-12)
+        j_end = j0 + len(sums)
+        for j, want in ((j0 - 1, u.tail_value_at_exponent(1 - j0)), (j_end, u.evaluate(x))):
+            for rep in sphere_coset_reps(fp, j, j + 1):
+                assert_same(u.evaluate(x + rep), want, 0.0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=tables(ALL_KINDS), widen=st.integers(1, 3))
+def test_multiplier_matches_double_loop(case, widen):
+    params, f = case
+    w = dilated_window(f, widen)
+    got = multiplier_vladimirov(f.fp, params.gamma, f, w)
+    want = multiplier_oracle(f.fp, params.gamma, f, w)
+    assert [x for x, _ in got] == [x for x, _ in want]
+    # relative to the largest value: a value that cancels to near zero keeps the terms' rounding
+    scale = max([1.0] + [abs(b) for _, b in want])
+    for (_, a), (_, b) in zip(got, want):
+        assert abs(a - b) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables(ALL_KINDS))
+def test_integral_is_the_term_by_term_sum(case):
+    _, f = case
+    meas = Fraction(f.fp.q) ** (-f.constancy_level)
+    want = CV_ZERO
+    for v in f.values.values():
+        want = want + v * meas
+    assert_same(f.integral(), want, 1e-12 * l1_scale(f))
 
 
 # ---------------------------------------------------------------------------

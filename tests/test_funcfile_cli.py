@@ -170,6 +170,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["integrate", "--p", "2", "--alpha", "1/8", "--levels", "700"],
+            ["kernel", "--p", "2", "--alpha", "1/3", "--shells", "700"],
+        ],
+    )
+    def test_far_level_rows_pass_relative_tolerance(self, args, capsys):
+        # values near 1e27 and 7e140, where an absolute 1e-8 is below one ulp
+        assert run(args) == 0
+        assert ",fail" not in capsys.readouterr().out
+
+    def test_tight_tolerance_still_fails_far_level(self, capsys):
+        # the two routes agree to about 2e-16 relative there, not to 1e-17
+        assert run(["integrate", "--p", "2", "--alpha", "1/8", "--levels", "700", "--tol", "1e-17"]) == 1
+        assert ",1e-17,fail" in capsys.readouterr().out
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"
         assert run(["integrate", "--p", "2", "--alpha", "1/2", "--levels", "0", "--out", str(out)]) == 2

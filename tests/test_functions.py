@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_test_function
-from ultrafrac.errors import DivergentIntegralError
+from ultrafrac.errors import DivergentIntegralError, UltrafracError
 from ultrafrac.field import FieldParams, point
 from ultrafrac.functions import (
     ExtendedFunction,
@@ -96,6 +96,23 @@ class TestLpDistance:
         ef = ExtendedFunction(indicator_ball(fp2, 0), power_tail(1, Fraction(-1, 2)))
         with pytest.raises(DivergentIntegralError):
             lp_norm(ef, 1)
+
+    @pytest.mark.parametrize("fp", [FieldParams(2), FieldParams(3), FieldParams(2, 2)], ids=["q2", "q3", "q4"])
+    def test_slow_two_term_tail_sums_single_closed_forms(self, fp):
+        # positive coefficients: the L^1 integrand is the sum of the two terms.
+        # About 5000 shells at q = 2; the shell and bound factors used to overflow.
+        zero = constant_on_ball(fp, 0, 0)
+        f = ExtendedFunction(zero, power_tail(1, Fraction(-101, 100)))
+        g = ExtendedFunction(zero, power_tail(-2, Fraction(-3)))
+        want = lp_norm(f, 1) + lp_norm(ExtendedFunction(zero, power_tail(2, Fraction(-3))), 1)
+        assert lp_distance(f, g, 1) == pytest.approx(want, rel=1e-10)
+
+    def test_tail_too_slow_to_bracket_raises(self, fp2):
+        zero = constant_on_ball(fp2, 0, 0)
+        f = ExtendedFunction(zero, power_tail(1, Fraction(-10001, 10000)))
+        g = ExtendedFunction(zero, power_tail(-2, Fraction(-3)))
+        with pytest.raises(UltrafracError, match="did not converge"):
+            lp_distance(f, g, 1)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -237,6 +237,24 @@ class TestTruncated:
             truncated_vladimirov(params(2, 1), 0, u, zero_point(fp2))
 
 
+def test_readme_library_example():
+    # the calls of the README's "Library use" section and the values its comments state
+    from ultrafrac import (
+        FieldParams, OperatorParams, averaging_apply, indicator_ball, inversion_residual,
+        riesz_potential, truncated_vladimirov, zero_point,
+    )
+
+    fp = FieldParams(2)
+    params = OperatorParams(fp, 1)
+    phi = indicator_ball(fp, 0)
+    u = riesz_potential(params, phi)
+    x = zero_point(fp)
+    assert isinstance(u.tail, LogTail)
+    for value in (truncated_vladimirov(params, 1, u, x), averaging_apply(params, 1, phi, x)):
+        assert value.re.exact == ExactScalar.rational(1) and value.im.is_exact_zero()
+    assert inversion_residual(params, 1, phi, 1) == 0.0
+
+
 class TestAveraging:
     def test_unit_ball_recovery(self, fp2):
         one_O = indicator_ball(fp2, 0)
