@@ -320,7 +320,12 @@ def q_pow(fp: FieldParams, exponent) -> NumericValue:
     root = _integer_root(fp.q, e.denominator)
     if root is not None:
         return NumericValue.from_rational(Fraction(root) ** e.numerator)
-    return NumericValue.from_float(float(fp.q) ** float(e))
+    try:
+        q = float(fp.q)
+    except OverflowError:
+        # q beyond float range: only the power itself has to be a finite float
+        return NumericValue.from_float(math.exp(float(e) * math.log(fp.q)))
+    return NumericValue.from_float(q ** float(e))
 
 
 def geometric_tail(fp: FieldParams, s, j0: int) -> NumericValue:

@@ -5,7 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ultrafrac
 from conftest import random_test_function
 from ultrafrac.cli import run
 from ultrafrac.field import FieldParams
@@ -79,3 +83,11 @@ def test_exit_code_contract(function_files, command, value, alpha, p, degree):
     assert code in (0, 1, 2)
     failed = any(r["status"] == "fail" for r in csv.DictReader(io.StringIO(out)))
     assert (code == 1) == failed
+
+
+def test_cli_import_does_not_load_numpy():
+    # the engine is pure Python; numpy would only add to every CLI start-up
+    src = Path(ultrafrac.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ultrafrac.cli; sys.exit(int('numpy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

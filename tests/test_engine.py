@@ -5,7 +5,8 @@ each table over whole balls and spheres (``ExtendedFunction.sphere_sums``).
 The oracles below are the direct loops over every (output, source) coset
 pair that the engine replaced; on exact inputs both must give the same exact
 values and the same exact-versus-float decision for every part of every
-value.  ``multiplier_vladimirov`` is checked against its former double loop
+value.  ``fourier_transform`` is checked against the direct character sum
+it replaced, and ``multiplier_vladimirov`` against its former double loop
 over (output, frequency) pairs.
 """
 
@@ -27,13 +28,7 @@ from ultrafrac.field import (
     sphere_coset_reps,
     zero_point,
 )
-from ultrafrac.fourier import (
-    fourier_transform,
-    fractional_part,
-    multiplier_vladimirov,
-    pairing_arg,
-    phase_value,
-)
+from ultrafrac.fourier import fourier_transform, fractional_part, multiplier_vladimirov, phase_value
 from ultrafrac.functions import (
     ExtendedFunction,
     LogTail,
@@ -159,10 +154,38 @@ def integrate_product_oracle(profile, f, region=None):
     return total
 
 
+def pairing_arg(fp, x, xi):
+    """Exact phase of the dual pairing sum_j x_j * xi_j, in [0, 1)."""
+    total = Fraction(0)
+    for a, b in zip(x.coords, xi.coords, strict=True):
+        total += fractional_part(a * b)
+    return fractional_part(total)
+
+
+def fourier_transform_oracle(f, inverse=False):
+    """fourier_transform as the direct character sum over every (frequency, coset) pair."""
+    fp = f.fp
+    m = -f.support_level
+    k = f.constancy_level
+    sign = -1 if inverse else 1
+    scale = Fraction(fp.q) ** (-k)
+    inputs = [(pt, v) for _, pt, v in f.items()]
+    table = {}
+    for d_out in enumerate_digits(fp, -k, m):
+        xi = digits_to_point(fp, d_out, -k)
+        acc = ComplexValue.zero()
+        for c_pt, v in inputs:
+            if v.is_exact_zero():
+                continue
+            acc = acc + v * phase_value(fractional_part(sign * pairing_arg(fp, c_pt, xi)))
+        table[d_out] = acc * scale
+    return TestFunction(fp, -k, m, table)
+
+
 def multiplier_oracle(fp, exponent, f, window_level=None):
     """multiplier_vladimirov as a double loop over (output coset, nonzero frequency coset)."""
     exponent = Fraction(exponent)
-    ft = fourier_transform(f)
+    ft = fourier_transform_oracle(f)
     k_hat = ft.constancy_level
     window = (f.support_level - 1) if window_level is None else window_level
     scale = Fraction(fp.q) ** (-k_hat)
@@ -451,6 +474,49 @@ def test_multiplier_matches_double_loop(case, widen):
         assert abs(a - b) <= 1e-12 * scale
 
 
+# (p, n, largest depth D): at most 125 cosets keep the direct sum quick
+FOURIER_FIELDS = [(2, 1, 4), (3, 1, 4), (5, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 1)]
+
+
+@st.composite
+def transform_tables(draw):
+    p, n, max_depth = draw(st.sampled_from(FOURIER_FIELDS))
+    fp = FieldParams(p, n)
+    s = draw(st.integers(-2, 1))
+    k = s + draw(st.integers(0, max_depth))
+    kinds = draw(st.sampled_from([ALL_KINDS, EXACT_KINDS, ["zero"] * 6 + ALL_KINDS, ["float"]]))
+    # nonzero entries only where the lowest `sparse` digits vanish: every phase
+    # is then exact at more frequencies
+    sparse = draw(st.integers(0, k - s))
+    values = {
+        d: CV_ZERO
+        if any(any(ds[:sparse]) for ds in d)
+        else ComplexValue(draw(scalars(fp, kinds)), draw(scalars(fp, ["zero", "zero"] + kinds)))
+        for d in enumerate_digits(fp, s, k)
+    }
+    return TestFunction(fp, s, k, values)
+
+
+def assert_same_transform(got: TestFunction, want: TestFunction) -> None:
+    """Same levels and addresses; per part the same path, equal exact values, floats within 1e-12 of the largest."""
+    assert (got.support_level, got.constancy_level) == (want.support_level, want.constancy_level)
+    assert list(got.values) == list(want.values)
+    scale = max([1.0] + [abs(v) for v in want.values.values()])
+    for d, w in want.values.items():
+        for a, b in ((got.values[d].re, w.re), (got.values[d].im, w.im)):
+            assert a.is_exact == b.is_exact, (d, got.values[d], w)
+            if a.is_exact:
+                assert a.exact == b.exact, (d, got.values[d], w)
+            else:
+                assert abs(float(a) - float(b)) <= 1e-12 * scale, (d, got.values[d], w)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f=transform_tables(), inverse=st.booleans())
+def test_fft_matches_direct_character_sum(f, inverse):
+    assert_same_transform(fourier_transform(f, inverse), fourier_transform_oracle(f, inverse))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=tables(ALL_KINDS))
 def test_integral_is_the_term_by_term_sum(case):
@@ -514,3 +580,34 @@ def test_sphere_sums_are_sibling_ball_sums():
             )
             assert s.value.re.exact.a == direct
     assert f.ball_sum().value.re.exact.a == sum(values)
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_quarter_phase_moves_the_float_to_the_other_part(inverse):
+    # one entry, at A = 1, with a float real part and an exact-zero imaginary
+    # part; at B = 1 the phase is i (forward) or -i (inverse), so v * phase
+    # has an exact-zero real part and a float imaginary part
+    fp = FieldParams(2)
+    half = NumericValue.from_float(0.5)
+    # addresses run A = 0, 2, 1, 3: digit a_j weighs p**j and the last digit varies fastest
+    f = _table(fp, 0, 2, (0, 0, ComplexValue(half, NumericValue.from_rational(0)), 0))
+    hat = fourier_transform(f, inverse)
+    at_b1 = hat.values[((1, 0),)]
+    assert at_b1.re.is_exact_zero()
+    assert not at_b1.im.is_exact and float(at_b1.im) == (-0.125 if inverse else 0.125)
+    at_b0 = hat.values[((0, 0),)]
+    assert not at_b0.re.is_exact and at_b0.im.is_exact_zero()
+    assert_same_transform(hat, fourier_transform_oracle(f, inverse))
+
+
+def test_p2_quarter_turn_frequencies_stay_exact():
+    # D = 4 at p = 2: the phase at B is exact for every A iff B = 4*k, and the
+    # entry at A = 1 is nonzero, so exactly the outputs at B = 0, 4, 8, 12 are exact
+    fp = FieldParams(2)
+    f = _table(fp, -1, 3, [Fraction(i - 7, 3) + i * i for i in range(16)])
+    for inverse in (False, True):
+        hat = fourier_transform(f, inverse)
+        for d, v in hat.values.items():
+            b = sum(a * 2**j for j, a in enumerate(d[0]))
+            assert v.re.is_exact == v.im.is_exact == (b % 4 == 0), (b, v)
+        assert_same_transform(hat, fourier_transform_oracle(f, inverse))

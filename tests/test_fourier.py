@@ -1,17 +1,15 @@
-import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_point, random_test_function
-from ultrafrac.field import FieldParams, point, zero_point
+from ultrafrac.field import FieldParams, Point, point, zero_point
 from ultrafrac.fourier import (
     character_arg,
     character_eval,
     fourier_transform,
     multiplier_vladimirov,
-    pairing_arg,
 )
 from ultrafrac.functions import ExtendedFunction, indicator_ball, lp_norm
 from ultrafrac.operators import OperatorParams, vladimirov_hypersingular
@@ -88,7 +86,7 @@ class TestFourierTransform:
         hat = fourier_transform(f)
         hat_shift = fourier_transform(f.translated(h))
         for _, xi, v in hat_shift.items():
-            phase = cmath.exp(2j * cmath.pi * float(pairing_arg(fp2, h, xi)))
+            phase = character_eval(fp2, Point(tuple(a * b for a, b in zip(h.coords, xi.coords))))
             assert v.to_complex() == pytest.approx(
                 phase * hat.evaluate(xi).to_complex(), abs=1e-10
             )

@@ -71,6 +71,17 @@ class TestQPower:
         v = q_pow(FieldParams(2, 1100), Fraction(1, 2))
         assert v.is_exact and v.exact.a == 2**550
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_irrational_power_of_q_beyond_float_range(self, sign):
+        # q = 2**1101 overflows a float, but 2**(+-550.5) is a finite float
+        v = q_pow(FieldParams(2, 1101), Fraction(sign, 2))
+        assert not v.is_exact
+        assert float(v) == pytest.approx(math.sqrt(2) ** sign * 2.0 ** (550 * sign), rel=1e-12)
+
+    def test_power_of_q_beyond_float_range_still_overflows(self):
+        with pytest.raises(OverflowError):
+            q_pow(FieldParams(2, 1101), Fraction(3, 2))
+
     @given(r=st.integers(1, 10**40), k=st.integers(2, 7))
     @settings(max_examples=100, deadline=None)
     def test_integer_root_is_exact(self, r, k):
