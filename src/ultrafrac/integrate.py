@@ -197,8 +197,7 @@ def _closed_far_sum(fp: FieldParams, profile: RadialProfile, f: ExtendedFunction
     total = CV_ZERO
     for s_t, m_t, c in terms:
         s, m = s_p + s_t, m_p + m_t
-        if m > 1:
-            raise UnsupportedIntegrandError("ln|x| against a log tail has no closed form here")
+        # m = 2 only for ln|x| against a log tail, where s = 0: it diverges here
         if s + 1 >= 0:
             raise DivergentIntegralError(f"far shells of the product term |x|**{s} * (ln|x|)**{m} diverge")
         weight = one_minus * NumericValue.from_exact(ExactScalar.ln_q(fp)) if m else one_minus

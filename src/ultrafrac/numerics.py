@@ -12,6 +12,7 @@ leaves the ring, demotes to a float; demotion is visible through
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,18 +52,23 @@ def _integer_root(base: int, k: int) -> int | None:
     return r if r**k == base else None
 
 
-@dataclass(frozen=True)
+_F0 = Fraction(0)
+
+
+@dataclass(frozen=True, slots=True)
 class ExactScalar:
     """Element a + b*ln(logbase) + c/ln(logbase) with rational coefficients.
 
     ``logbase`` is None exactly when b == c == 0 (a plain rational); the
     extra 1/ln(q) coefficient carries normalizers like (1-q)/(q*ln q) so
-    that products with ln(q)-multiples cancel exactly.
+    that products with ln(q)-multiples cancel exactly.  Values are
+    immutable and shared (``NV_ZERO``, cached constants); arithmetic builds
+    its results through the unchecked ``_exact_scalar``.
     """
 
     a: Fraction
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
+    b: Fraction = _F0
+    c: Fraction = _F0
     logbase: int | None = None
 
     def __post_init__(self) -> None:
@@ -88,10 +94,10 @@ class ExactScalar:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0 and self.c == 0
+        return self.logbase is None
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
+        return self.logbase is None and not self.a
 
     def _merged_base(self, other: "ExactScalar") -> int | None:
         if self.logbase is None:
@@ -103,38 +109,49 @@ class ExactScalar:
         )
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
+        if self.logbase is None and other.logbase is None:
+            return _exact_scalar(self.a + other.a)
         base = self._merged_base(other)
-        return ExactScalar(self.a + other.a, self.b + other.b, self.c + other.c, base)
+        return _exact_scalar(self.a + other.a, self.b + other.b, self.c + other.c, base)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        return self + (-other)
+        if self.logbase is None and other.logbase is None:
+            return _exact_scalar(self.a - other.a)
+        base = self._merged_base(other)
+        return _exact_scalar(self.a - other.a, self.b - other.b, self.c - other.c, base)
 
     def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.a, -self.b, -self.c, self.logbase)
+        if self.logbase is None:
+            return _exact_scalar(-self.a)
+        return _exact_scalar(-self.a, -self.b, -self.c, self.logbase)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
+        if self.logbase is None and other.logbase is None:
+            return _exact_scalar(self.a * other.a)
         base = self._merged_base(other)
-        if self.b * other.b != 0 or self.c * other.c != 0:
+        if (self.b and other.b) or (self.c and other.c):
             raise ExactnessLost("product leaves the ring Q + Q*ln q + Q/ln q")
         a = self.a * other.a + self.b * other.c + self.c * other.b
         b = self.a * other.b + self.b * other.a
         c = self.a * other.c + self.c * other.a
-        return ExactScalar(a, b, c, base)
+        return _exact_scalar(a, b, c, base)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
-        if other.is_zero():
-            raise ZeroDivisionError("exact division by zero")
-        if other.is_rational:
+        if other.logbase is None:
+            if not other.a:
+                raise ZeroDivisionError("exact division by zero")
+            if self.logbase is None:
+                return _exact_scalar(self.a / other.a)
             inv = 1 / other.a
-            return ExactScalar(self.a * inv, self.b * inv, self.c * inv, self.logbase)
+            return _exact_scalar(self.a * inv, self.b * inv, self.c * inv, self.logbase)
         base = self._merged_base(other)
         # ratios of pure log (or pure 1/log) multiples are rational
         if other.a == 0 and other.c == 0 and self.a == 0 and self.c == 0:
-            return ExactScalar(self.b / other.b)
+            return _exact_scalar(self.b / other.b)
         if other.a == 0 and other.b == 0 and self.a == 0 and self.b == 0:
-            return ExactScalar(self.c / other.c)
+            return _exact_scalar(self.c / other.c)
         if other.a == 0 and other.c == 0 and self.b == 0 and self.c == 0:
-            return ExactScalar(Fraction(0), Fraction(0), self.a / other.b, base)
+            return _exact_scalar(_F0, _F0, self.a / other.b, base)
         raise ExactnessLost("quotient leaves the ring Q + Q*ln q + Q/ln q")
 
     def evaluate(self) -> float:
@@ -156,7 +173,17 @@ class ExactScalar:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
+def _exact_scalar(a: Fraction, b: Fraction = _F0, c: Fraction = _F0, logbase: int | None = None) -> ExactScalar:
+    """An arithmetic result, built without the checks of __init__; drops logbase once b == c == 0."""
+    s = object.__new__(ExactScalar)
+    object.__setattr__(s, "a", a)
+    object.__setattr__(s, "b", b)
+    object.__setattr__(s, "c", c)
+    object.__setattr__(s, "logbase", logbase if logbase is None or b or c else None)
+    return s
+
+
+@dataclass(frozen=True, slots=True)
 class NumericValue:
     """Tagged union Exact(ExactScalar) | Float(double).
 
@@ -189,7 +216,8 @@ class NumericValue:
         return self.exact is not None
 
     def is_exact_zero(self) -> bool:
-        return self.exact is not None and self.exact.is_zero()
+        e = self.exact
+        return e is not None and e.logbase is None and not e.a
 
     def __float__(self) -> float:
         return self.exact.evaluate() if self.exact is not None else self.approx  # type: ignore[return-value]
@@ -201,19 +229,20 @@ class NumericValue:
         if isinstance(x, ExactScalar):
             return NumericValue.from_exact(x)
         if isinstance(x, (int, Fraction)):
-            return NumericValue.from_rational(x)
+            return _numeric_value(_exact_scalar(as_fraction(x)))
         if isinstance(x, float):
             return NumericValue.from_float(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to NumericValue")
 
-    def _binary(self, other, exact_op, float_op) -> "NumericValue":
-        other = self._coerce(other)
-        if self.exact is not None and other.exact is not None:
+    def _binary(self, other: "NumericValue", op) -> "NumericValue":
+        """op on the exact operands, or on their floats once either is a float or op leaves the ring."""
+        x, y = self.exact, other.exact
+        if x is not None and y is not None:
             try:
-                return NumericValue.from_exact(exact_op(self.exact, other.exact))
+                return _numeric_value(op(x, y))
             except ExactnessLost:
                 pass
-        return NumericValue.from_float(float_op(float(self), float(other)))
+        return _numeric_value(None, op(float(self), float(other)))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -221,12 +250,12 @@ class NumericValue:
             return other
         if other.is_exact_zero():
             return self
-        return self._binary(other, lambda a, b: a + b, lambda a, b: a + b)
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b, lambda a, b: a - b)
+        return self._binary(self._coerce(other), operator.sub)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
@@ -236,35 +265,43 @@ class NumericValue:
         # exact zero absorbs: keeps structural zeros exact through float factors
         if self.is_exact_zero() or other.is_exact_zero():
             return NV_ZERO
-        return self._binary(other, lambda a, b: a * b, lambda a, b: a * b)
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b, lambda a, b: a / b)
+        return self._binary(self._coerce(other), operator.truediv)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
     def __neg__(self):
         if self.exact is not None:
-            return NumericValue.from_exact(-self.exact)
-        return NumericValue.from_float(-self.approx)  # type: ignore[arg-type]
+            return _numeric_value(-self.exact)
+        return _numeric_value(None, -self.approx)  # type: ignore[operator]
 
     def pow_int(self, k: int) -> "NumericValue":
         if self.exact is not None:
             if k == 0:
-                return NumericValue.from_rational(1)
+                return NV_ONE
             if k == 1:
                 return self
-            if self.exact.is_rational:
-                return NumericValue.from_rational(self.exact.a**k)
-        return NumericValue.from_float(float(self) ** k)
+            if self.exact.logbase is None:
+                return _numeric_value(_exact_scalar(self.exact.a**k))
+        return _numeric_value(None, float(self) ** k)
 
     def __str__(self) -> str:
         if self.exact is not None:
             return str(self.exact)
         return repr(self.approx)
+
+
+def _numeric_value(exact: ExactScalar | None, approx: float | None = None) -> NumericValue:
+    """An arithmetic result, built without the check of __init__."""
+    v = object.__new__(NumericValue)
+    object.__setattr__(v, "exact", exact)
+    object.__setattr__(v, "approx", approx)
+    return v
 
 
 NV_ZERO = NumericValue.from_rational(0)
@@ -308,7 +345,7 @@ def scale_sum(factor: NumericValue, total: NumericValue, kind: int) -> NumericVa
         or (kind & KIND_LN and fs.b != 0)
         or (kind & KIND_INV_LN and fs.c != 0)
     ):
-        return NumericValue.from_float(float(factor) * float(total))
+        return _numeric_value(None, float(factor) * float(total))
     return factor * total
 
 
@@ -319,13 +356,13 @@ def q_pow(fp: FieldParams, exponent) -> NumericValue:
         return NV_ONE
     root = _integer_root(fp.q, e.denominator)
     if root is not None:
-        return NumericValue.from_rational(Fraction(root) ** e.numerator)
+        return _numeric_value(_exact_scalar(Fraction(root) ** e.numerator))
     try:
         q = float(fp.q)
     except OverflowError:
         # q beyond float range: only the power itself has to be a finite float
-        return NumericValue.from_float(math.exp(float(e) * math.log(fp.q)))
-    return NumericValue.from_float(q ** float(e))
+        return _numeric_value(None, math.exp(float(e) * math.log(fp.q)))
+    return _numeric_value(None, q ** float(e))
 
 
 def geometric_tail(fp: FieldParams, s, j0: int) -> NumericValue:
@@ -347,7 +384,7 @@ def weighted_geometric_tail(fp: FieldParams, s, j0: int) -> NumericValue:
     return x.pow_int(j0) * (NumericValue.from_rational(j0) - (j0 - 1) * x) / (one_minus * one_minus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexValue:
     """Complex value with independently tracked exact/float real and imaginary parts."""
 

@@ -611,3 +611,15 @@ def test_p2_quarter_turn_frequencies_stay_exact():
             b = sum(a * 2**j for j, a in enumerate(d[0]))
             assert v.re.is_exact == v.im.is_exact == (b % 4 == 0), (b, v)
         assert_same_transform(hat, fourier_transform_oracle(f, inverse))
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1)])
+def test_second_log_base_in_a_quarter_turn_sum_demotes(order):
+    # ln 2 and ln 3 in one sum leave the ring, unless the ln 2 terms have
+    # cancelled before ln 3 comes; at p = 2, D = 2 every phase is a quarter turn
+    fp = FieldParams(2)
+    logs = [ExactScalar.ln_q(fp), ExactScalar.ln_q(fp, -1), ExactScalar.ln_q(FieldParams(3))]
+    f = _table(fp, 0, 2, [NumericValue.from_exact(logs[i]) for i in order] + [1])
+    for inverse in (False, True):
+        assert_same_transform(fourier_transform(f, inverse), fourier_transform_oracle(f, inverse))
+    assert fourier_transform(f).values[((0, 0),)].re.is_exact == (order == (0, 1, 2))

@@ -10,6 +10,7 @@ from ultrafrac.functions import (
     ExtendedFunction,
     constant_on_ball,
     indicator_ball,
+    log_tail,
     power_tail,
 )
 from ultrafrac.integrate import (
@@ -137,6 +138,13 @@ class TestIntegrateProduct:
         f = ExtendedFunction(constant_on_ball(fp2, 0, 1), power_tail(1, 0))
         with pytest.raises(DivergentIntegralError):
             integrate_product(PowerProfile(Fraction(-1)), f, Region.outside(0))
+
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_log_profile_against_log_tail_diverges(self, fp2, const):
+        # ln|x| * (const + ln|x|) grows without bound outside every ball
+        f = ExtendedFunction(constant_on_ball(fp2, 0, 1), log_tail(const, 1))
+        with pytest.raises(DivergentIntegralError):
+            integrate_product(LogProfile(), f)
 
 
 class TestBruteForceOracle:

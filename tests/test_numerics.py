@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ultrafrac.errors import DivergentSeriesError, ExactnessLost
 from ultrafrac.field import FieldParams
 from ultrafrac.numerics import (
+    CV_ZERO,
+    NV_ZERO,
     ComplexValue,
     ExactScalar,
     NumericValue,
@@ -150,3 +152,66 @@ class TestComplexValue:
         z = a + ComplexValue.from_complex(0.25 + 0j)
         assert not z.is_exact
         assert z.to_complex() == 1.25
+
+
+class TestRingFastPaths:
+    def test_exact_zero_plus_negative_zero_keeps_the_sign(self):
+        neg = NumericValue.from_float(-0.0)
+        for out in (NV_ZERO + neg, neg + NV_ZERO):
+            assert out is neg
+            assert math.copysign(1.0, float(out)) == -1.0
+
+    def test_exact_zero_absorbs_a_float(self):
+        f = NumericValue.from_float(2.5)
+        for out in (NV_ZERO * f, f * NV_ZERO, NV_ZERO * math.inf):
+            assert out.is_exact_zero()
+
+    def test_mixed_bases_and_log_squares_demote(self, fp2, fp3):
+        ln2 = NumericValue.from_exact(ExactScalar.ln_q(fp2))
+        ln3 = NumericValue.from_exact(ExactScalar.ln_q(fp3))
+        for out, want in ((ln2 + ln3, math.log(2) + math.log(3)), (ln2 - ln3, math.log(2) - math.log(3)),
+                          (ln2 * ln2, math.log(2) ** 2), (ln2 / ln3, math.log(2) / math.log(3))):
+            assert not out.is_exact
+            assert float(out) == pytest.approx(want, rel=1e-15)
+
+    def test_cancelled_logs_are_the_public_rational(self, fp2):
+        ln = ExactScalar.ln_q(fp2, Fraction(3, 4))
+        inv = ExactScalar.inv_ln_q(fp2, Fraction(2))
+        cases = [
+            (ln - ln, Fraction(0)),
+            (ln + (-ln), Fraction(0)),
+            (ln * inv, Fraction(3, 2)),
+            (ln / ExactScalar.ln_q(fp2, Fraction(1, 4)), Fraction(3)),
+            (ExactScalar.rational(0) / ln, Fraction(0)),
+        ]
+        for got, a in cases:
+            want = ExactScalar.rational(a)
+            assert got.logbase is None and got.is_rational
+            assert got.is_zero() == want.is_zero() == (a == 0)
+            assert got == want and hash(got) == hash(want)
+        value = NumericValue.from_exact(ln) - NumericValue.from_exact(ln)
+        assert value.is_exact_zero() and value == NV_ZERO
+
+    def test_rational_fast_path_matches_the_coefficients(self):
+        x, y = ExactScalar.rational(Fraction(3, 8)), ExactScalar.rational(Fraction(-5, 16))
+        assert x + y == ExactScalar(Fraction(1, 16))
+        assert x - y == ExactScalar(Fraction(11, 16))
+        assert x * y == ExactScalar(Fraction(-15, 128))
+        assert x / y == ExactScalar(Fraction(-6, 5))
+        assert -x == ExactScalar(Fraction(-3, 8))
+        with pytest.raises(ZeroDivisionError, match="exact division by zero"):
+            x / ExactScalar.rational(0)
+
+    def test_values_are_immutable(self, fp2):
+        es = ExactScalar.ln_q(fp2)
+        nv = NumericValue.from_exact(es) + NumericValue.from_rational(1)
+        cv = ComplexValue.from_rational(1, 2) * ComplexValue.from_rational(3, 4)
+        for obj, field in ((es, "a"), (es, "logbase"), (nv, "exact"), (nv, "approx"),
+                           (cv, "re"), (NV_ZERO, "exact"), (CV_ZERO, "im")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            # a name that is no field: the slotted frozen __setattr__ of
+            # CPython 3.10-3.12 refuses it with a TypeError from super()
+            with pytest.raises((AttributeError, TypeError)):
+                obj.extra = 1
+            assert not hasattr(obj, "__dict__")
