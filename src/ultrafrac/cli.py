@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -99,13 +100,20 @@ def _index_range(ctx, param, text: str) -> range:
 
 
 def _tol(default: float, override: float | None) -> float:
+    """The tolerance in force: ULTRA_TOL, else --tol, else the default; a finite tol >= 0."""
     env = os.environ.get("ULTRA_TOL")
     if env is not None:
         try:
-            return float(env)
+            tol, source = float(env), f"ULTRA_TOL={env!r}"
         except ValueError:
             raise click.UsageError(f"ULTRA_TOL={env!r} is not a decimal string") from None
-    return default if override is None else override
+    elif override is None:
+        return default
+    else:
+        tol, source = override, f"--tol {override}"
+    if not 0 <= tol < math.inf:
+        raise click.UsageError(f"{source} is not a finite tolerance >= 0")
+    return tol
 
 
 def _function(fp: FieldParams, path_text: str) -> TestFunction:

@@ -29,14 +29,37 @@ def _prime_power(p: int, k: int) -> Fraction:
 Digits = tuple[tuple[int, ...], ...]
 
 
+# Miller-Rabin with the first 13 prime bases decides primality below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(m: int) -> bool:
+    """Deterministic primality of m < _MR_BOUND; ValueError at or above it."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    if m < 43 * 43:  # no prime factor up to 41
+        return True
+    if m >= _MR_BOUND:
+        raise ValueError(f"cannot decide whether {m} is prime: the primality test is proven below {_MR_BOUND}")
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -169,26 +192,18 @@ def haar_measure(fp: FieldParams, region: BallSpec | SphereSpec) -> Fraction:
     raise TypeError(f"not a ball or sphere: {region!r}")
 
 
-def coset_digits(
-    fp: FieldParams,
-    x: Point,
-    ambient_level: int,
-    resolution: int,
-    center: Point | None = None,
-) -> Digits:
+def coset_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int) -> Digits:
     """Digit address of x inside the ambient ball, at the given resolution."""
     if resolution < ambient_level:
         raise CosetResolutionError(
             f"resolution {resolution} coarser than ambient level {ambient_level}"
         )
-    if center is None:
-        center = zero_point(fp)
     depth = resolution - ambient_level
     scale = _prime_power(fp.p, -ambient_level)
     modulus = fp.p**depth
     out = []
-    for xc, cc in zip(x.coords, center.coords, strict=True):
-        rel = (xc - cc) * scale
+    for xc in x.coords:
+        rel = xc * scale
         if rel.denominator != 1:
             raise InvalidPointError(f"{x} is not inside the level-{ambient_level} ambient ball")
         r = rel.numerator % modulus
@@ -200,12 +215,7 @@ def coset_digits(
     return tuple(out)
 
 
-def digits_to_point(
-    fp: FieldParams,
-    digits: Digits,
-    ambient_level: int,
-    center: Point | None = None,
-) -> Point:
+def digits_to_point(fp: FieldParams, digits: Digits, ambient_level: int) -> Point:
     """Canonical representative sum_j a_j p**j from a digit address."""
     coords = []
     for i in range(fp.n):
@@ -213,8 +223,6 @@ def digits_to_point(
         for idx, a in enumerate(digits[i]):
             if a:
                 acc += a * _prime_power(fp.p, ambient_level + idx)
-        if center is not None:
-            acc += center.coords[i]
         coords.append(acc)
     return Point(tuple(coords))
 
@@ -231,12 +239,20 @@ def enumerate_digits(fp: FieldParams, ambient_level: int, resolution: int) -> It
         yield combo
 
 
+def coset_walk(fp: FieldParams, ambient_level: int, resolution: int) -> Iterator[tuple[Digits, Point]]:
+    """(digit address, canonical representative) of each resolution-level coset of the ambient ball.
+
+    The order is that of ``enumerate_digits``.  This is the one place that
+    turns addresses into points: window loops and ``TestFunction.tabulate``
+    walk through it.
+    """
+    for d in enumerate_digits(fp, ambient_level, resolution):
+        yield d, digits_to_point(fp, d, ambient_level)
+
+
 @lru_cache(maxsize=512)
 def _enumerate_cosets_centered_at_zero(fp: FieldParams, ambient_level: int, resolution: int) -> tuple[Point, ...]:
-    return tuple(
-        digits_to_point(fp, d, ambient_level)
-        for d in enumerate_digits(fp, ambient_level, resolution)
-    )
+    return tuple(pt for _, pt in coset_walk(fp, ambient_level, resolution))
 
 
 def enumerate_cosets(

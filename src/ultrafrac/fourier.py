@@ -20,8 +20,7 @@ from .field import (
     FieldParams,
     Point,
     abs_exponent,
-    digits_to_point,
-    enumerate_digits,
+    coset_walk,
 )
 from .functions import TestFunction
 from .numerics import CV_ZERO, NV_ZERO, ComplexValue, NumericValue, as_fraction, geometric_tail, q_pow
@@ -243,8 +242,7 @@ def multiplier_vladimirov(
     }
     away = fourier_transform(TestFunction(fp, ft.support_level, k_hat, weighted), inverse=True)
 
-    out = []
-    for d in enumerate_digits(fp, window, f.constancy_level):
-        x = digits_to_point(fp, d, window)
-        out.append((x, (away.evaluate(x) + zero_coset_part(abs_exponent(fp, x))).to_complex()))
-    return out
+    return [
+        (x, (away.evaluate(x) + zero_coset_part(abs_exponent(fp, x))).to_complex())
+        for _, x in coset_walk(fp, window, f.constancy_level)
+    ]

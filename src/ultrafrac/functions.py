@@ -25,7 +25,7 @@ from .field import (
     Point,
     abs_exponent,
     coset_digits,
-    digits_to_point,
+    coset_walk,
     enumerate_digits,
 )
 from .numerics import (
@@ -97,14 +97,20 @@ class TestFunction:
                 f"value table has {len(self.values)} entries, expected {expected}"
             )
 
+    @classmethod
+    def tabulate(cls, fp: FieldParams, support_level: int, constancy_level: int, fn) -> "TestFunction":
+        """The table of fn(point) over the constancy-level cosets of the support ball."""
+        table = {d: fn(x) for d, x in coset_walk(fp, support_level, constancy_level)}
+        return cls(fp, support_level, constancy_level, table)
+
     def addresses(self) -> list[Digits]:
         """All digit addresses in canonical (lexicographic) order."""
         return list(enumerate_digits(self.fp, self.support_level, self.constancy_level))
 
     def items(self):
         """(address, representative point, value) triples in canonical order."""
-        for d in self.addresses():
-            yield d, digits_to_point(self.fp, d, self.support_level), self.values[d]
+        for d, x in coset_walk(self.fp, self.support_level, self.constancy_level):
+            yield d, x, self.values[d]
 
     def evaluate(self, x: Point) -> ComplexValue:
         e = abs_exponent(self.fp, x)
@@ -178,11 +184,7 @@ class TestFunction:
             raise ValueError("refinement may only enlarge the window or refine constancy")
         if sl == self.support_level and k == self.constancy_level:
             return self
-        table = {
-            d: self.evaluate(digits_to_point(self.fp, d, sl))
-            for d in enumerate_digits(self.fp, sl, k)
-        }
-        return TestFunction(self.fp, sl, k, table)
+        return TestFunction.tabulate(self.fp, sl, k, self.evaluate)
 
     def translated(self, h: Point) -> "TestFunction":
         """The function x -> f(x - h)."""
@@ -193,11 +195,7 @@ class TestFunction:
             raise UltrafracError("cannot combine functions over different fields")
         sl = min(self.support_level, other.support_level)
         k = max(self.constancy_level, other.constancy_level)
-        table = {}
-        for d in enumerate_digits(self.fp, sl, k):
-            pt = digits_to_point(self.fp, d, sl)
-            table[d] = op(self.evaluate(pt), other.evaluate(pt))
-        return TestFunction(self.fp, sl, k, table)
+        return TestFunction.tabulate(self.fp, sl, k, lambda x: op(self.evaluate(x), other.evaluate(x)))
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
         return self._combined(other, lambda a, b: a + b)
@@ -392,12 +390,8 @@ class ExtendedFunction:
         """The function x -> f(x - h); the window grows to hold the translated core."""
         e = abs_exponent(self.fp, h)
         window = self.window_level if e is None else min(self.window_level, -e)
-        k = self.constancy_level
-        table = {
-            d: self.evaluate(digits_to_point(self.fp, d, window) - h)
-            for d in enumerate_digits(self.fp, window, k)
-        }
-        return ExtendedFunction(TestFunction(self.fp, window, k, table), self.tail)
+        core = TestFunction.tabulate(self.fp, window, self.constancy_level, lambda x: self.evaluate(x - h))
+        return ExtendedFunction(core, self.tail)
 
 
 def _as_extended(f) -> ExtendedFunction:
@@ -477,12 +471,25 @@ def lp_window_sum(fp: FieldParams, window: int, k: int, p: float, diff) -> float
     """Sum of |diff(x)|**p times the coset measure over the level-k cosets of the window ball.
 
     Left unrooted so that a caller can add a tail integral before taking the
-    p-th root; 0.0 when every difference is an exact zero.
+    p-th root; 0.0 when every difference is an exact zero.  The powers are
+    added left to right, as ``sum()`` is compensated from Python 3.12 on and
+    would move the last bit between versions.
     """
-    diffs = [diff(digits_to_point(fp, d, window)) for d in enumerate_digits(fp, window, k)]
+    diffs = [diff(x) for _, x in coset_walk(fp, window, k)]
     if all(dv.is_exact_zero() for dv in diffs):
         return 0.0
-    return sum(abs(dv) ** p for dv in diffs) * float(Fraction(fp.q) ** (-k))
+    total = 0.0
+    for dv in diffs:
+        total += abs(dv) ** p
+    return total * float(Fraction(fp.q) ** (-k))
+
+
+def _lp_exponent(p) -> float:
+    """The exponent of an L^p norm as a float; a finite p >= 1, else ValueError."""
+    p = float(p)
+    if not 1 <= p < math.inf:
+        raise ValueError(f"L^p norms need a finite p >= 1, got {p}")
+    return p
 
 
 def lp_distance(f, g, p) -> float:
@@ -491,9 +498,7 @@ def lp_distance(f, g, p) -> float:
     Exact coset sums on the common refinement window plus a closed-form
     tail integral; a divergent tail raises instead of returning a number.
     """
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"L^p norms need p >= 1, got {p}")
+    p = _lp_exponent(p)
     fe, ge = _as_extended(f), _as_extended(g)
     if fe.fp != ge.fp:
         raise UltrafracError("cannot compare functions over different fields")
@@ -525,12 +530,5 @@ def lizorkin_project(f: TestFunction, window_level: int | None = None) -> TestFu
     wl = f.support_level if window_level is None else window_level
     if wl > f.support_level:
         raise ValueError("projection window must contain the support")
-    total = f.integral()
-    c0 = total * (Fraction(f.fp.q) ** wl)
-    refined = f.refined(support_level=wl)
-    return TestFunction(
-        f.fp,
-        wl,
-        refined.constancy_level,
-        {d: v - c0 for d, v in refined.values.items()},
-    )
+    c0 = f.integral() * (Fraction(f.fp.q) ** wl)
+    return TestFunction.tabulate(f.fp, wl, f.constancy_level, lambda x: f.evaluate(x) - c0)

@@ -18,8 +18,7 @@ from .field import (
     FieldParams,
     Point,
     abs_exponent,
-    digits_to_point,
-    enumerate_digits,
+    coset_walk,
     sphere_coset_reps,
 )
 from .functions import ExtendedFunction, TestFunction
@@ -132,11 +131,10 @@ def taibleson_on_window(
 ) -> list[tuple[Point, ComplexValue, ComplexValue]]:
     """(point, direct value, via-extension value) on the dilated window cosets."""
     w = (f.support_level - 1) if window_level is None else window_level
-    out = []
-    for d in enumerate_digits(bridge.ext, w, f.constancy_level):
-        pt = digits_to_point(bridge.ext, d, w)
-        out.append((pt, taibleson_direct(bridge, f, pt), taibleson_via_extension(bridge, f, pt)))
-    return out
+    return [
+        (pt, taibleson_direct(bridge, f, pt), taibleson_via_extension(bridge, f, pt))
+        for _, pt in coset_walk(bridge.ext, w, f.constancy_level)
+    ]
 
 
 def kernel_r_multidim(bridge: DimensionBridge, j: int) -> NumericValue:

@@ -30,9 +30,8 @@ from .field import (
     FieldParams,
     Point,
     abs_exponent,
-    digits_to_point,
+    coset_walk,
     enumerate_cosets,
-    enumerate_digits,
     point,
     sphere_coset_reps,
 )
@@ -42,8 +41,10 @@ from .functions import (
     TestFunction,
     ZeroTail,
     _as_extended,
+    _lp_exponent,
     log_tail,
     lp_window_sum,
+    modulus_of_continuity,
     power_tail,
     radial_sum,
 )
@@ -282,18 +283,19 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     inner_kernel = profile_coset_integral(fp, profile, None, k)
 
     fe = ExtendedFunction(phi)
-    table = {}
-    for d_out in enumerate_digits(fp, w, k):
-        x = digits_to_point(fp, d_out, w)
+
+    def core_value(x: Point) -> ComplexValue:
         j0, sums = fe.sphere_sums(x)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(phi.evaluate(x)))]
-        table[d_out] = radial_sum(terms) * d
+        return radial_sum(terms) * d
+
+    core = TestFunction.tabulate(fp, w, k, core_value)
     total = phi.integral()
     if g == 1:
         tail = log_tail(CV_ZERO, total * d)
     else:
         tail = power_tail(total * d, g - 1)
-    return ExtendedFunction(TestFunction(fp, w, k, table), tail)
+    return ExtendedFunction(core, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +360,10 @@ def vladimirov_on_window(
     """Operator values at the cosets of the input window dilated by one level."""
     ue = _as_extended(u)
     w = (ue.window_level - 1) if window_level is None else window_level
-    out = []
-    for d in enumerate_digits(ue.fp, w, ue.constancy_level):
-        x = digits_to_point(ue.fp, d, w)
-        if nu is None:
-            out.append((x, vladimirov_hypersingular(params, ue, x)))
-        else:
-            out.append((x, truncated_vladimirov(params, nu, ue, x)))
-    return out
+    return [
+        (x, vladimirov_hypersingular(params, ue, x) if nu is None else truncated_vladimirov(params, nu, ue, x))
+        for _, x in coset_walk(ue.fp, w, ue.constancy_level)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +430,7 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     q**(-nu-1) (the averaging kernel is compactly supported), so the norm is
     a finite coset sum.  It is exactly zero once nu >= constancy_level - 1.
     """
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"L^p norms need p >= 1, got {p}")
+    p = _lp_exponent(p)
     if nu < 1:
         raise ValueError(f"truncation index must be a positive integer, got {nu}")
     _decay_gate(params, phi)
@@ -465,8 +461,7 @@ def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> fl
     Upper bound for the inversion residual; only shells coarser than the
     constancy scale contribute because the modulus vanishes inside it.
     """
-    from .functions import modulus_of_continuity
-
+    p = _lp_exponent(p)
     fp = params.fp
     k = phi.constancy_level
     total = 0.0

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import isqrt
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,13 @@ from ultrafrac.field import (
     FieldParams,
     Point,
     SphereSpec,
+    _is_prime,
     abs_exponent,
     abs_value,
     coset_digits,
+    coset_walk,
     enumerate_cosets,
+    enumerate_digits,
     haar_measure,
     point,
     zero_point,
@@ -97,12 +102,15 @@ class TestEnumerateCosets:
         total = len(cs) * haar_measure(fp, BallSpec(zero_point(fp), 1))
         assert total == haar_measure(fp, BallSpec(zero_point(fp), -1))
 
-    def test_addresses_round_trip(self, fp2):
-        for c in enumerate_cosets(fp2, -2, 2):
-            d = coset_digits(fp2, c, -2, 2)
-            assert enumerate_cosets(fp2, -2, 2)[
-                [coset_digits(fp2, x, -2, 2) for x in enumerate_cosets(fp2, -2, 2)].index(d)
-            ] == c
+    @pytest.mark.parametrize("p, n, ambient", [(p, n, w) for p in (2, 3, 5) for n in (1, 2) for w in (-2, 0, 1)])
+    def test_addresses_round_trip(self, p, n, ambient):
+        fp = FieldParams(p, n)
+        resolution = ambient + 2
+        walk = list(coset_walk(fp, ambient, resolution))
+        assert [d for d, _ in walk] == list(enumerate_digits(fp, ambient, resolution))
+        assert [x for _, x in walk] == enumerate_cosets(fp, ambient, resolution)
+        for d, x in walk:
+            assert coset_digits(fp, x, ambient, resolution) == d
 
     def test_same_address_iff_difference_small(self, fp2):
         x = point(fp2, Fraction(5, 4))
@@ -124,3 +132,29 @@ class TestCosetAddress:
         # representative and x share the address: difference in the level-2 ball
         assert coset_digits(fp2, rep, ball.level, 2) == digits
         assert abs_value(fp2, rep - x) <= Fraction(1, 4)
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division_below_1e5(self):
+        def trial_division(m):
+            return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+        assert [m for m in range(10**5) if _is_prime(m) != trial_division(m)] == []
+
+    # Carmichael numbers, base-2 strong pseudoprimes, and the least strong
+    # pseudoprime to the first 12 prime bases (the reason for the 13th)
+    @pytest.mark.parametrize("m", [561, 41041, 2047, 3215031751, 318665857834031151167461])
+    def test_rejects_pseudoprimes(self, m):
+        assert not _is_prime(m)
+        with pytest.raises(ValueError, match="must be prime"):
+            FieldParams(m)
+
+    def test_mersenne_61_is_fast(self):
+        start = perf_counter()
+        fp = FieldParams(2**61 - 1)
+        assert perf_counter() - start < 0.1
+        assert fp.q == 2**61 - 1
+
+    def test_beyond_the_proven_bound_raises(self):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            FieldParams(2**89 - 1)

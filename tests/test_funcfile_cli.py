@@ -209,3 +209,26 @@ class TestCli:
              "--nu-max", "1"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("lp", ["nan", "inf"])
+    def test_non_finite_lp_exits_2(self, lp, capsys):
+        code = run(["invert", "--p", "2", "--alpha", "0.5", "--lp", lp, "--fn", "one_O.json", "--nu-max", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite p >= 1" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_2(self, tol, capsys):
+        assert run(["kernel", "--p", "2", "--alpha", "1/2", "--shells", "1..2", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite tolerance" in captured.err
+
+    def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRA_TOL", "nan")
+        assert run(["integrate", "--p", "2", "--alpha", "1/2", "--levels", "0"]) == 2
+        assert "ULTRA_TOL='nan'" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        # on the log branch the oracle meets the closed form with delta 0
+        assert run(["kernel", "--p", "2", "--alpha", "1", "--shells", "1..2", "--tol", "0"]) == 0
+        assert capsys.readouterr().out.count(",0,0,pass") == 2

@@ -20,6 +20,7 @@ from ultrafrac.functions import (
     constant_on_ball,
     indicator_ball,
     lizorkin_project,
+    lp_norm,
     power_tail,
 )
 from ultrafrac.numerics import ExactScalar
@@ -344,6 +345,19 @@ class TestInversionResidual:
         u_bad = ExtendedFunction(indicator_ball(fp2, 0), power_tail(1, Fraction(-1, 2)))
         with pytest.raises(HypothesisViolationError):
             inversion_residual(params(2, 1), 1, u_bad, 1)
+
+    @pytest.mark.parametrize("lp", [math.nan, math.inf, 0.5])
+    def test_non_finite_or_small_exponent_rejected(self, fp2, lp):
+        phi = indicator_ball(fp2, 0)
+        pr = params(2, Fraction(1, 2))
+        for route in (
+            lambda: lp_norm(phi, lp),
+            lambda: inversion_residual(pr, lp, phi, 1),
+            # nu past the constancy level leaves no shell to sum
+            lambda: minkowski_bound(pr, lp, phi, 1),
+        ):
+            with pytest.raises(ValueError, match="finite p >= 1"):
+                route()
 
 
 class TestOperatorParams:

@@ -11,7 +11,6 @@ diff the two.
 
 import hashlib
 import random
-import sys
 import warnings
 from fractions import Fraction
 
@@ -43,13 +42,7 @@ from ultrafrac.operators import (
 )
 
 # sha256 of _stream(), recorded before the slotted rewrite of the scalar ring.
-# From Python 3.12 on, sum() of floats is compensated, which moves the last bit
-# of some L^p residuals, so the stream has one digest per side of 3.12.
-FINGERPRINT = (
-    "9aaa5bfef3ad672ee2d0ab350dd418c217a43bc120c3413dd275c398cbaa430f"
-    if sys.version_info >= (3, 12)
-    else "5c5c387ca989d4e8131b9497f1da1b8914d1033ba907c8aece7ead1f5798b2f5"
-)
+FINGERPRINT = "5c5c387ca989d4e8131b9497f1da1b8914d1033ba907c8aece7ead1f5798b2f5"
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
 
