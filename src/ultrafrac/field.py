@@ -217,13 +217,13 @@ def coset_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int)
 
 def digits_to_point(fp: FieldParams, digits: Digits, ambient_level: int) -> Point:
     """Canonical representative sum_j a_j p**j from a digit address."""
+    scale = _prime_power(fp.p, ambient_level)
     coords = []
-    for i in range(fp.n):
-        acc = Fraction(0)
-        for idx, a in enumerate(digits[i]):
-            if a:
-                acc += a * _prime_power(fp.p, ambient_level + idx)
-        coords.append(acc)
+    for ds in digits:
+        acc = 0  # the integer sum_j a_j p**j, so that each coordinate costs one Fraction
+        for a in reversed(ds):
+            acc = acc * fp.p + a
+        coords.append(Fraction(acc * scale.numerator, scale.denominator))
     return Point(tuple(coords))
 
 

@@ -32,11 +32,9 @@ from .numerics import (
     CV_ZERO,
     NV_ZERO,
     ComplexValue,
-    ExactScalar,
-    NumericValue,
     as_fraction,
     geometric_tail,
-    q_pow,
+    radial_monomial,
     scale_sum,
     value_kind,
 )
@@ -246,7 +244,9 @@ def zero_function(fp: FieldParams) -> TestFunction:
 
 
 class Tail:
-    """Marker base class for analytic tails."""
+    """Base class for analytic tails: the sum of c * |x|**s * (ln|x|)**m over ``terms``."""
+
+    terms: tuple[tuple[ComplexValue, Fraction, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -262,6 +262,10 @@ class PowerTail(Tail):
     coeff: ComplexValue
     exponent: Fraction
 
+    @property
+    def terms(self):
+        return ((self.coeff, self.exponent, 0),)
+
     def __str__(self) -> str:
         return f"[{self.coeff}] * |x|**({self.exponent})"
 
@@ -272,6 +276,10 @@ class LogTail(Tail):
 
     const: ComplexValue
     log_coeff: ComplexValue
+
+    @property
+    def terms(self):
+        return ((self.const, Fraction(0), 0), (self.log_coeff, Fraction(0), 1))
 
     def __str__(self) -> str:
         return f"[{self.const}] + [{self.log_coeff}] * ln|x|"
@@ -295,21 +303,6 @@ def log_tail(const, log_coeff) -> Tail:
             return ZERO_TAIL
         return PowerTail(c0, Fraction(0))
     return LogTail(c0, c1)
-
-
-def tail_power_terms(tail: Tail) -> list[tuple[Fraction, ComplexValue]]:
-    """Power-term expansion (exponent, coefficient); log part reported separately."""
-    if isinstance(tail, ZeroTail):
-        return []
-    if isinstance(tail, PowerTail):
-        return [(tail.exponent, tail.coeff)]
-    return [(Fraction(0), tail.const)]
-
-
-def tail_log_coeff(tail: Tail) -> ComplexValue:
-    if isinstance(tail, LogTail):
-        return tail.log_coeff
-    return CV_ZERO
 
 
 @dataclass(frozen=True)
@@ -342,20 +335,14 @@ class ExtendedFunction:
     @property
     def has_strong_decay(self) -> bool:
         """Structural check that the tail is O(|x|**(-beta)) with beta > 1."""
-        if isinstance(self.tail, ZeroTail):
-            return True
-        if isinstance(self.tail, PowerTail):
-            return self.tail.exponent < -1
-        return False
+        return all(m == 0 and s < -1 for _, s, m in self.tail.terms)
 
     def tail_value_at_exponent(self, e: int) -> ComplexValue:
         """Tail formula at |x| = q**e (valid for e > -window_level)."""
-        if isinstance(self.tail, ZeroTail):
-            return CV_ZERO
-        if isinstance(self.tail, PowerTail):
-            return self.tail.coeff * q_pow(self.fp, self.tail.exponent * e)
-        ln_abs = NumericValue.from_exact(ExactScalar.ln_q(self.fp, e))
-        return self.tail.const + self.tail.log_coeff * ln_abs
+        total = CV_ZERO
+        for c, s, m in self.tail.terms:
+            total = total + c * radial_monomial(self.fp, s, m, e)
+        return total
 
     def evaluate(self, x: Point) -> ComplexValue:
         e = abs_exponent(self.fp, x)
@@ -406,16 +393,14 @@ def _as_extended(f) -> ExtendedFunction:
 # norms and distances
 
 
-def _combined_tail_terms(f: ExtendedFunction, g: ExtendedFunction):
-    """Power terms and log coefficient of the difference tail f - g."""
-    terms: dict[Fraction, ComplexValue] = {}
-    for s, c in tail_power_terms(f.tail):
-        terms[s] = terms.get(s, CV_ZERO) + c
-    for s, c in tail_power_terms(g.tail):
-        terms[s] = terms.get(s, CV_ZERO) - c
-    terms = {s: c for s, c in terms.items() if not c.is_exact_zero()}
-    logc = tail_log_coeff(f.tail) - tail_log_coeff(g.tail)
-    return terms, logc
+def _combined_tail_terms(f: ExtendedFunction, g: ExtendedFunction) -> dict[tuple[Fraction, int], ComplexValue]:
+    """Nonzero coefficients of the difference tail f - g, keyed by (s, m)."""
+    terms: dict[tuple[Fraction, int], ComplexValue] = {}
+    for c, s, m in f.tail.terms:
+        terms[s, m] = terms.get((s, m), CV_ZERO) + c
+    for c, s, m in g.tail.terms:
+        terms[s, m] = terms.get((s, m), CV_ZERO) - c
+    return {sm: c for sm, c in terms.items() if not c.is_exact_zero()}
 
 
 _MAX_TAIL_SHELLS = 100_000  # shells summed before a multi-term L^p tail is given up
@@ -505,11 +490,11 @@ def lp_distance(f, g, p) -> float:
     fp = fe.fp
     window = min(fe.window_level, ge.window_level)
     k = max(fe.constancy_level, ge.constancy_level)
-    terms, logc = _combined_tail_terms(fe, ge)
-    if not logc.is_exact_zero():
+    terms = _combined_tail_terms(fe, ge)
+    if any(m for _, m in terms):
         raise DivergentIntegralError("L^p norm of a log-growth tail diverges")
     window_part = lp_window_sum(fp, window, k, p, lambda x: fe.evaluate(x) - ge.evaluate(x))
-    tail_part = _tail_lp_contribution(fp, terms, p, window)
+    tail_part = _tail_lp_contribution(fp, {s: c for (s, _), c in terms.items()}, p, window)
     return (window_part + tail_part) ** (1.0 / p)
 
 

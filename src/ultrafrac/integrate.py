@@ -27,7 +27,7 @@ from .field import (
     sphere_coset_reps,
     zero_point,
 )
-from .functions import ExtendedFunction, _as_extended, radial_sum, tail_log_coeff, tail_power_terms
+from .functions import ExtendedFunction, _as_extended, radial_sum
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
@@ -37,6 +37,7 @@ from .numerics import (
     as_fraction,
     geometric_tail,
     q_pow,
+    radial_monomial,
     weighted_geometric_tail,
 )
 
@@ -45,7 +46,12 @@ from .numerics import (
 
 
 class RadialProfile:
-    """Marker base class for radial integrand factors."""
+    """Base class for radial integrand factors."""
+
+    @property
+    def monomial(self) -> tuple[Fraction, int]:
+        """(s, m) of a centered profile |x|**s * (ln|x|)**m."""
+        raise TypeError(f"not a centered radial profile: {self!r}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +63,16 @@ class PowerProfile(RadialProfile):
     def __post_init__(self) -> None:
         object.__setattr__(self, "exponent", as_fraction(self.exponent))
 
+    @property
+    def monomial(self) -> tuple[Fraction, int]:
+        return self.exponent, 0
+
 
 @dataclass(frozen=True)
 class LogProfile(RadialProfile):
     """ln|x|."""
+
+    monomial = (Fraction(0), 1)
 
 
 @dataclass(frozen=True)
@@ -102,11 +114,7 @@ class Region:
 
 def profile_value(fp: FieldParams, profile: RadialProfile, e: int) -> NumericValue:
     """Profile value at |x| = q**e."""
-    if isinstance(profile, PowerProfile):
-        return q_pow(fp, profile.exponent * e)
-    if isinstance(profile, LogProfile):
-        return NumericValue.from_exact(ExactScalar.ln_q(fp, e))
-    raise TypeError(f"not a radial profile: {profile!r}")
+    return radial_monomial(fp, *profile.monomial, e)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +163,10 @@ def shifted_log_over_sphere(fp: FieldParams, radius_exp: int, a_abs_exp: int | N
 
 def ball_profile_integral(fp: FieldParams, profile: RadialProfile, radius_exp: int) -> NumericValue:
     """Integral of a radial profile over {|x| <= q**radius_exp}."""
-    if isinstance(profile, PowerProfile):
-        return power_over_ball(fp, profile.exponent + 1, radius_exp)
-    if isinstance(profile, LogProfile):
+    s, m = profile.monomial
+    if m:
         return log_over_ball(fp, radius_exp)
-    raise TypeError(f"not a centered radial profile: {profile!r}")
+    return power_over_ball(fp, s + 1, radius_exp)
 
 
 def profile_coset_integral(fp: FieldParams, profile: RadialProfile, rel_exp: int | None, level: int) -> NumericValue:
@@ -183,19 +190,10 @@ def _closed_far_sum(fp: FieldParams, profile: RadialProfile, f: ExtendedFunction
     Each product term is c * |x|**s * (ln|x|)**m; over the shells j <= j_hi it
     is a geometric series (m = 0) or a j-weighted one (m = 1).
     """
-    if isinstance(profile, PowerProfile):
-        s_p, m_p = profile.exponent, 0
-    elif isinstance(profile, LogProfile):
-        s_p, m_p = Fraction(0), 1
-    else:
-        raise TypeError(f"not a centered radial profile: {profile!r}")
-    terms = [(s_t, 0, c) for s_t, c in tail_power_terms(f.tail)]
-    log_coeff = tail_log_coeff(f.tail)
-    if not log_coeff.is_exact_zero():
-        terms.append((Fraction(0), 1, log_coeff))
+    s_p, m_p = profile.monomial
     one_minus = 1 - Fraction(1, fp.q)
     total = CV_ZERO
-    for s_t, m_t, c in terms:
+    for c, s_t, m_t in f.tail.terms:
         s, m = s_p + s_t, m_p + m_t
         # m = 2 only for ln|x| against a log tail, where s = 0: it diverges here
         if s + 1 >= 0:

@@ -365,6 +365,13 @@ def q_pow(fp: FieldParams, exponent) -> NumericValue:
     return _numeric_value(None, q ** float(e))
 
 
+def radial_monomial(fp: FieldParams, s, m: int, e: int) -> NumericValue:
+    """|x|**s * (ln|x|)**m at |x| = q**e, for m = 0 or (s, m) = (0, 1)."""
+    if m:
+        return NumericValue.from_exact(ExactScalar.ln_q(fp, e))
+    return q_pow(fp, s * e)
+
+
 def geometric_tail(fp: FieldParams, s, j0: int) -> NumericValue:
     """Sum over j >= j0 of q**(-s*j), s > 0, in closed form."""
     s = as_fraction(s)

@@ -39,7 +39,6 @@ from .functions import (
     BallSum,
     ExtendedFunction,
     TestFunction,
-    ZeroTail,
     _as_extended,
     _lp_exponent,
     log_tail,
@@ -341,10 +340,14 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
     return diff * constants(params).c
 
 
-def truncated_vladimirov(params: OperatorParams, nu: int, u, x: Point) -> ComplexValue:
-    """Difference integral truncated to |z| >= q**(-nu) (nu a positive integer)."""
+def _check_truncation(nu: int) -> None:
     if nu < 1:
         raise ValueError(f"truncation index must be a positive integer, got {nu}")
+
+
+def truncated_vladimirov(params: OperatorParams, nu: int, u, x: Point) -> ComplexValue:
+    """Difference integral truncated to |z| >= q**(-nu) (nu a positive integer)."""
+    _check_truncation(nu)
     ue = _as_extended(u)
     j_hi = min(nu, ue.constancy_level - 1)
     diff = _difference_shell_sum(params, ue, x, j_hi)
@@ -372,9 +375,7 @@ def vladimirov_on_window(
 
 def _integral_exactly_zero(phi) -> bool:
     pe = _as_extended(phi)
-    if not isinstance(pe.tail, ZeroTail):
-        return False
-    return pe.core.integral().is_exact_zero()
+    return not pe.tail.terms and pe.core.integral().is_exact_zero()
 
 
 def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexValue:
@@ -386,8 +387,7 @@ def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexVa
     need explicit coset sums, so exact recovery of phi(x) emerges whenever
     nu >= constancy_level - 1.
     """
-    if nu < 1:
-        raise ValueError(f"truncation index must be a positive integer, got {nu}")
+    _check_truncation(nu)
     if params.gamma > 1 and not _integral_exactly_zero(phi):
         raise HypothesisViolationError(
             "orders above the critical exponent require a zero-mean input"
@@ -431,8 +431,7 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     a finite coset sum.  It is exactly zero once nu >= constancy_level - 1.
     """
     p = _lp_exponent(p)
-    if nu < 1:
-        raise ValueError(f"truncation index must be a positive integer, got {nu}")
+    _check_truncation(nu)
     _decay_gate(params, phi)
     g = params.gamma
     if g < 1 and p >= 1.0 / float(g):
@@ -462,6 +461,7 @@ def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> fl
     constancy scale contribute because the modulus vanishes inside it.
     """
     p = _lp_exponent(p)
+    _check_truncation(nu)
     fp = params.fp
     k = phi.constancy_level
     total = 0.0

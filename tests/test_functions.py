@@ -93,6 +93,22 @@ class TestLpDistance:
         with pytest.raises(DivergentIntegralError):
             lp_norm(ef, 1)
 
+    @pytest.mark.parametrize("p", [1, 2.5])
+    def test_equal_log_tails_leave_the_windows(self, fp2, p):
+        # outside the common window the exact log tails cancel term by term
+        rng = random.Random(11)
+        f = random_test_function(fp2, -1, 1, rng)
+        g = random_test_function(fp2, -1, 2, rng)
+        t = log_tail(Fraction(1, 3), Fraction(-2, 5))
+        assert lp_distance(ExtendedFunction(f, t), ExtendedFunction(g, t), p) == lp_distance(f, g, p)
+
+    def test_different_log_coefficients_diverge(self, fp2):
+        core = indicator_ball(fp2, 0)
+        f = ExtendedFunction(core, log_tail(Fraction(1, 3), 1))
+        g = ExtendedFunction(core, log_tail(Fraction(1, 3), 2))
+        with pytest.raises(DivergentIntegralError, match="log-growth"):
+            lp_distance(f, g, 1)
+
     def test_slow_power_tail_divergence_reported(self, fp2):
         ef = ExtendedFunction(indicator_ball(fp2, 0), power_tail(1, Fraction(-1, 2)))
         with pytest.raises(DivergentIntegralError):

@@ -19,6 +19,8 @@ from ultrafrac.integrate import (
     PowerProfile,
     Region,
     ShiftedProfile,
+    _closed_far_sum,
+    ball_profile_integral,
     brute_force_oracle,
     integrate_product,
     log_over_ball,
@@ -27,6 +29,7 @@ from ultrafrac.integrate import (
     oracle_shifted_log_over_sphere,
     oracle_shifted_power_over_sphere,
     power_over_ball,
+    profile_value,
     shifted_log_over_sphere,
     shifted_power_over_sphere,
 )
@@ -138,6 +141,20 @@ class TestIntegrateProduct:
         f = ExtendedFunction(constant_on_ball(fp2, 0, 1), power_tail(1, 0))
         with pytest.raises(DivergentIntegralError):
             integrate_product(PowerProfile(Fraction(-1)), f, Region.outside(0))
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda fp, prof: profile_value(fp, prof, 0),
+            lambda fp, prof: ball_profile_integral(fp, prof, 0),
+            lambda fp, prof: _closed_far_sum(fp, prof, ExtendedFunction(indicator_ball(fp, 0)), -1),
+        ],
+        ids=["profile_value", "ball_profile_integral", "closed_far_sum"],
+    )
+    def test_shifted_profile_is_not_centered(self, fp2, route):
+        prof = ShiftedProfile(LogProfile(), point(fp2, 1))
+        with pytest.raises(TypeError, match="not a centered radial profile"):
+            route(fp2, prof)
 
     @pytest.mark.parametrize("const", [0, 1])
     def test_log_profile_against_log_tail_diverges(self, fp2, const):

@@ -232,10 +232,21 @@ class TestTruncated:
         got = truncated_vladimirov(pr, 1, u, zero_point(fp2))
         assert got.re.exact == ExactScalar.rational(1)
 
-    def test_rejects_nonpositive_truncation(self, fp2):
-        u = ExtendedFunction.from_test_function(indicator_ball(fp2, 0))
-        with pytest.raises(ValueError):
-            truncated_vladimirov(params(2, 1), 0, u, zero_point(fp2))
+    @pytest.mark.parametrize("nu", [0, -1, -3])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda pr, phi, nu: truncated_vladimirov(pr, nu, phi, zero_point(pr.fp)),
+            lambda pr, phi, nu: averaging_apply(pr, nu, phi, zero_point(pr.fp)),
+            lambda pr, phi, nu: inversion_residual(pr, 1, phi, nu),
+            lambda pr, phi, nu: minkowski_bound(pr, 1, phi, nu),
+        ],
+        ids=["truncated_vladimirov", "averaging_apply", "inversion_residual", "minkowski_bound"],
+    )
+    def test_rejects_nonpositive_truncation(self, fp2, route, nu):
+        phi = lizorkin_project(indicator_ball(fp2, 0), -1)
+        with pytest.raises(ValueError, match="truncation index must be a positive integer"):
+            route(params(2, Fraction(1, 2)), phi, nu)
 
 
 def test_readme_library_example():
