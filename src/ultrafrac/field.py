@@ -96,9 +96,6 @@ class Point:
     def __neg__(self) -> "Point":
         return Point(tuple(-a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def scaled_by_prime_power(self, fp: FieldParams, k: int) -> "Point":
         """Multiply every coordinate by p**k (the only multiplication points support)."""
         factor = _prime_power(fp.p, k)
@@ -250,35 +247,18 @@ def coset_walk(fp: FieldParams, ambient_level: int, resolution: int) -> Iterator
         yield d, digits_to_point(fp, d, ambient_level)
 
 
-@lru_cache(maxsize=512)
-def _enumerate_cosets_centered_at_zero(fp: FieldParams, ambient_level: int, resolution: int) -> tuple[Point, ...]:
-    return tuple(pt for _, pt in coset_walk(fp, ambient_level, resolution))
-
-
-def enumerate_cosets(
-    fp: FieldParams,
-    ambient_level: int,
-    resolution: int,
-    center: Point | None = None,
-) -> list[Point]:
+def enumerate_cosets(fp: FieldParams, ambient_level: int, resolution: int) -> list[Point]:
     """Canonical representatives of the q**(resolution-ambient) cosets of the ambient ball.
 
     The level-``resolution`` balls around the returned points partition the
     level-``ambient_level`` ball; the order is lexicographic in the digits.
     """
-    base = _enumerate_cosets_centered_at_zero(fp, ambient_level, resolution)
-    if center is None:
-        return list(base)
-    return [pt + center for pt in base]
+    return [pt for _, pt in coset_walk(fp, ambient_level, resolution)]
 
 
 @lru_cache(maxsize=512)
 def _sphere_reps_cached(fp: FieldParams, level: int, resolution: int) -> tuple[Point, ...]:
-    return tuple(
-        pt
-        for pt in _enumerate_cosets_centered_at_zero(fp, level, resolution)
-        if abs_exponent(fp, pt) == -level
-    )
+    return tuple(pt for _, pt in coset_walk(fp, level, resolution) if abs_exponent(fp, pt) == -level)
 
 
 def sphere_coset_reps(fp: FieldParams, level: int, resolution: int) -> list[Point]:

@@ -322,19 +322,18 @@ def brute_force_oracle(
     return OracleResult(value, bound)
 
 
-def _shifted_sphere_setup(fp: FieldParams, radius_exp: int):
-    """Shift point a with |a| = q**radius_exp and the kept critical-shell cosets.
+def _shifted_sphere_setup(fp: FieldParams, radius_exp: int) -> list[Point]:
+    """Critical-shell cosets kept in the sphere {|x| = |a|}, for a shift a with |a| = q**radius_exp.
 
     The critical shell is |t| = q**radius_exp for t = x - a; a coset there
     belongs to the sphere {|x| = |a|} iff |rep + a| = |a|, checked exactly.
     """
     a_pt = point(fp, *([Fraction(fp.p) ** (-radius_exp)] + [0] * (fp.n - 1)))
-    kept = [
+    return [
         rep
         for rep in sphere_coset_reps(fp, -radius_exp, -radius_exp + 1)
         if abs_exponent(fp, rep + a_pt) == radius_exp
     ]
-    return a_pt, kept
 
 
 def oracle_power_over_ball(fp: FieldParams, alpha, radius_exp: int, depth: int = 40) -> NumericValue:
@@ -354,7 +353,7 @@ def oracle_shifted_power_over_sphere(fp: FieldParams, alpha, radius_exp: int, de
     a = as_fraction(alpha)
     if a <= 0:
         raise DivergentIntegralError(f"needs alpha > 0, got {a}")
-    _, kept = _shifted_sphere_setup(fp, radius_exp)
+    kept = _shifted_sphere_setup(fp, radius_exp)
     coset_meas = Fraction(fp.q) ** (radius_exp - 1)
     total = q_pow(fp, (a - 1) * radius_exp) * (len(kept) * coset_meas)
     one_minus = 1 - Fraction(1, fp.q)
@@ -376,7 +375,7 @@ def oracle_log_over_ball(fp: FieldParams, radius_exp: int, depth: int = 40) -> N
 
 def oracle_shifted_log_over_sphere(fp: FieldParams, radius_exp: int, depth: int = 40) -> NumericValue:
     """Series-plus-enumeration evaluation of the shifted log integral."""
-    _, kept = _shifted_sphere_setup(fp, radius_exp)
+    kept = _shifted_sphere_setup(fp, radius_exp)
     coset_meas = Fraction(fp.q) ** (radius_exp - 1)
     ln_q = NumericValue.from_exact(ExactScalar.ln_q(fp))
     total = ln_q * (radius_exp * len(kept) * coset_meas)

@@ -31,7 +31,6 @@ from .field import (
     Point,
     abs_exponent,
     coset_walk,
-    enumerate_cosets,
     point,
     sphere_coset_reps,
 )
@@ -174,13 +173,13 @@ def kernel_normalization(params: OperatorParams) -> NumericValue:
 # kernel oracle: the defining integral evaluated by shell decomposition
 
 
-def _critical_sphere_integral(params: OperatorParams, tau: Point, level: int, depth: int):
+def _critical_sphere_integral(params: OperatorParams, tau: Point, level: int, depth: int) -> float:
     """Integral of f(|xi + tau|) over {|xi| = q**(-level)} with |tau| = q**(-level).
 
     f is |.|**(gamma-1) (or ln|.| on the log branch).  Cosets where the
     ultrametric distance certifies constancy are summed directly; the single
-    coset chain approaching -tau is refined to ``depth`` levels and its
-    remainder is bounded analytically.  Returns (value, bound).
+    coset chain approaching -tau is refined to ``depth`` levels, and the
+    remainder past ``depth`` is dropped.
     """
     fp = params.fp
     g = params.gamma
@@ -193,23 +192,17 @@ def _critical_sphere_integral(params: OperatorParams, tau: Point, level: int, de
         return q ** (e * float(g - 1))
 
     value = 0.0
-    bound = 0.0
     stack = [(rep, level + 1) for rep in sphere_coset_reps(fp, level, level + 1)]
     while stack:
         rep, lev = stack.pop()
         e = abs_exponent(fp, rep + tau)
         if e is not None and e > -lev:
             value += f_at(e) * q ** (-lev)
-        elif lev - level >= depth:
-            if log_branch:
-                # |ln|w|| over the ball at lev: (lev + 1/(q-1)) * q**(-lev) * ln q
-                bound += (lev + 1.0 / (fp.q - 1)) * q ** (-lev) * math.log(fp.q)
-            else:
-                bound += (1 - 1 / q) / (1 - q ** (-float(g))) * q ** (-lev * float(g))
-        else:
-            for child in enumerate_cosets(fp, lev, lev + 1, center=rep):
-                stack.append((child, lev + 1))
-    return value, bound
+        elif lev - level < depth:
+            # the q children of the node: rep itself, then rep shifted by each sphere coset
+            stack.append((rep, lev + 1))
+            stack.extend((rep + c, lev + 1) for c in sphere_coset_reps(fp, lev, lev + 1))
+    return value
 
 
 def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) -> float:
@@ -243,7 +236,7 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
     value = collapsed
 
     if j <= 0:
-        sphere_val, _bound = _critical_sphere_integral(params, tau, j, depth)
+        sphere_val = _critical_sphere_integral(params, tau, j, depth)
         sphere_meas = (1 - 1 / q) * q ** (-j)
         if log_branch:
             const_part = (-j) * math.log(fp.q) * sphere_meas
@@ -341,7 +334,7 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
 
 
 def _check_truncation(nu: int) -> None:
-    if nu < 1:
+    if not isinstance(nu, int) or nu < 1:
         raise ValueError(f"truncation index must be a positive integer, got {nu}")
 
 

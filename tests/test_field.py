@@ -21,6 +21,7 @@ from ultrafrac.field import (
     enumerate_digits,
     haar_measure,
     point,
+    sphere_coset_reps,
     zero_point,
 )
 from ultrafrac.numerics import geometric_tail
@@ -111,6 +112,16 @@ class TestEnumerateCosets:
         assert [x for _, x in walk] == enumerate_cosets(fp, ambient, resolution)
         for d, x in walk:
             assert coset_digits(fp, x, ambient, resolution) == d
+        # the ball splits into its outer sphere and the ball one level down
+        sphere = sphere_coset_reps(fp, ambient, resolution)
+        inner = enumerate_cosets(fp, ambient + 1, resolution)
+        assert len(sphere) == (fp.q - 1) * fp.q ** (resolution - ambient - 1)
+        assert len(inner) == fp.q ** (resolution - ambient - 1)
+        assert set(sphere).isdisjoint(inner)
+        assert set(sphere) | set(inner) == {x for _, x in walk}
+        # one level down, the zero coset comes first and the sphere is the rest
+        children = enumerate_cosets(fp, ambient, ambient + 1)
+        assert children == [zero_point(fp), *sphere_coset_reps(fp, ambient, ambient + 1)]
 
     def test_same_address_iff_difference_small(self, fp2):
         x = point(fp2, Fraction(5, 4))

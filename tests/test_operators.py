@@ -232,7 +232,7 @@ class TestTruncated:
         got = truncated_vladimirov(pr, 1, u, zero_point(fp2))
         assert got.re.exact == ExactScalar.rational(1)
 
-    @pytest.mark.parametrize("nu", [0, -1, -3])
+    @pytest.mark.parametrize("nu", [0, -1, -3, 1.5, 2.0])
     @pytest.mark.parametrize(
         "route",
         [
