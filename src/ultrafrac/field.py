@@ -189,27 +189,43 @@ def haar_measure(fp: FieldParams, region: BallSpec | SphereSpec) -> Fraction:
     raise TypeError(f"not a ball or sphere: {region!r}")
 
 
-def coset_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int) -> Digits:
-    """Digit address of x inside the ambient ball, at the given resolution."""
+def _ball_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int) -> Digits | None:
+    """Digit address of x at the given resolution, or None when x is not in the ambient ball.
+
+    None also covers a coordinate whose denominator is not a power of p; a
+    point with the wrong number of coordinates raises ``InvalidPointError``.
+    """
     if resolution < ambient_level:
         raise CosetResolutionError(
             f"resolution {resolution} coarser than ambient level {ambient_level}"
         )
+    if len(x.coords) != fp.n:
+        raise InvalidPointError(f"{x} has {len(x.coords)} coordinates, expected {fp.n}")
+    p = fp.p
     depth = resolution - ambient_level
-    scale = _prime_power(fp.p, -ambient_level)
-    modulus = fp.p**depth
+    scale = _prime_power(p, -ambient_level)
+    modulus = p**depth
     out = []
     for xc in x.coords:
-        rel = xc * scale
-        if rel.denominator != 1:
-            raise InvalidPointError(f"{x} is not inside the level-{ambient_level} ambient ball")
-        r = rel.numerator % modulus
+        # xc * p**(-ambient_level) is an integer iff this division leaves no remainder
+        rel, rem = divmod(xc.numerator * scale.numerator, xc.denominator * scale.denominator)
+        if rem:
+            return None
+        r = rel % modulus
         ds = []
         for _ in range(depth):
-            ds.append(r % fp.p)
-            r //= fp.p
+            ds.append(r % p)
+            r //= p
         out.append(tuple(ds))
     return tuple(out)
+
+
+def coset_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int) -> Digits:
+    """Digit address of x inside the ambient ball, at the given resolution."""
+    d = _ball_digits(fp, x, ambient_level, resolution)
+    if d is None:
+        raise InvalidPointError(f"{x} is not inside the level-{ambient_level} ambient ball")
+    return d
 
 
 def digits_to_point(fp: FieldParams, digits: Digits, ambient_level: int) -> Point:

@@ -18,11 +18,12 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Mapping
 
-from .errors import DivergentIntegralError, UltrafracError
+from .errors import DivergentIntegralError, InvalidPointError, UltrafracError
 from .field import (
     Digits,
     FieldParams,
     Point,
+    _ball_digits,
     abs_exponent,
     coset_digits,
     coset_walk,
@@ -111,11 +112,13 @@ class TestFunction:
             yield d, x, self.values[d]
 
     def evaluate(self, x: Point) -> ComplexValue:
+        d = _ball_digits(self.fp, x, self.support_level, self.constancy_level)
+        if d is not None:
+            return self.values[d]
         e = abs_exponent(self.fp, x)
         if e is not None and e > -self.support_level:
             return CV_ZERO
-        d = coset_digits(self.fp, x, self.support_level, self.constancy_level)
-        return self.values[d]
+        raise InvalidPointError(f"{x} is not a point of the field model: a denominator is not a power of {self.fp.p}")
 
     def _ball_index(self, d: Digits) -> int:
         """Position of a constancy-level coset in the ball-sum layout.

@@ -448,6 +448,11 @@ class ComplexValue:
         return ComplexValue(-self.re, -self.im)
 
     def __mul__(self, other):
+        if not isinstance(other, (ComplexValue, complex)):
+            # a real factor: the two products with its exact zero imaginary part
+            # are NV_ZERO, and re*x - NV_ZERO, NV_ZERO + im*x equal re*x, im*x part for part
+            x = NumericValue._coerce(other)
+            return ComplexValue(self.re * x, self.im * x)
         other = self._coerce(other)
         return ComplexValue(
             self.re * other.re - self.im * other.im,

@@ -20,7 +20,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable
 
 from .errors import (
     HypothesisBoundaryWarning,
@@ -294,31 +295,63 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 # hypersingular operator and its truncation
 
 
-def _difference_shell_sum(params: OperatorParams, u: ExtendedFunction, x: Point, j_hi: int) -> ComplexValue:
-    """Shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
+def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: int) -> Callable[[Point], ComplexValue]:
+    """x -> shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
 
     A finite shell is a sum over its q**(k-j) - q**(k-j-1) constancy-level
     cosets, taken as (sum of u over them) - (their count) * u(x).  The shells
-    before the first sphere sum see u's tail, and sum in closed form; a power
-    tail must grow strictly slower than |z|**gamma for convergence.
+    before the first sphere sum, j0, see u's tail and sum in closed form; a
+    power tail must grow strictly slower than |z|**gamma for convergence.
+
+    The shell weights depend on j alone and the far terms on j0 alone: every
+    point of u's window has j0 = window, a point beyond it at |x| = q**(-l)
+    has j0 = l.  So each is built once, at its first use, for all the points
+    the returned function is called on.
     """
     fp = params.fp
     g = params.gamma
     q = fp.q
-    ux = u.evaluate(x)
     k = u.constancy_level
-    j0, sums = u.sphere_sums(x)
     coset_meas = Fraction(q) ** (-k)
-    total = CV_ZERO
-    for j, shell_sum in zip(range(j0, j_hi + 1), sums):
-        shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
-        if not shell_acc.is_exact_zero():
-            total = total + shell_acc * (q_pow(fp, (g + 1) * j) * coset_meas)
-    j_far = min(j0 - 1, j_hi)
-    far = _closed_far_sum(fp, PowerProfile(-g - 1), u, j_far)
-    if not ux.is_exact_zero():
-        far = far - ux * ((1 - Fraction(1, q)) * geometric_tail(fp, g, -j_far))
-    return total + far
+
+    @cache
+    def weight(j: int) -> NumericValue:
+        return q_pow(fp, (g + 1) * j) * coset_meas
+
+    @cache
+    def far_sum(j_far: int) -> ComplexValue:
+        return _closed_far_sum(fp, PowerProfile(-g - 1), u, j_far)
+
+    @cache
+    def far_weight(j_far: int) -> NumericValue:
+        return (1 - Fraction(1, q)) * geometric_tail(fp, g, -j_far)
+
+    def shell_sum_at(x: Point) -> ComplexValue:
+        ux = u.evaluate(x)
+        j0, sums = u.sphere_sums(x)
+        total = CV_ZERO
+        for j, shell_sum in zip(range(j0, j_hi + 1), sums):
+            shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
+            if not shell_acc.is_exact_zero():
+                total = total + shell_acc * weight(j)
+        j_far = min(j0 - 1, j_hi)
+        far = far_sum(j_far)
+        if not ux.is_exact_zero():
+            far = far - ux * far_weight(j_far)
+        return total + far
+
+    return shell_sum_at
+
+
+def _vladimirov(params: OperatorParams, u, nu: int | None) -> Callable[[Point], ComplexValue]:
+    """x -> the difference integral at x, whole (nu None) or truncated to |z| >= q**(-nu)."""
+    if nu is not None:
+        _check_truncation(nu)
+    ue = _as_extended(u)
+    k = ue.constancy_level
+    diff = _difference_shell_sums(params, ue, k - 1 if nu is None else min(nu, k - 1))
+    c = constants(params).c
+    return lambda x: diff(x) * c
 
 
 def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValue:
@@ -328,9 +361,7 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
     identically, so the principal-value limit equals the finite truncation
     at that scale; far shells use the exact tail algebra.
     """
-    ue = _as_extended(u)
-    diff = _difference_shell_sum(params, ue, x, ue.constancy_level - 1)
-    return diff * constants(params).c
+    return _vladimirov(params, u, None)(x)
 
 
 def _check_truncation(nu: int) -> None:
@@ -340,11 +371,7 @@ def _check_truncation(nu: int) -> None:
 
 def truncated_vladimirov(params: OperatorParams, nu: int, u, x: Point) -> ComplexValue:
     """Difference integral truncated to |z| >= q**(-nu) (nu a positive integer)."""
-    _check_truncation(nu)
-    ue = _as_extended(u)
-    j_hi = min(nu, ue.constancy_level - 1)
-    diff = _difference_shell_sum(params, ue, x, j_hi)
-    return diff * constants(params).c
+    return _vladimirov(params, u, nu)(x)
 
 
 def vladimirov_on_window(
@@ -356,10 +383,8 @@ def vladimirov_on_window(
     """Operator values at the cosets of the input window dilated by one level."""
     ue = _as_extended(u)
     w = (ue.window_level - 1) if window_level is None else window_level
-    return [
-        (x, vladimirov_hypersingular(params, ue, x) if nu is None else truncated_vladimirov(params, nu, ue, x))
-        for _, x in coset_walk(ue.fp, w, ue.constancy_level)
-    ]
+    value = _vladimirov(params, ue, nu)
+    return [(x, value(x)) for _, x in coset_walk(ue.fp, w, ue.constancy_level)]
 
 
 # ---------------------------------------------------------------------------

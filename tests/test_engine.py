@@ -1,6 +1,6 @@
 """Differential tests of the ball-sum engine against the per-pair coset loops.
 
-``riesz_potential``, ``_difference_shell_sum`` and ``integrate_product`` sum
+``riesz_potential``, ``_difference_shell_sums`` and ``integrate_product`` sum
 each table over whole balls and spheres (``ExtendedFunction.sphere_sums``).
 The oracles below are the direct loops over every (output, source) coset
 pair that the engine replaced; on exact inputs both must give the same exact
@@ -53,7 +53,7 @@ from ultrafrac.integrate import (
 from ultrafrac.numerics import CV_ZERO, ComplexValue, ExactScalar, NumericValue, geometric_tail, q_pow
 from ultrafrac.operators import (
     OperatorParams,
-    _difference_shell_sum,
+    _difference_shell_sums,
     constants,
     riesz_potential,
 )
@@ -314,7 +314,7 @@ def shell_case(params, u, widen, cut):
         x = digits_to_point(fp, d, w)
         for j_hi in sorted({k - 1, k - 1 - cut}):
             want = difference_shell_sum_oracle(params, u, x, j_hi)
-            assert_same(_difference_shell_sum(params, u, x, j_hi), want, slack)
+            assert_same(_difference_shell_sums(params, u, j_hi)(x), want, slack)
 
 
 PROFILES = [LogProfile()] + [
@@ -564,7 +564,7 @@ def test_point_outside_window_sees_root_sum_and_tail(tail):
     assert isinstance(u.tail, PowerTail if tail == "power" else LogTail)
     x = point(fp, Fraction(1, 9))
     for j_hi in range(-3, 1):
-        assert_same(_difference_shell_sum(params, u, x, j_hi), difference_shell_sum_oracle(params, u, x, j_hi), 1e-12)
+        assert_same(_difference_shell_sums(params, u, j_hi)(x), difference_shell_sum_oracle(params, u, x, j_hi), 1e-12)
 
 
 def test_sphere_sums_are_sibling_ball_sums():

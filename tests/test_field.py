@@ -24,7 +24,8 @@ from ultrafrac.field import (
     sphere_coset_reps,
     zero_point,
 )
-from ultrafrac.numerics import geometric_tail
+from ultrafrac.functions import TestFunction, indicator_ball
+from ultrafrac.numerics import ComplexValue, geometric_tail
 
 
 def rational_points(p, n):
@@ -143,6 +144,62 @@ class TestCosetAddress:
         # representative and x share the address: difference in the level-2 ball
         assert coset_digits(fp2, rep, ball.level, 2) == digits
         assert abs_value(fp2, rep - x) <= Fraction(1, 4)
+
+
+def _reference_digits(fp, x, ambient, resolution):
+    """The address by Fraction arithmetic; None when a coordinate is outside the ambient ball."""
+    out = []
+    for xc in x.coords:
+        rel = xc * Fraction(fp.p) ** (-ambient)
+        if rel.denominator != 1:
+            return None
+        r = rel.numerator % fp.p ** (resolution - ambient)
+        out.append(tuple(r // fp.p**t % fp.p for t in range(resolution - ambient)))
+    return tuple(out)
+
+
+class TestIntegerAddresses:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_the_fraction_formula(self, data):
+        fp = FieldParams(data.draw(st.sampled_from([2, 3, 5])), data.draw(st.integers(1, 2)))
+        x = data.draw(rational_points(fp.p, fp.n))
+        ambient = data.draw(st.integers(-3, 3))
+        resolution = ambient + data.draw(st.integers(0, 3))
+        want = _reference_digits(fp, x, ambient, resolution)
+        e = abs_exponent(fp, x)
+        outside = e is not None and e > -ambient
+        assert (want is None) == outside
+        if outside:
+            with pytest.raises(InvalidPointError):
+                coset_digits(fp, x, ambient, resolution)
+        else:
+            assert coset_digits(fp, x, ambient, resolution) == want
+        # a table on that ball: an exact zero outside it, the addressed entry inside
+        f = TestFunction.tabulate(fp, ambient, ambient + 1, lambda y: ComplexValue.from_rational(1 + y.coords[0]))
+        got = f.evaluate(x)
+        if outside:
+            assert got.is_exact_zero()
+        else:
+            assert got == f.values[coset_digits(fp, x, ambient, ambient + 1)]
+
+    def test_non_p_power_denominator_is_still_invalid(self, fp2):
+        x = Point((Fraction(1, 3),))
+        with pytest.raises(InvalidPointError):
+            indicator_ball(fp2, 0).evaluate(x)
+        with pytest.raises(InvalidPointError):
+            coset_digits(fp2, x, 0, 1)
+        # outside the support the size alone decides, as before
+        assert indicator_ball(fp2, 0).evaluate(Point((Fraction(1, 6),))).is_exact_zero()
+
+    @pytest.mark.parametrize("coord", [4, Fraction(1, 2)])
+    def test_wrong_number_of_coordinates_is_invalid(self, coord):
+        fp = FieldParams(2, 2)
+        x = point(FieldParams(2, 1), coord)
+        with pytest.raises(InvalidPointError, match="expected 2"):
+            indicator_ball(fp, 0).evaluate(x)
+        with pytest.raises(InvalidPointError, match="expected 2"):
+            coset_digits(fp, x, 0, 1)
 
 
 class TestPrimality:

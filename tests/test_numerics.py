@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_value_fingerprint import _part
 from ultrafrac.errors import DivergentSeriesError, ExactnessLost
 from ultrafrac.field import FieldParams
 from ultrafrac.numerics import (
@@ -152,6 +153,50 @@ class TestComplexValue:
         z = a + ComplexValue.from_complex(0.25 + 0j)
         assert not z.is_exact
         assert z.to_complex() == 1.25
+
+
+def _parts(z: ComplexValue) -> tuple[str, str]:
+    return _part(z.re), _part(z.im)
+
+
+def _exact_scalars():
+    """Rationals, and elements with ln 4 and 1/ln 4 parts."""
+    rationals = st.fractions(max_denominator=12).filter(lambda f: abs(f) < 10**6)
+    return st.one_of(
+        rationals.map(ExactScalar),
+        st.tuples(rationals, rationals, rationals).map(lambda t: ExactScalar(*t, logbase=4)),
+    )
+
+
+def _parts_of_z():
+    floats = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf]), st.floats(allow_nan=False))
+    return st.one_of(
+        _exact_scalars().map(NumericValue.from_exact),
+        floats.map(NumericValue.from_float),
+    )
+
+
+def _real_factors():
+    return st.one_of(
+        st.integers(-50, 50),
+        st.fractions(max_denominator=12).filter(lambda f: abs(f) < 10**6),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6)),
+        _exact_scalars(),
+        _exact_scalars().map(NumericValue.from_exact),
+        st.floats(-1e6, 1e6).map(NumericValue.from_float),
+    )
+
+
+class TestRealFactorMultiply:
+    @given(re=_parts_of_z(), im=_parts_of_z(), x=_real_factors())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_complex_product(self, re, im, x):
+        """z * x, on its two-product path, equals z times x as a complex value, part for part."""
+        z = ComplexValue(re, im)
+        want = _parts(z * ComplexValue(NumericValue._coerce(x), NV_ZERO))
+        assert _parts(z * x) == want
+        if isinstance(x, (int, Fraction, float)):  # the ring's own types do not reflect to ComplexValue
+            assert _parts(x * z) == want
 
 
 class TestRingFastPaths:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_test_function
+from test_value_fingerprint import _part
 from ultrafrac.errors import (
     DivergentIntegralError,
     HypothesisBoundaryWarning,
@@ -16,6 +17,7 @@ from ultrafrac.functions import (
     ExtendedFunction,
     LogTail,
     PowerTail,
+    TestFunction,
     ZeroTail,
     constant_on_ball,
     indicator_ball,
@@ -23,7 +25,8 @@ from ultrafrac.functions import (
     lp_norm,
     power_tail,
 )
-from ultrafrac.numerics import ExactScalar
+from ultrafrac import operators
+from ultrafrac.numerics import ComplexValue, ExactScalar, NumericValue
 from ultrafrac.operators import (
     OperatorParams,
     averaging_apply,
@@ -37,6 +40,7 @@ from ultrafrac.operators import (
     riesz_potential,
     truncated_vladimirov,
     vladimirov_hypersingular,
+    vladimirov_on_window,
 )
 
 
@@ -247,6 +251,60 @@ class TestTruncated:
         phi = lizorkin_project(indicator_ball(fp2, 0), -1)
         with pytest.raises(ValueError, match="truncation index must be a positive integer"):
             route(params(2, Fraction(1, 2)), phi, nu)
+
+
+def _riesz_of(kind: str, alpha):
+    """The Riesz potential of an exact, a complex or a float-mixed table on 0..2 over Q_2."""
+    fp = FieldParams(2)
+    phi = random_test_function(fp, 0, 2, random.Random(41), complex_vals=kind == "complex")
+    if kind == "mixed":
+        table = {
+            d: ComplexValue(NumericValue.from_float(float(v.re)), v.im) if i % 2 else v
+            for i, (d, v) in enumerate(phi.values.items())
+        }
+        phi = TestFunction(fp, 0, 2, table)
+    return riesz_potential(params(2, alpha), phi)
+
+
+class TestOperatorWindow:
+    @pytest.mark.parametrize("nu", [None, 1, 2])
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=["power_tail", "log_tail"])
+    @pytest.mark.parametrize("kind", ["exact", "complex", "mixed"])
+    def test_window_equals_the_point_routes(self, kind, alpha, nu):
+        pr = params(2, alpha)
+        u = _riesz_of(kind, alpha)
+        assert isinstance(u.tail, LogTail if alpha == 1 else PowerTail)
+        for w in (u.window_level - 1, u.window_level - 2):
+            rows = vladimirov_on_window(pr, u, w, nu)
+            assert len({u.sphere_sums(x)[0] for x, _ in rows}) == u.window_level - w + 1
+            for x, got in rows:
+                want = vladimirov_hypersingular(pr, u, x) if nu is None else truncated_vladimirov(pr, nu, u, x)
+                assert (_part(got.re), _part(got.im)) == (_part(want.re), _part(want.im))
+
+    def test_far_sum_runs_once_per_first_sphere_level(self, monkeypatch):
+        pr = params(2, Fraction(1, 2))
+        u = riesz_potential(pr, random_test_function(FieldParams(2), 0, 5, random.Random(43)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return far_sum(*args)
+
+        far_sum = operators._closed_far_sum
+        monkeypatch.setattr(operators, "_closed_far_sum", counted)
+        for nu in (None, 2):
+            calls.clear()
+            rows = vladimirov_on_window(pr, u, u.window_level - 1, nu)
+            assert len(rows) == 64
+            first_levels = {u.sphere_sums(x)[0] for x, _ in rows}
+            assert len(calls) == len(first_levels) == 2
+
+    def test_weights_are_built_only_for_nonzero_shells(self):
+        # at level 700 the shell weight 2**(3/2 * 699) is beyond float range; the
+        # zero table never needs it, so the window is exact zeros, not an OverflowError
+        fp = FieldParams(2)
+        rows = vladimirov_on_window(params(2, Fraction(1, 2)), constant_on_ball(fp, 700, 0))
+        assert len(rows) == 2 and all(v.is_exact_zero() for _, v in rows)
 
 
 def test_readme_library_example():
