@@ -115,10 +115,15 @@ class TestFunction:
         d = _ball_digits(self.fp, x, self.support_level, self.constancy_level)
         if d is not None:
             return self.values[d]
+        self._exponent_beyond(x)
+        return CV_ZERO
+
+    def _exponent_beyond(self, x: Point) -> int:
+        """e with |x| = q**e beyond the support, for a point that failed the address test; else InvalidPointError."""
         e = abs_exponent(self.fp, x)
-        if e is not None and e > -self.support_level:
-            return CV_ZERO
-        raise InvalidPointError(f"{x} is not a point of the field model: a denominator is not a power of {self.fp.p}")
+        if e is None or e <= -self.support_level:
+            raise InvalidPointError(f"{x} is not a point of the field model: a denominator is not a power of {self.fp.p}")
+        return e
 
     def _ball_index(self, d: Digits) -> int:
         """Position of a constancy-level coset in the ball-sum layout.
@@ -205,16 +210,12 @@ class TestFunction:
         return self._combined(other, lambda a, b: a - b)
 
     def table_equal(self, other: "TestFunction") -> bool:
-        """Exact table equality after refining to a common window/constancy."""
-        sl = min(self.support_level, other.support_level)
-        k = max(self.constancy_level, other.constancy_level)
-        a, b = self.refined(sl, k), other.refined(sl, k)
-        for d in a.addresses():
-            diff = a.values[d] - b.values[d]
-            for part in (diff.re, diff.im):
-                if not (part.is_exact_zero() if part.is_exact else float(part) == 0):
-                    return False
-        return True
+        """Exact table equality on the common window/constancy: every part of self - other is zero."""
+        return all(
+            part.is_exact_zero() if part.is_exact else float(part) == 0
+            for diff in (self - other).values.values()
+            for part in (diff.re, diff.im)
+        )
 
 
 def constant_on_ball(fp: FieldParams, level: int, value) -> TestFunction:
@@ -348,33 +349,35 @@ class ExtendedFunction:
         return total
 
     def evaluate(self, x: Point) -> ComplexValue:
-        e = abs_exponent(self.fp, x)
-        if e is not None and e > -self.window_level:
-            return self.tail_value_at_exponent(e)
-        return self.core.evaluate(x)
+        d = _ball_digits(self.fp, x, self.window_level, self.constancy_level)
+        if d is not None:
+            return self.core.values[d]
+        return self.tail_value_at_exponent(self.core._exponent_beyond(x))
 
-    def sphere_sums(self, x: Point) -> tuple[int, list[BallSum]]:
+    def sphere_sums(self, x: Point) -> tuple[int, list[BallSum], ComplexValue]:
         """Sums of f over the spheres {|z - x| = q**(-j)} around x that need an explicit sum.
 
-        Returns (j0, sums), with sums[j - j0] the sum over the sphere's
+        Returns (j0, sums, value), with sums[j - j0] the sum over the sphere's
         constancy-level cosets.  On every sphere j < j0, |z| = |z - x| lies
         beyond the window and f is its tail; on the ball |z - x| <= q**(-j)
-        with j = j0 + len(sums), f is constant, equal to f(x).  Inside the
-        window these are the core's sibling sums.  Beyond it, at |x| = q**(-l),
+        with j = j0 + len(sums), f is constant, equal to value = f(x).  Inside
+        the window these are the core's sibling sums.  Beyond it, at |x| = q**(-l),
         there is one mixed sphere, |z - x| = |x|: the whole window, plus the
         tail on the levels l .. window - 1, minus the ball around x.
         """
         fp, window, k = self.fp, self.window_level, self.constancy_level
-        e = abs_exponent(fp, x)
-        if e is None or -e >= window:
-            return window, self.core.sphere_sums(coset_digits(fp, x, window, k))
+        d = _ball_digits(fp, x, window, k)
+        if d is not None:
+            return window, self.core.sphere_sums(d), self.core.values[d]
+        e = self.core._exponent_beyond(x)
         q = fp.q
         total = self.core.ball_sum()
         for m in range(-e, window):
             count = (q - 2 if m == -e else q - 1) * q ** (k - m - 1)
             if count:
                 total = total + BallSum.of(self.tail_value_at_exponent(-m) * count)
-        return -e, [total]
+        # at q = 2 the loop skips m = -e, so f(x) is not always among its terms
+        return -e, [total], self.tail_value_at_exponent(e)
 
     def translated(self, h: Point) -> "ExtendedFunction":
         """The function x -> f(x - h); the window grows to hold the translated core."""

@@ -227,8 +227,8 @@ def integrate_product(profile: RadialProfile, f, region: Region | None = None) -
         center = center + profile.shift
         profile = profile.base
 
-    j0, sums = fe.sphere_sums(center)
-    j_end = j0 + len(sums)  # f equals f(center) on |x - center| <= q**(-j_end)
+    j0, sums, v0 = fe.sphere_sums(center)
+    j_end = j0 + len(sums)  # f equals v0 = f(center) on |x - center| <= q**(-j_end)
     total = CV_ZERO
 
     # far shells (f in tail regime, |x| = |x - center|): j <= min(j0 - 1, hi)
@@ -252,7 +252,6 @@ def integrate_product(profile: RadialProfile, f, region: Region | None = None) -
 
     # shells from j_end inward: f is constant there
     deep_lo = max(w_lo, j_end)
-    v0 = fe.evaluate(center)
     if not v0.is_exact_zero():
         if region.hi is None:
             total = total + v0 * ball_profile_integral(fp, profile, -deep_lo)

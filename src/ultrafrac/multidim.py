@@ -97,13 +97,12 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
         j_t = window
         finite_js = list(range(j_t, k))
 
+    coset_meas = Fraction(bridge.p) ** (-k * n)  # every shell below has j < k
     total = CV_ZERO
     for j in finite_js:
-        res = max(k, j + 1)
-        coset_meas = Fraction(bridge.p) ** (-res * n)
         kernel = q_pow(base, (n + alpha) * j)
         shell_acc = CV_ZERO
-        for rep in sphere_coset_reps(ext, j, res):
+        for rep in sphere_coset_reps(ext, j, k):
             dv = f.evaluate(x + rep) - fx
             if dv.is_exact_zero():
                 continue

@@ -109,12 +109,16 @@ class ExactScalar:
         )
 
     def __add__(self, other: "ExactScalar") -> "ExactScalar":
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
         if self.logbase is None and other.logbase is None:
             return _exact_scalar(self.a + other.a)
         base = self._merged_base(other)
         return _exact_scalar(self.a + other.a, self.b + other.b, self.c + other.c, base)
 
     def __sub__(self, other: "ExactScalar") -> "ExactScalar":
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
         if self.logbase is None and other.logbase is None:
             return _exact_scalar(self.a - other.a)
         base = self._merged_base(other)
@@ -126,6 +130,8 @@ class ExactScalar:
         return _exact_scalar(-self.a, -self.b, -self.c, self.logbase)
 
     def __mul__(self, other: "ExactScalar") -> "ExactScalar":
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
         if self.logbase is None and other.logbase is None:
             return _exact_scalar(self.a * other.a)
         base = self._merged_base(other)
@@ -137,6 +143,8 @@ class ExactScalar:
         return _exact_scalar(a, b, c, base)
 
     def __truediv__(self, other: "ExactScalar") -> "ExactScalar":
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
         if other.logbase is None:
             if not other.a:
                 raise ZeroDivisionError("exact division by zero")
@@ -245,7 +253,10 @@ class NumericValue:
         return _numeric_value(None, op(float(self), float(other)))
 
     def __add__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented  # so that a ComplexValue on the right takes the reflected operation
         if self.is_exact_zero():
             return other
         if other.is_exact_zero():
@@ -255,13 +266,20 @@ class NumericValue:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(self._coerce(other), operator.sub)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
         # exact zero absorbs: keeps structural zeros exact through float factors
         if self.is_exact_zero() or other.is_exact_zero():
             return NV_ZERO
@@ -270,7 +288,11 @@ class NumericValue:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(self._coerce(other), operator.truediv)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._binary(other, operator.truediv)
 
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)

@@ -278,8 +278,8 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     fe = ExtendedFunction(phi)
 
     def core_value(x: Point) -> ComplexValue:
-        j0, sums = fe.sphere_sums(x)
-        terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(phi.evaluate(x)))]
+        j0, sums, value = fe.sphere_sums(x)
+        terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
 
     core = TestFunction.tabulate(fp, w, k, core_value)
@@ -327,8 +327,7 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
         return (1 - Fraction(1, q)) * geometric_tail(fp, g, -j_far)
 
     def shell_sum_at(x: Point) -> ComplexValue:
-        ux = u.evaluate(x)
-        j0, sums = u.sphere_sums(x)
+        j0, sums, ux = u.sphere_sums(x)
         total = CV_ZERO
         for j, shell_sum in zip(range(j0, j_hi + 1), sums):
             shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
@@ -415,14 +414,13 @@ def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexVa
     k = pe.constancy_level
     cd = constants(params).cd
     q_nu = Fraction(fp.q) ** nu
+    coset_meas = Fraction(fp.q) ** (-k)  # every shell below has nu + j < k
 
     total = CV_ZERO
     j_star = max(1, k - nu)
     for j in range(1, j_star):
-        res = max(k, nu + j + 1)
-        coset_meas = Fraction(fp.q) ** (-res)
         inner = CV_ZERO
-        for rep in sphere_coset_reps(fp, nu + j, res):
+        for rep in sphere_coset_reps(fp, nu + j, k):
             v = pe.evaluate(x - rep)
             if v.is_exact_zero():
                 continue
@@ -482,13 +480,12 @@ def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> fl
     _check_truncation(nu)
     fp = params.fp
     k = phi.constancy_level
+    coset_meas = float(Fraction(fp.q) ** (nu - k))  # every shell below has j < k - nu
     total = 0.0
     for j in range(1, k - nu):
         r1 = float(kernel_r1(params, j))
-        res = max(k - nu, j + 1)
-        coset_meas = float(Fraction(fp.q) ** (-res))
         inner = 0.0
-        for rep in sphere_coset_reps(fp, j, res):
+        for rep in sphere_coset_reps(fp, j, k - nu):
             h = rep.scaled_by_prime_power(fp, nu)
             inner += modulus_of_continuity(phi, h, p) * coset_meas
         total += r1 * inner

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from test_value_fingerprint import _part
 from ultrafrac.errors import UltrafracError, UnsupportedIntegrandError
 from ultrafrac.field import (
     FieldParams,
@@ -444,13 +445,16 @@ def test_shift_beyond_window_weights_the_tail_inside_the_shift():
 @given(case=extended(EXACT_KINDS), widen=st.integers(0, 2))
 def test_extended_sphere_sums_are_direct_sphere_sums(case, widen):
     # at points inside and beyond the window: each listed sphere is the sum over
-    # its cosets, the sphere before the list is in the tail, the one after is u(x)
+    # its cosets, the sphere before the list is in the tail, the one after is u(x),
+    # and the value returned with the sums is u(x) part for part
     _, u = case
     fp, k = u.fp, u.constancy_level
     w = dilated_window(u.core, widen)
     for d in enumerate_digits(fp, w, k):
         x = digits_to_point(fp, d, w)
-        j0, sums = u.sphere_sums(x)
+        j0, sums, value = u.sphere_sums(x)
+        want = u.evaluate(x)
+        assert (_part(value.re), _part(value.im)) == (_part(want.re), _part(want.im))
         for j, s in enumerate(sums, start=j0):
             direct = sum((u.evaluate(x + rep) for rep in sphere_coset_reps(fp, j, k)), CV_ZERO)
             assert_same(s.value, direct, 1e-12)

@@ -24,7 +24,7 @@ from ultrafrac.field import (
     sphere_coset_reps,
     zero_point,
 )
-from ultrafrac.functions import TestFunction, indicator_ball
+from ultrafrac.functions import ExtendedFunction, TestFunction, indicator_ball, power_tail
 from ultrafrac.numerics import ComplexValue, geometric_tail
 
 
@@ -200,6 +200,12 @@ class TestIntegerAddresses:
             indicator_ball(fp, 0).evaluate(x)
         with pytest.raises(InvalidPointError, match="expected 2"):
             coset_digits(fp, x, 0, 1)
+        # a core-plus-tail function asks the address first too, also beyond its window
+        u = ExtendedFunction(indicator_ball(fp, 0), power_tail(1, -2))
+        with pytest.raises(InvalidPointError, match="expected 2"):
+            u.evaluate(x)
+        with pytest.raises(InvalidPointError, match="expected 2"):
+            u.sphere_sums(x)
 
 
 class TestPrimality:

@@ -182,6 +182,12 @@ class TestTableEqual:
         assert a.table_equal(constant_on_ball(fp2, 0, Fraction(1, 2)))
         assert not a.table_equal(constant_on_ball(fp2, 0, Fraction(1, 3)))
 
+    @pytest.mark.parametrize("other", [FieldParams(3), FieldParams(2, 2)])
+    def test_functions_over_different_fields_do_not_compare(self, other):
+        for level in (0, 1):
+            with pytest.raises(UltrafracError, match="different fields"):
+                indicator_ball(FieldParams(2), level).table_equal(indicator_ball(other, level))
+
 
 class TestLizorkinProject:
     def test_unit_ball_projection(self, fp2):

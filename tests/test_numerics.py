@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -195,8 +196,16 @@ class TestRealFactorMultiply:
         z = ComplexValue(re, im)
         want = _parts(z * ComplexValue(NumericValue._coerce(x), NV_ZERO))
         assert _parts(z * x) == want
-        if isinstance(x, (int, Fraction, float)):  # the ring's own types do not reflect to ComplexValue
-            assert _parts(x * z) == want
+        assert _parts(x * z) == want
+
+    @given(re=_parts_of_z(), im=_parts_of_z(), x=_real_factors(), op=st.sampled_from([operator.add, operator.sub, operator.mul]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_real_value_on_the_left_reflects(self, re, im, x, op):
+        """x op z, for every real operand type, is x as a complex value op z, part for part; x / z is a TypeError."""
+        z = ComplexValue(re, im)
+        assert _parts(op(x, z)) == _parts(op(ComplexValue(NumericValue._coerce(x), NV_ZERO), z))
+        with pytest.raises(TypeError):
+            x / z
 
 
 class TestRingFastPaths:

@@ -25,7 +25,7 @@ from ultrafrac.functions import (
     lp_norm,
     power_tail,
 )
-from ultrafrac import operators
+from ultrafrac import functions, operators
 from ultrafrac.numerics import ComplexValue, ExactScalar, NumericValue
 from ultrafrac.operators import (
     OperatorParams,
@@ -298,6 +298,21 @@ class TestOperatorWindow:
             assert len(rows) == 64
             first_levels = {u.sphere_sums(x)[0] for x, _ in rows}
             assert len(calls) == len(first_levels) == 2
+
+    def test_window_points_never_ask_for_their_size(self, monkeypatch):
+        # inside the window the core's address alone finds a point; beyond it
+        # the size is asked for once per point
+        pr = params(2, Fraction(1, 2))
+        u = riesz_potential(pr, random_test_function(FieldParams(2), 0, 5, random.Random(43)))
+        calls = []
+        size = functions.abs_exponent
+        monkeypatch.setattr(functions, "abs_exponent", lambda fp, x: calls.append(x) or size(fp, x))
+        rows = vladimirov_on_window(pr, u, window_level=u.window_level, nu=1)
+        for x, _ in rows:
+            u.evaluate(x)
+        assert len(rows) == 32 and calls == []
+        assert len(vladimirov_on_window(pr, u, window_level=u.window_level - 1, nu=1)) == 64
+        assert len(calls) == 32
 
     def test_weights_are_built_only_for_nonzero_shells(self):
         # at level 700 the shell weight 2**(3/2 * 699) is beyond float range; the
