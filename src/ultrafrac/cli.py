@@ -280,6 +280,8 @@ def apply_cmd(fp, op, alpha, fn, nu, window):
 )
 def invert_cmd(fp, alpha, lp, fn, nu_min, nu_max, tol):
     """Inversion residuals ||D_eps(Riesz(phi)) - phi||_p over a truncation sweep."""
+    if nu_max < nu_min:
+        raise click.BadParameter(f"empty range {nu_min}..{nu_max}", param_hint=["--nu-min", "--nu-max"])
     params = OperatorParams(fp, alpha)
     f = _function(fp, fn)
     zero_tol = _tol(1e-12, tol)

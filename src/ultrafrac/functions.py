@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Mapping
 
-from .errors import DivergentIntegralError, InvalidPointError, UltrafracError
+from .errors import DivergentIntegralError, UltrafracError
 from .field import (
     Digits,
     FieldParams,
@@ -28,6 +28,7 @@ from .field import (
     coset_digits,
     coset_walk,
     enumerate_digits,
+    point,
 )
 from .numerics import (
     CV_ZERO,
@@ -120,10 +121,8 @@ class TestFunction:
 
     def _exponent_beyond(self, x: Point) -> int:
         """e with |x| = q**e beyond the support, for a point that failed the address test; else InvalidPointError."""
-        e = abs_exponent(self.fp, x)
-        if e is None or e <= -self.support_level:
-            raise InvalidPointError(f"{x} is not a point of the field model: a denominator is not a power of {self.fp.p}")
-        return e
+        point(self.fp, *x.coords)  # with p-power denominators only, x fails the address test only beyond the support
+        return abs_exponent(self.fp, x)
 
     def _ball_index(self, d: Digits) -> int:
         """Position of a constancy-level coset in the ball-sum layout.
@@ -510,6 +509,7 @@ def lp_norm(f, p) -> float:
 
 def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
     """L^p norm of f - f(. - h); exactly zero within the constancy scale."""
+    p = _lp_exponent(p)
     e = abs_exponent(f.fp, h)
     if e is None or e <= -f.constancy_level:
         return 0.0

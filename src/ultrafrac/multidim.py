@@ -18,7 +18,6 @@ from .field import (
     FieldParams,
     Point,
     abs_exponent,
-    coset_walk,
     sphere_coset_reps,
 )
 from .functions import ExtendedFunction, TestFunction
@@ -30,7 +29,7 @@ from .numerics import (
     geometric_tail,
     q_pow,
 )
-from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_hypersingular
+from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_hypersingular, vladimirov_on_window
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,8 @@ def taibleson_on_window(
 ) -> list[tuple[Point, ComplexValue, ComplexValue]]:
     """(point, direct value, via-extension value) on the dilated window cosets."""
     w = (f.support_level - 1) if window_level is None else window_level
-    return [
-        (pt, taibleson_direct(bridge, f, pt), taibleson_via_extension(bridge, f, pt))
-        for _, pt in coset_walk(bridge.ext, w, f.constancy_level)
-    ]
+    via_ext = vladimirov_on_window(bridge.ext_params, f, window_level=w)
+    return [(pt, taibleson_direct(bridge, f, pt), value) for pt, value in via_ext]
 
 
 def kernel_r_multidim(bridge: DimensionBridge, j: int) -> NumericValue:

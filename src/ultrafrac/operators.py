@@ -390,9 +390,40 @@ def vladimirov_on_window(
 # averaging representation and inversion residuals
 
 
-def _integral_exactly_zero(phi) -> bool:
+def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
+    """x -> averaging_apply at x; the checks, the inner kernel mass and each level's weight are built once per call."""
+    _check_truncation(nu)
     pe = _as_extended(phi)
-    return not pe.tail.terms and pe.core.integral().is_exact_zero()
+    if params.gamma > 1 and (pe.tail.terms or not pe.core.integral().is_exact_zero()):
+        raise HypothesisViolationError(
+            "orders above the critical exponent require a zero-mean input"
+        )
+    fp = params.fp
+    k = pe.constancy_level
+    cd = constants(params).cd
+    q_nu = Fraction(fp.q) ** nu
+    coset_meas = Fraction(fp.q) ** (-k)  # every shell below has nu + j < k
+    j_star = max(1, k - nu)
+    inner_mass = kernel_normalization_tail(params, j_star)
+
+    @cache
+    def weight(j: int) -> NumericValue:
+        return cd * kernel_r(params, j) * coset_meas * q_nu
+
+    def average_at(x: Point) -> ComplexValue:
+        total = CV_ZERO
+        for j in range(1, j_star):
+            inner = CV_ZERO
+            for rep in sphere_coset_reps(fp, nu + j, k):
+                v = pe.evaluate(x - rep)
+                if v.is_exact_zero():
+                    continue
+                inner = inner + v
+            if not inner.is_exact_zero():
+                total = total + inner * weight(j)
+        return total + pe.evaluate(x) * inner_mass
+
+    return average_at
 
 
 def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexValue:
@@ -404,39 +435,7 @@ def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexVa
     need explicit coset sums, so exact recovery of phi(x) emerges whenever
     nu >= constancy_level - 1.
     """
-    _check_truncation(nu)
-    if params.gamma > 1 and not _integral_exactly_zero(phi):
-        raise HypothesisViolationError(
-            "orders above the critical exponent require a zero-mean input"
-        )
-    pe = _as_extended(phi)
-    fp = params.fp
-    k = pe.constancy_level
-    cd = constants(params).cd
-    q_nu = Fraction(fp.q) ** nu
-    coset_meas = Fraction(fp.q) ** (-k)  # every shell below has nu + j < k
-
-    total = CV_ZERO
-    j_star = max(1, k - nu)
-    for j in range(1, j_star):
-        inner = CV_ZERO
-        for rep in sphere_coset_reps(fp, nu + j, k):
-            v = pe.evaluate(x - rep)
-            if v.is_exact_zero():
-                continue
-            inner = inner + v
-        if not inner.is_exact_zero():
-            total = total + inner * (cd * kernel_r(params, j) * coset_meas * q_nu)
-    total = total + pe.evaluate(x) * kernel_normalization_tail(params, j_star)
-    return total
-
-
-def _decay_gate(params: OperatorParams, phi) -> None:
-    pe = _as_extended(phi)
-    if params.gamma == 1 and not pe.has_strong_decay:
-        raise HypothesisViolationError(
-            "the log-kernel inversion needs decay O(|x|**-beta) with beta > 1"
-        )
+    return _averaging(params, nu, phi)(x)
 
 
 def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
@@ -447,9 +446,13 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     a finite coset sum.  It is exactly zero once nu >= constancy_level - 1.
     """
     p = _lp_exponent(p)
-    _check_truncation(nu)
-    _decay_gate(params, phi)
+    average = _averaging(params, nu, phi)
+    pe = _as_extended(phi)
     g = params.gamma
+    if g == 1 and not pe.has_strong_decay:
+        raise HypothesisViolationError(
+            "the log-kernel inversion needs decay O(|x|**-beta) with beta > 1"
+        )
     if g < 1 and p >= 1.0 / float(g):
         warnings.warn(
             f"p = {p} is outside the proven range [1, {1.0 / float(g):g}) for order {g}",
@@ -462,11 +465,8 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
             HypothesisBoundaryWarning,
             stacklevel=2,
         )
-    pe = _as_extended(phi)
     w = min(pe.window_level, nu + 1)
-    residual = lp_window_sum(
-        params.fp, w, pe.constancy_level, p, lambda x: averaging_apply(params, nu, phi, x) - pe.evaluate(x)
-    )
+    residual = lp_window_sum(params.fp, w, pe.constancy_level, p, lambda x: average(x) - pe.evaluate(x))
     return residual ** (1.0 / p)
 
 

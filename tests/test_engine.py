@@ -7,9 +7,12 @@ pair that the engine replaced; on exact inputs both must give the same exact
 values and the same exact-versus-float decision for every part of every
 value.  ``fourier_transform`` is checked against the direct character sum
 it replaced, and ``multiplier_vladimirov`` against its former double loop
-over (output, frequency) pairs.
+over (output, frequency) pairs.  ``inversion_residual``, which builds one
+averaging closure for its window, is checked bit for bit against one
+``averaging_apply`` per point.
 """
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac.errors import UltrafracError, UnsupportedIntegrandError
+from ultrafrac.errors import HypothesisBoundaryWarning, UltrafracError, UnsupportedIntegrandError
 from ultrafrac.field import (
     FieldParams,
     SphereSpec,
@@ -37,7 +40,9 @@ from ultrafrac.functions import (
     TestFunction,
     ZeroTail,
     _as_extended,
+    lizorkin_project,
     log_tail,
+    lp_window_sum,
     power_tail,
 )
 from ultrafrac.integrate import (
@@ -55,7 +60,9 @@ from ultrafrac.numerics import CV_ZERO, ComplexValue, ExactScalar, NumericValue,
 from ultrafrac.operators import (
     OperatorParams,
     _difference_shell_sums,
+    averaging_apply,
     constants,
+    inversion_residual,
     riesz_potential,
 )
 
@@ -462,6 +469,80 @@ def test_extended_sphere_sums_are_direct_sphere_sums(case, widen):
         for j, want in ((j0 - 1, u.tail_value_at_exponent(1 - j0)), (j_end, u.evaluate(x))):
             for rep in sphere_coset_reps(fp, j, j + 1):
                 assert_same(u.evaluate(x + rep), want, 0.0)
+
+
+@st.composite
+def residual_cases(draw, kinds):
+    """(params, phi, nu, lp) with gamma below, at and above 1; a zero-mean core above it.
+
+    The averaging levels j = 1 .. k - nu - 1 carry explicit sphere sums
+    (none for nu >= k - 1), and the residual window nu + 1 is coarser than
+    the core's window whenever there are more levels than the table is deep,
+    so that a tail is reached.  Levels are dropped until the window's sphere
+    cosets number at most about 2000.
+    """
+    p, n, max_depth = draw(st.sampled_from(FIELDS))
+    fp = FieldParams(p, n)
+    nu = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, max_depth))
+    levels = draw(st.integers(-1, 3))
+    while levels > 0 and fp.q ** (levels + max(levels, depth)) > 2000:
+        levels -= 1
+    k = nu + 1 + levels
+    values = {
+        d: ComplexValue(draw(scalars(fp, kinds)), draw(scalars(fp, ["zero", "zero"] + kinds)))
+        for d in enumerate_digits(fp, k - depth, k)
+    }
+    core = TestFunction(fp, k - depth, k, values)
+    gamma = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]))
+    params = OperatorParams(fp, gamma * fp.n)
+    lp = draw(st.sampled_from([1.0, 2.0]))
+    if gamma > 1:
+        return params, lizorkin_project(core), nu, lp
+    # the log branch needs decay faster than |x|**-1
+    tails = ["zero", "power"] if gamma == 1 else ["zero", "power", "log"]
+    tail_kind = draw(st.sampled_from(tails))
+    if tail_kind == "zero":
+        return params, ExtendedFunction(core), nu, lp
+    coeff = ComplexValue(draw(scalars(fp, kinds)), draw(scalars(fp, ["zero"] + kinds)))
+    if tail_kind == "power":
+        exponents = [Fraction(-2), Fraction(-3, 2)] if gamma == 1 else [Fraction(-2), Fraction(-1, 2), Fraction(0)]
+        return params, ExtendedFunction(core, power_tail(coeff, draw(st.sampled_from(exponents)))), nu, lp
+    const = ComplexValue(draw(scalars(fp, kinds)), draw(scalars(fp, ["zero"] + kinds)))
+    return params, ExtendedFunction(core, log_tail(const, coeff)), nu, lp
+
+
+def residual_per_point(params, p, phi, nu):
+    """The residual as one ``averaging_apply`` per point of its window."""
+    pe = _as_extended(phi)
+    w = min(pe.window_level, nu + 1)
+    total = lp_window_sum(
+        params.fp, w, pe.constancy_level, p, lambda x: averaging_apply(params, nu, phi, x) - pe.evaluate(x)
+    )
+    return total ** (1 / p)
+
+
+def residual_case(params, phi, nu, lp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisBoundaryWarning)
+        got = outcome(inversion_residual, params, lp, phi, nu)
+    want = outcome(residual_per_point, params, lp, phi, nu)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+    else:
+        assert got.hex() == want.hex()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=residual_cases(EXACT_KINDS))
+def test_residual_equals_its_per_point_formula_on_exact_inputs(case):
+    residual_case(*case)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=residual_cases(ALL_KINDS))
+def test_residual_equals_its_per_point_formula_on_float_inputs(case):
+    residual_case(*case)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -189,8 +189,12 @@ class TestIntegerAddresses:
             indicator_ball(fp2, 0).evaluate(x)
         with pytest.raises(InvalidPointError):
             coset_digits(fp2, x, 0, 1)
-        # outside the support the size alone decides, as before
-        assert indicator_ball(fp2, 0).evaluate(Point((Fraction(1, 6),))).is_exact_zero()
+        # beyond the support by size too, the denominator test of point() decides
+        far = Point((Fraction(1, 6),))
+        u = ExtendedFunction(indicator_ball(fp2, 0), power_tail(1, -2))
+        for route in (indicator_ball(fp2, 0).evaluate, u.evaluate, u.sphere_sums):
+            with pytest.raises(InvalidPointError, match="not a power of 2"):
+                route(far)
 
     @pytest.mark.parametrize("coord", [4, Fraction(1, 2)])
     def test_wrong_number_of_coordinates_is_invalid(self, coord):

@@ -163,6 +163,8 @@ class TestCli:
             (["kernel", "--p", "2", "--alpha", "1/3", "--shells", "-1200..-1200"], "float range"),
             (["integrate", "--p", "2", "--alpha", "1/2", "--depth", "-5"], "--depth"),
             (["kernel", "--p", "2", "--alpha", "1/2", "--depth", "-5"], "--depth"),
+            (["invert", "--p", "2", "--alpha", "1/2", "--fn", "one_O.json", "--nu-min", "3", "--nu-max", "1"],
+             "empty range 3..1"),
         ],
     )
     def test_out_of_range_exits_2(self, args, message, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -151,6 +152,13 @@ class TestModulusOfContinuity:
         f = indicator_ball(fp2, 0)
         assert modulus_of_continuity(f, point(fp2, 3), 1) == 0.0
         assert modulus_of_continuity(f, point(fp2, 2), 1) == 0.0
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan, "x"])
+    @pytest.mark.parametrize("h", [3, 8, 0, Fraction(1, 2)])
+    def test_invalid_exponent_rejected_at_every_translation(self, fp2, p, h):
+        # within the constancy scale (h = 3, 8, 0) no norm is summed, yet p is still checked
+        with pytest.raises(ValueError):
+            modulus_of_continuity(indicator_ball(fp2, 0), point(fp2, h), p)
 
     def test_disjoint_translate_two_unit_balls(self, fp2):
         f = indicator_ball(fp2, 0)

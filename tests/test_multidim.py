@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_point, random_test_function
+from test_value_fingerprint import _ser
+from ultrafrac import operators
 from ultrafrac.field import FieldParams, abs_exponent, abs_value, point, zero_point
 from ultrafrac.functions import indicator_ball
 from ultrafrac.multidim import (
@@ -71,6 +73,17 @@ class TestTaiblesonRoutes:
         f = random_test_function(br.ext, 0, 1, rng)
         for pt, direct, via_ext in taibleson_on_window(br, f):
             assert abs((direct - via_ext).to_complex()) < 1e-10
+            # the window's extension column is the per-point route, bit for bit
+            assert _ser(via_ext) == _ser(taibleson_via_extension(br, f, pt))
+
+    def test_window_builds_one_extension_engine(self, monkeypatch):
+        br = DimensionBridge(2, 2, Fraction(1, 2))
+        f = random_test_function(br.ext, 0, 1, random.Random(7))
+        calls = []
+        build = operators._difference_shell_sums
+        monkeypatch.setattr(operators, "_difference_shell_sums", lambda *args: calls.append(args) or build(*args))
+        assert len(taibleson_on_window(br, f)) == 16
+        assert len(calls) == 1
 
     def test_rational_exponent_paths_are_exact(self):
         # alpha = 1, n = 2: both routes stay rational end to end

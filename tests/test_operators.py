@@ -412,6 +412,15 @@ class TestInversionResidual:
                 bound = minkowski_bound(pr, 1, phi, nu)
                 assert resid <= bound + 1e-10
 
+    def test_each_level_weight_is_built_once_per_residual(self, monkeypatch):
+        # nu = 1 on a table down to level 5: levels j = 1, 2, 3 over 32 window points
+        phi = random_test_function(FieldParams(2), 0, 5, random.Random(43))
+        calls = []
+        shell_value = operators.kernel_r
+        monkeypatch.setattr(operators, "kernel_r", lambda pr, j: calls.append(j) or shell_value(pr, j))
+        assert inversion_residual(params(2, Fraction(1, 2)), 1, phi, 1) > 0
+        assert 0 < len(calls) <= 3 and len(set(calls)) == len(calls)
+
     def test_warns_outside_proven_exponent_range(self, fp2):
         pr = params(2, Fraction(1, 2))
         with pytest.warns(HypothesisBoundaryWarning):
