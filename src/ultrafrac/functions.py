@@ -113,16 +113,16 @@ class TestFunction:
             yield d, x, self.values[d]
 
     def evaluate(self, x: Point) -> ComplexValue:
+        d, _ = self._locate(x)
+        return CV_ZERO if d is None else self.values[d]
+
+    def _locate(self, x: Point) -> tuple[Digits | None, int | None]:
+        """(address, None) for x in the support, (None, e) with |x| = q**e beyond it, else InvalidPointError."""
         d = _ball_digits(self.fp, x, self.support_level, self.constancy_level)
         if d is not None:
-            return self.values[d]
-        self._exponent_beyond(x)
-        return CV_ZERO
-
-    def _exponent_beyond(self, x: Point) -> int:
-        """e with |x| = q**e beyond the support, for a point that failed the address test; else InvalidPointError."""
+            return d, None
         point(self.fp, *x.coords)  # with p-power denominators only, x fails the address test only beyond the support
-        return abs_exponent(self.fp, x)
+        return None, abs_exponent(self.fp, x)
 
     def _ball_index(self, d: Digits) -> int:
         """Position of a constancy-level coset in the ball-sum layout.
@@ -155,6 +155,29 @@ class TestFunction:
             levels.append([reduce(operator.add, below[i : i + q]) for i in range(0, len(below), q)])
         levels.reverse()
         return levels
+
+    @cached_property
+    def _order_free(self) -> bool:
+        """Every part of every entry is exact, with at most one log base: no sum of entries depends on its order."""
+        parts = [part.exact for v in self.values.values() for part in (v.re, v.im)]
+        return all(e is not None for e in parts) and len({e.logbase for e in parts} - {None}) <= 1
+
+    @cached_property
+    def _prefix_sums(self) -> dict[Digits, ComplexValue]:
+        """Sum over each ball in the support, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""
+        sums: dict[Digits, ComplexValue] = {}
+        for d, v in self.values.items():
+            for t in range(self.constancy_level - self.support_level + 1):
+                key = tuple(ds[:t] for ds in d)
+                sums[key] = sums.get(key, CV_ZERO) + v
+        return sums
+
+    def _ball_around(self, d: Digits | None, e: int | None, level: int) -> ComplexValue:
+        """Table sum over {|z - x| <= q**(-level)}, for x at address d, or (d None) beyond the support at |x| = q**e."""
+        t = level - self.support_level
+        if t >= 0:
+            return CV_ZERO if d is None else self._prefix_sums[tuple(ds[:t] for ds in d)]
+        return self._prefix_sums[((),) * self.fp.n] if d is not None or e <= -level else CV_ZERO
 
     def ball_sum(self) -> BallSum:
         """Sum of the whole table (the support ball)."""
@@ -348,10 +371,8 @@ class ExtendedFunction:
         return total
 
     def evaluate(self, x: Point) -> ComplexValue:
-        d = _ball_digits(self.fp, x, self.window_level, self.constancy_level)
-        if d is not None:
-            return self.core.values[d]
-        return self.tail_value_at_exponent(self.core._exponent_beyond(x))
+        d, e = self.core._locate(x)
+        return self.tail_value_at_exponent(e) if d is None else self.core.values[d]
 
     def sphere_sums(self, x: Point) -> tuple[int, list[BallSum], ComplexValue]:
         """Sums of f over the spheres {|z - x| = q**(-j)} around x that need an explicit sum.
@@ -365,10 +386,9 @@ class ExtendedFunction:
         tail on the levels l .. window - 1, minus the ball around x.
         """
         fp, window, k = self.fp, self.window_level, self.constancy_level
-        d = _ball_digits(fp, x, window, k)
+        d, e = self.core._locate(x)
         if d is not None:
             return window, self.core.sphere_sums(d), self.core.values[d]
-        e = self.core._exponent_beyond(x)
         q = fp.q
         total = self.core.ball_sum()
         for m in range(-e, window):
@@ -510,6 +530,7 @@ def lp_norm(f, p) -> float:
 def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
     """L^p norm of f - f(. - h); exactly zero within the constancy scale."""
     p = _lp_exponent(p)
+    point(f.fp, *h.coords)  # the size test below ignores primes other than p and the coordinate count
     e = abs_exponent(f.fp, h)
     if e is None or e <= -f.constancy_level:
         return 0.0

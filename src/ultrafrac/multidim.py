@@ -2,17 +2,18 @@
 the one-dimensional operator over an unramified degree-n extension.
 
 The coordinate model makes the two readings of the same operator literally
-comparable: ``taibleson_direct`` sums shells in the max-norm geometry with
-the n-dimensional constant (all scalar algebra in powers of the base prime),
-while ``taibleson_via_extension`` delegates to the one-dimensional machinery
-at residue cardinality q**n with exponent gamma = alpha/n.  The two routes
-share no formula code; their agreement is a theorem and a test.
+comparable.  ``taibleson_direct`` sums shells in the max-norm geometry, in
+powers of the base prime, each as two ball sums of the table's own prefix
+table (a coset walk when the sums depend on their order).  The extension
+reading runs the engine at q**n and gamma = alpha/n.  The two routes share
+no formula code; their agreement is a theorem and a test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .field import (
     FieldParams,
@@ -70,6 +71,21 @@ def max_norm(fp: FieldParams, x: Point) -> Fraction:
     return Fraction(fp.p) ** e
 
 
+@lru_cache(maxsize=256)
+def _direct_constant(bridge: DimensionBridge) -> NumericValue:
+    return (1 - q_pow(bridge.base, bridge.alpha)) / (1 - q_pow(bridge.base, -bridge.alpha - bridge.n))
+
+
+@lru_cache(maxsize=1024)
+def _direct_weight(bridge: DimensionBridge, k: int, j: int) -> NumericValue:
+    return q_pow(bridge.base, (bridge.n + bridge.alpha) * j) * Fraction(bridge.p) ** (-k * bridge.n)
+
+
+@lru_cache(maxsize=1024)
+def _direct_far(bridge: DimensionBridge, j_t: int) -> NumericValue:
+    return (1 - Fraction(bridge.p) ** (-bridge.n)) * geometric_tail(bridge.base, bridge.alpha, -(j_t - 1))
+
+
 def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> ComplexValue:
     """Max-norm hypersingular derivative on K^n, summed in base-prime powers.
 
@@ -77,43 +93,33 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
     locally constant inputs kill every shell inside the constancy scale.
     """
-    base = bridge.base
-    ext = bridge.ext
-    n = bridge.n
-    alpha = bridge.alpha
-    c_dir = (1 - q_pow(base, alpha)) / (1 - q_pow(base, -alpha - n))
-
-    fx = f.evaluate(x)
-    k = f.constancy_level
-    window = f.support_level
+    ext, k, window = bridge.ext, f.constancy_level, f.support_level
+    d, _ = f._locate(x)
+    fx = CV_ZERO if d is None else f.values[d]
     e_x = abs_exponent(ext, x)
     l_x = None if e_x is None else -e_x
 
-    if l_x is not None and l_x < window:
-        j_t = l_x
-        finite_js = [l_x] if l_x <= k - 1 else []
-    else:
-        j_t = window
-        finite_js = list(range(j_t, k))
+    j_t = l_x if l_x is not None and l_x < window else window
+    finite_js = [j_t] if j_t < window else range(window, k)
 
-    coset_meas = Fraction(bridge.p) ** (-k * n)  # every shell below has j < k
     total = CV_ZERO
     for j in finite_js:
-        kernel = q_pow(base, (n + alpha) * j)
-        shell_acc = CV_ZERO
-        for rep in sphere_coset_reps(ext, j, k):
-            dv = f.evaluate(x + rep) - fx
-            if dv.is_exact_zero():
-                continue
-            shell_acc = shell_acc + dv
+        if f.fp == ext and f._order_free:
+            sphere = f._ball_around(d, e_x, j) - f._ball_around(d, e_x, j + 1)
+            shell_acc = sphere - fx * ((ext.q - 1) * ext.q ** (k - j - 1))
+        else:
+            shell_acc = CV_ZERO
+            for rep in sphere_coset_reps(ext, j, k):
+                dv = f.evaluate(x + rep) - fx
+                if dv.is_exact_zero():
+                    continue
+                shell_acc = shell_acc + dv
         if not shell_acc.is_exact_zero():
-            total = total + shell_acc * (kernel * coset_meas)
+            total = total + shell_acc * _direct_weight(bridge, k, j)
     # far shells: f vanishes there, the difference is -f(x) on every shell
     if not fx.is_exact_zero():
-        one_minus = 1 - Fraction(bridge.p) ** (-n)
-        far = geometric_tail(base, alpha, -(j_t - 1))
-        total = total - fx * (one_minus * far)
-    return total * c_dir
+        total = total - fx * _direct_far(bridge, j_t)
+    return total * _direct_constant(bridge)
 
 
 def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) -> ComplexValue:

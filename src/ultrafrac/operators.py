@@ -390,8 +390,14 @@ def vladimirov_on_window(
 # averaging representation and inversion residuals
 
 
+@lru_cache(maxsize=1024)
+def _averaging_weight(params: OperatorParams, nu: int, k: int, j: int) -> NumericValue:
+    """Weight of the averaging sphere |z - x| = q**(-nu-j) for a table constant at level k."""
+    return constants(params).cd * kernel_r(params, j) * Fraction(params.fp.q) ** (-k) * Fraction(params.fp.q) ** nu
+
+
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
-    """x -> averaging_apply at x; the checks, the inner kernel mass and each level's weight are built once per call."""
+    """x -> averaging_apply at x; a sphere needing no tail is read from an order-free core's prefix table, others walked."""
     _check_truncation(nu)
     pe = _as_extended(phi)
     if params.gamma > 1 and (pe.tail.terms or not pe.core.integral().is_exact_zero()):
@@ -399,29 +405,26 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
             "orders above the critical exponent require a zero-mean input"
         )
     fp = params.fp
-    k = pe.constancy_level
-    cd = constants(params).cd
-    q_nu = Fraction(fp.q) ** nu
-    coset_meas = Fraction(fp.q) ** (-k)  # every shell below has nu + j < k
-    j_star = max(1, k - nu)
+    core, window, k = pe.core, pe.window_level, pe.constancy_level
+    j_star = max(1, k - nu)  # every shell below has nu + j < k
     inner_mass = kernel_normalization_tail(params, j_star)
 
-    @cache
-    def weight(j: int) -> NumericValue:
-        return cd * kernel_r(params, j) * coset_meas * q_nu
-
     def average_at(x: Point) -> ComplexValue:
+        d, e = core._locate(x)
         total = CV_ZERO
         for j in range(1, j_star):
-            inner = CV_ZERO
-            for rep in sphere_coset_reps(fp, nu + j, k):
-                v = pe.evaluate(x - rep)
-                if v.is_exact_zero():
-                    continue
-                inner = inner + v
+            if core._order_free and (not pe.tail.terms or d is not None and nu + j >= window):
+                inner = core._ball_around(d, e, nu + j) - core._ball_around(d, e, nu + j + 1)
+            else:
+                inner = CV_ZERO
+                for rep in sphere_coset_reps(fp, nu + j, k):
+                    v = pe.evaluate(x - rep)
+                    if v.is_exact_zero():
+                        continue
+                    inner = inner + v
             if not inner.is_exact_zero():
-                total = total + inner * weight(j)
-        return total + pe.evaluate(x) * inner_mass
+                total = total + inner * _averaging_weight(params, nu, k, j)
+        return total + (core.values[d] if d is not None else pe.tail_value_at_exponent(e)) * inner_mass
 
     return average_at
 

@@ -9,7 +9,9 @@ value.  ``fourier_transform`` is checked against the direct character sum
 it replaced, and ``multiplier_vladimirov`` against its former double loop
 over (output, frequency) pairs.  ``inversion_residual``, which builds one
 averaging closure for its window, is checked bit for bit against one
-``averaging_apply`` per point.
+``averaging_apply`` per point.  ``taibleson_direct`` and ``averaging_apply``,
+which read each sphere of an order-free table as a difference of two prefix
+ball sums, are checked bit for bit against the coset walks they replaced.
 """
 
 import warnings
@@ -20,11 +22,18 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac.errors import HypothesisBoundaryWarning, UltrafracError, UnsupportedIntegrandError
+from ultrafrac import multidim, operators
+from ultrafrac.errors import (
+    HypothesisBoundaryWarning,
+    HypothesisViolationError,
+    UltrafracError,
+    UnsupportedIntegrandError,
+)
 from ultrafrac.field import (
     FieldParams,
     SphereSpec,
     abs_exponent,
+    coset_walk,
     digits_to_point,
     enumerate_digits,
     haar_measure,
@@ -56,6 +65,7 @@ from ultrafrac.integrate import (
     profile_coset_integral,
     profile_value,
 )
+from ultrafrac.multidim import DimensionBridge, taibleson_direct
 from ultrafrac.numerics import CV_ZERO, ComplexValue, ExactScalar, NumericValue, geometric_tail, q_pow
 from ultrafrac.operators import (
     OperatorParams,
@@ -63,6 +73,8 @@ from ultrafrac.operators import (
     averaging_apply,
     constants,
     inversion_residual,
+    kernel_normalization_tail,
+    kernel_r,
     riesz_potential,
 )
 
@@ -120,6 +132,71 @@ def difference_shell_sum_oracle(params, u, x, j_hi):
     j_far = min(j_t - 1, j_hi)
     far = _closed_far_sum(fp, PowerProfile(-g - 1), u, j_far)
     return total + (far - ux * ((1 - Fraction(1, fp.q)) * geometric_tail(fp, g, -j_far)))
+
+
+def taibleson_direct_oracle(bridge, f, x):
+    """taibleson_direct with every shell walked coset by coset."""
+    base = bridge.base
+    ext = bridge.ext
+    n = bridge.n
+    alpha = bridge.alpha
+    c_dir = (1 - q_pow(base, alpha)) / (1 - q_pow(base, -alpha - n))
+
+    fx = f.evaluate(x)
+    k = f.constancy_level
+    window = f.support_level
+    e_x = abs_exponent(ext, x)
+    l_x = None if e_x is None else -e_x
+
+    if l_x is not None and l_x < window:
+        j_t = l_x
+        finite_js = [l_x] if l_x <= k - 1 else []
+    else:
+        j_t = window
+        finite_js = list(range(j_t, k))
+
+    coset_meas = Fraction(bridge.p) ** (-k * n)  # every shell below has j < k
+    total = CV_ZERO
+    for j in finite_js:
+        kernel = q_pow(base, (n + alpha) * j)
+        shell_acc = CV_ZERO
+        for rep in sphere_coset_reps(ext, j, k):
+            dv = f.evaluate(x + rep) - fx
+            if dv.is_exact_zero():
+                continue
+            shell_acc = shell_acc + dv
+        if not shell_acc.is_exact_zero():
+            total = total + shell_acc * (kernel * coset_meas)
+    # far shells: f vanishes there, the difference is -f(x) on every shell
+    if not fx.is_exact_zero():
+        one_minus = 1 - Fraction(bridge.p) ** (-n)
+        far = geometric_tail(base, alpha, -(j_t - 1))
+        total = total - fx * (one_minus * far)
+    return total * c_dir
+
+
+def averaging_oracle(params, nu, phi, x):
+    """averaging_apply with every sphere walked coset by coset."""
+    pe = _as_extended(phi)
+    if params.gamma > 1 and (pe.tail.terms or not pe.core.integral().is_exact_zero()):
+        raise HypothesisViolationError("orders above the critical exponent require a zero-mean input")
+    fp = params.fp
+    k = pe.constancy_level
+    cd = constants(params).cd
+    q_nu = Fraction(fp.q) ** nu
+    coset_meas = Fraction(fp.q) ** (-k)  # every shell below has nu + j < k
+    j_star = max(1, k - nu)
+    total = CV_ZERO
+    for j in range(1, j_star):
+        inner = CV_ZERO
+        for rep in sphere_coset_reps(fp, nu + j, k):
+            v = pe.evaluate(x - rep)
+            if v.is_exact_zero():
+                continue
+            inner = inner + v
+        if not inner.is_exact_zero():
+            total = total + inner * (cd * kernel_r(params, j) * coset_meas * q_nu)
+    return total + pe.evaluate(x) * kernel_normalization_tail(params, j_star)
 
 
 def integrate_product_oracle(profile, f, region=None):
@@ -253,6 +330,8 @@ def scalars(draw, fp, kinds):
         return NumericValue.from_float(draw(st.sampled_from([0.0, 0.5, -1.25, 3.0, 1e-3])))
     # small numerators, so that entries often cancel to exact zeros over a sphere
     r = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 1, 2, 3])))
+    if kind in ("ln2", "ln3"):
+        return NumericValue.from_exact(ExactScalar(Fraction(0), r, Fraction(0), int(kind[2])))
     if kind == "ln":
         return NumericValue.from_exact(ExactScalar.ln_q(fp, r))
     if kind == "inv_ln":
@@ -262,6 +341,8 @@ def scalars(draw, fp, kinds):
 
 EXACT_KINDS = ["zero", "rational", "rational", "ln", "inv_ln"]
 ALL_KINDS = EXACT_KINDS + ["float", "float"]
+# ln 2 and ln 3 in one table: its sums depend on their order, so the routes walk its spheres
+TWO_LOG_KINDS = ["zero", "rational", "ln2", "ln3"]
 
 
 @st.composite
@@ -543,6 +624,133 @@ def test_residual_equals_its_per_point_formula_on_exact_inputs(case):
 @given(case=residual_cases(ALL_KINDS))
 def test_residual_equals_its_per_point_formula_on_float_inputs(case):
     residual_case(*case)
+
+
+def same_parts(got, want) -> bool:
+    """Both raised the same package error, or every part is the same exact value or the same float bits."""
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    return (_part(got.re), _part(got.im)) == (_part(want.re), _part(want.im))
+
+
+def beyond(fp, level):
+    """A point with |x| = q**(-level)."""
+    return point(fp, Fraction(fp.p) ** level, *[0] * (fp.n - 1))
+
+
+@st.composite
+def direct_cases(draw):
+    """(bridge, f, points): degree 1 or 2, alpha below, at and above n, points in and beyond the support.
+
+    The table is order-free, float-mixed, or holds ln 2 and ln 3, so that
+    both the prefix reading and the coset walk are reached; above alpha = n
+    the table is projected to zero mean.
+    """
+    kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS]))
+    params, f = draw(tables(kinds))
+    fp = params.fp
+    alpha = fp.n * draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    if alpha > fp.n:
+        f = lizorkin_project(f)
+    w = dilated_window(f, draw(st.integers(0, 2)))
+    points = [x for _, x in coset_walk(fp, w, f.constancy_level)] + [beyond(fp, f.support_level - 3)]
+    return DimensionBridge(fp.p, fp.n, alpha), f, points
+
+
+@st.composite
+def averaging_cases(draw):
+    """(params, phi, nu, points): the residual cases of every table kind, at the residual window and beyond it."""
+    kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS]))
+    params, phi, nu, _ = draw(residual_cases(kinds))
+    pe = _as_extended(phi)
+    w = min(pe.window_level, nu + 1)
+    points = [x for _, x in coset_walk(pe.fp, w, pe.constancy_level)] + [beyond(pe.fp, w - 2)]
+    return params, phi, nu, points
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=direct_cases())
+def test_taibleson_direct_matches_coset_walk(case):
+    bridge, f, points = case
+    for x in points:
+        assert same_parts(outcome(taibleson_direct, bridge, f, x), outcome(taibleson_direct_oracle, bridge, f, x)), x
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=averaging_cases())
+def test_averaging_matches_coset_walk(case):
+    params, phi, nu, points = case
+    for x in points:
+        got = outcome(averaging_apply, params, nu, phi, x)
+        assert same_parts(got, outcome(averaging_oracle, params, nu, phi, x)), x
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that records each call's arguments; return the record."""
+    calls = []
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+def test_order_free_tables_walk_no_sphere(monkeypatch):
+    # every sphere of an order-free table without a tail is two prefix ball sums apart
+    walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
+    walks += _counting(monkeypatch, operators, "sphere_coset_reps")
+    fp = FieldParams(2, 2)
+    f = _table(fp, 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
+    zero_mean = lizorkin_project(f)
+    points = [x for _, x in coset_walk(fp, -1, 3)]
+    for alpha in (1, 2):
+        bridge = DimensionBridge(2, 2, alpha)
+        params = OperatorParams(fp, alpha)
+        for x in points:
+            taibleson_direct(bridge, f, x)
+            for nu in (1, 2):
+                averaging_apply(params, nu, f if alpha == 1 else zero_mean, x)
+    assert walks == []
+
+
+@pytest.mark.parametrize("kind", ["float", "two log bases"])
+def test_order_dependent_tables_walk_their_spheres(monkeypatch, kind):
+    fp = FieldParams(2)
+    if kind == "float":
+        entries = [NumericValue.from_float(0.1 * i) for i in range(8)]
+    else:
+        entries = [NumericValue.from_exact(ExactScalar(Fraction(0), Fraction(i), Fraction(0), 2 + i % 2)) for i in range(8)]
+    f = _table(fp, 0, 3, entries)
+    walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
+    walks += _counting(monkeypatch, operators, "sphere_coset_reps")
+    bridge, params = DimensionBridge(2, 1, Fraction(1, 2)), OperatorParams(fp, Fraction(1, 2))
+    for x in [x for _, x in coset_walk(fp, -1, 3)]:
+        assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x))
+        assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
+    assert walks
+
+
+def test_each_level_weight_is_built_once_across_points(monkeypatch):
+    # 64 per-point calls at nu = 1 on a table down to level 6: levels j = 1 .. 4
+    fp = FieldParams(2)
+    f = _table(fp, 0, 6, [Fraction(i % 5 - 2, 3) for i in range(64)])
+    params = OperatorParams(fp, Fraction(1, 2))
+    operators._averaging_weight.cache_clear()
+    calls = _counting(monkeypatch, operators, "kernel_r")
+    for _, x in coset_walk(fp, 0, 6):
+        averaging_apply(params, 1, f, x)
+    assert sorted(j for _, j in calls) == [1, 2, 3, 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables(EXACT_KINDS))
+def test_prefix_table_is_the_engine_ball_sums(case):
+    # the two independent tables of ball sums agree at every level and ball
+    _, f = case
+    assert f._order_free
+    q, depth = f.fp.q, f.constancy_level - f.support_level
+    for d in f.values:
+        for t in range(depth + 1):
+            want = f._ball_sums[t][f._ball_index(d) // q ** (depth - t)].value
+            assert same_parts(f._prefix_sums[tuple(ds[:t] for ds in d)], want)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_test_function
-from ultrafrac.errors import DivergentIntegralError, UltrafracError
-from ultrafrac.field import FieldParams, point
+from ultrafrac.errors import DivergentIntegralError, InvalidPointError, UltrafracError
+from ultrafrac.field import FieldParams, Point, point
 from ultrafrac.functions import (
     ExtendedFunction,
     TestFunction,
@@ -159,6 +159,14 @@ class TestModulusOfContinuity:
         # within the constancy scale (h = 3, 8, 0) no norm is summed, yet p is still checked
         with pytest.raises(ValueError):
             modulus_of_continuity(indicator_ball(fp2, 0), point(fp2, h), p)
+
+    @pytest.mark.parametrize(
+        "coords", [(Fraction(1, 3),), (Fraction(8, 3),), (Fraction(1, 2), Fraction(0))], ids=["1/3", "8/3", "two coordinates"]
+    )
+    def test_invalid_translation_rejected(self, fp2, coords):
+        # 1/3 and 8/3 have the size of a translation within the constancy scale, which the size test alone took for 0.0
+        with pytest.raises(InvalidPointError):
+            modulus_of_continuity(indicator_ball(fp2, 0), Point(coords), 1)
 
     def test_disjoint_translate_two_unit_balls(self, fp2):
         f = indicator_ball(fp2, 0)

@@ -11,8 +11,9 @@ from ultrafrac.errors import (
     DivergentIntegralError,
     HypothesisBoundaryWarning,
     HypothesisViolationError,
+    InvalidPointError,
 )
-from ultrafrac.field import FieldParams, digits_to_point, enumerate_digits, point, zero_point
+from ultrafrac.field import FieldParams, Point, digits_to_point, enumerate_digits, point, zero_point
 from ultrafrac.functions import (
     ExtendedFunction,
     LogTail,
@@ -351,6 +352,14 @@ class TestAveraging:
         got = averaging_apply(params(2, Fraction(1, 2)), 1, one_O, point(fp2, Fraction(1, 2)))
         assert got.to_complex() == 0
 
+    @pytest.mark.parametrize(
+        "coords", [(Fraction(1, 3),), (Fraction(1), Fraction(0))], ids=["non-p-power denominator", "two coordinates"]
+    )
+    def test_invalid_point_rejected(self, fp2, coords):
+        # the point is looked up before any sphere is read, so a wrong coordinate count is no raw ValueError
+        with pytest.raises(InvalidPointError):
+            averaging_apply(params(2, Fraction(1, 2)), 1, indicator_ball(fp2, 3), Point(coords))
+
     def test_log_branch_recovery(self, fp2):
         got = averaging_apply(params(2, 1), 1, indicator_ball(fp2, 0), zero_point(fp2))
         assert got.re.exact == ExactScalar.rational(1)
@@ -415,6 +424,7 @@ class TestInversionResidual:
     def test_each_level_weight_is_built_once_per_residual(self, monkeypatch):
         # nu = 1 on a table down to level 5: levels j = 1, 2, 3 over 32 window points
         phi = random_test_function(FieldParams(2), 0, 5, random.Random(43))
+        operators._averaging_weight.cache_clear()  # weights persist across calls; count this call's builds
         calls = []
         shell_value = operators.kernel_r
         monkeypatch.setattr(operators, "kernel_r", lambda pr, j: calls.append(j) or shell_value(pr, j))
