@@ -33,13 +33,21 @@ from .field import (
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
+    ZERO_NUMERATORS,
     ComplexValue,
+    IntegerView,
+    Numerators,
     as_fraction,
     geometric_tail,
+    integer_view,
     radial_monomial,
     scale_sum,
     value_kind,
 )
+
+
+def _add_numerators(s: Numerators, t: Numerators) -> Numerators:
+    return tuple(map(operator.add, s, t))
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,47 +145,70 @@ class TestFunction:
             idx = idx * q + sum(di[t] * p**i for i, di in enumerate(d))
         return idx
 
-    @cached_property
-    def _ball_sums(self) -> list[list[BallSum]]:
-        """Sums over every ball, as ``[level - support_level][ball index]``.
+    def _ball_levels(self, leaves: Mapping[Digits, object], add) -> list[list]:
+        """Sums of ``leaves`` over every ball, as ``[level - support_level][ball index]``.
 
-        One bottom-up pass over the digit tree, run once per table: the q
-        children of ball b are balls q*b .. q*b + q - 1 one level down.
-        Sums are only ever added, so each is exact iff all its entries are.
+        One bottom-up pass over the digit tree: the q children of ball b are
+        balls q*b .. q*b + q - 1 one level down.
         """
         q = self.fp.q
-        leaves: list = [None] * len(self.values)
-        for d, v in self.values.items():
-            leaves[self._ball_index(d)] = BallSum.of(v)
-        levels = [leaves]
+        bottom: list = [None] * len(leaves)
+        for d, v in leaves.items():
+            bottom[self._ball_index(d)] = v
+        levels = [bottom]
         while len(levels[-1]) > 1:
             below = levels[-1]
-            levels.append([reduce(operator.add, below[i : i + q]) for i in range(0, len(below), q)])
+            levels.append([reduce(add, below[i : i + q]) for i in range(0, len(below), q)])
         levels.reverse()
         return levels
 
-    @cached_property
-    def _order_free(self) -> bool:
-        """Every part of every entry is exact, with at most one log base: no sum of entries depends on its order."""
-        parts = [part.exact for v in self.values.values() for part in (v.re, v.im)]
-        return all(e is not None for e in parts) and len({e.logbase for e in parts} - {None}) <= 1
+    def _sibling_sums(self, levels: list[list], d: Digits, add) -> list:
+        """Sums over the spheres around the coset d, from ``_ball_levels``: the q - 1 siblings of its ball at each level."""
+        q = self.fp.q
+        idx = self._ball_index(d)
+        out = []
+        for t in range(1, len(levels)):
+            own = idx // q ** (len(levels) - 1 - t)
+            first = own - own % q
+            out.append(reduce(add, (levels[t][b] for b in range(first, first + q) if b != own)))
+        return out
 
     @cached_property
-    def _prefix_sums(self) -> dict[Digits, ComplexValue]:
-        """Sum over each ball in the support, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""
-        sums: dict[Digits, ComplexValue] = {}
-        for d, v in self.values.items():
+    def _ball_sums(self) -> list[list[BallSum]]:
+        """Sums over every ball, run once per table; sums are only ever added, so each is exact iff all its entries are."""
+        return self._ball_levels({d: BallSum.of(v) for d, v in self.values.items()}, operator.add)
+
+    @cached_property
+    def _integer_view(self) -> IntegerView | None:
+        """The table as integer numerators over one denominator; None unless it is order-free."""
+        return integer_view(self.values)
+
+    @cached_property
+    def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
+        """Numerators of ``sphere_sums(d)`` at every address d of an order-free table."""
+        levels = self._ball_levels(self._integer_view.numerators, _add_numerators)
+        return {d: self._sibling_sums(levels, d, _add_numerators) for d in self.values}
+
+    @cached_property
+    def _prefix_sums(self) -> dict[Digits, Numerators]:
+        """Numerators of the sum over each ball of an order-free table, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""
+        sums: dict[Digits, Numerators] = {}
+        for d, v in self._integer_view.numerators.items():
             for t in range(self.constancy_level - self.support_level + 1):
                 key = tuple(ds[:t] for ds in d)
-                sums[key] = sums.get(key, CV_ZERO) + v
+                sums[key] = _add_numerators(sums[key], v) if key in sums else v
         return sums
 
-    def _ball_around(self, d: Digits | None, e: int | None, level: int) -> ComplexValue:
-        """Table sum over {|z - x| <= q**(-level)}, for x at address d, or (d None) beyond the support at |x| = q**e."""
+    def _ball_around(self, d: Digits | None, e: int | None, level: int) -> Numerators:
+        """Numerators of the table sum over {|z - x| <= q**(-level)}, for x at address d, or (d None) beyond the support at |x| = q**e."""
         t = level - self.support_level
         if t >= 0:
-            return CV_ZERO if d is None else self._prefix_sums[tuple(ds[:t] for ds in d)]
-        return self._prefix_sums[((),) * self.fp.n] if d is not None or e <= -level else CV_ZERO
+            return ZERO_NUMERATORS if d is None else self._prefix_sums[tuple(ds[:t] for ds in d)]
+        return self._prefix_sums[((),) * self.fp.n] if d is not None or e <= -level else ZERO_NUMERATORS
+
+    def _sphere_around(self, d: Digits | None, e: int | None, level: int) -> Numerators:
+        """Numerators of the table sum over {|z - x| = q**(-level)}: the ball at level less the ball one level down."""
+        return tuple(map(operator.sub, self._ball_around(d, e, level), self._ball_around(d, e, level + 1)))
 
     def ball_sum(self) -> BallSum:
         """Sum of the whole table (the support ball)."""
@@ -190,15 +221,7 @@ class TestFunction:
         the sphere at level j is the q - 1 sibling balls of x's own ball at
         level j + 1, so a point costs O(q * depth) once the table is summed.
         """
-        levels = self._ball_sums
-        q = self.fp.q
-        idx = self._ball_index(d)
-        out = []
-        for t in range(1, len(levels)):
-            own = idx // q ** (len(levels) - 1 - t)
-            first = own - own % q
-            out.append(reduce(operator.add, (levels[t][b] for b in range(first, first + q) if b != own)))
-        return out
+        return self._sibling_sums(self._ball_sums, d, operator.add)
 
     def integral(self) -> ComplexValue:
         """Exact Haar integral: the sum of the table times the coset measure."""

@@ -4,9 +4,13 @@ the one-dimensional operator over an unramified degree-n extension.
 The coordinate model makes the two readings of the same operator literally
 comparable.  ``taibleson_direct`` sums shells in the max-norm geometry, in
 powers of the base prime, each as two ball sums of the table's own prefix
-table (a coset walk when the sums depend on their order).  The extension
-reading runs the engine at q**n and gamma = alpha/n.  The two routes share
-no formula code; their agreement is a theorem and a test.
+table (a coset walk when the sums depend on their order).  On an
+order-free table whose shell weights are exact, the shells are weighted and
+summed as integer numerators over one denominator, and the value becomes
+one ``ExactScalar`` per part at the end.  The extension reading runs the
+engine at q**n and gamma = alpha/n.  The two routes share no formula code,
+only the integer encoding of a table; their agreement is a theorem and a
+test.  Both refuse a table over a field other than the extension model.
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ from .field import (
     abs_exponent,
     sphere_coset_reps,
 )
+from .errors import UltrafracError
 from .functions import ExtendedFunction, TestFunction
 from .numerics import (
     CV_ZERO,
+    ZERO_NUMERATORS,
     ComplexValue,
     NumericValue,
+    add_weighted,
     as_fraction,
+    decode,
     geometric_tail,
+    integer_weights,
     q_pow,
 )
 from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_hypersingular, vladimirov_on_window
@@ -86,26 +95,52 @@ def _direct_far(bridge: DimensionBridge, j_t: int) -> NumericValue:
     return (1 - Fraction(bridge.p) ** (-bridge.n)) * geometric_tail(bridge.base, bridge.alpha, -(j_t - 1))
 
 
+def _direct_weights(bridge: DimensionBridge, k: int, j_t: int, window: int) -> list[NumericValue]:
+    """The shell weights of taibleson_direct's finite shells, then minus its far weight."""
+    finite_js = [j_t] if j_t < window else range(window, k)
+    return [*(_direct_weight(bridge, k, j) for j in finite_js), -_direct_far(bridge, j_t)]
+
+
+def _check_field(bridge: DimensionBridge, f: TestFunction) -> None:
+    if f.fp != bridge.ext:
+        raise UltrafracError(f"a degree-{bridge.n} operator over p = {bridge.p} needs a table over {bridge.ext}, got {f.fp}")
+
+
 def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> ComplexValue:
     """Max-norm hypersingular derivative on K^n, summed in base-prime powers.
 
     Shell decomposition of the difference integral against the kernel
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
     locally constant inputs kill every shell inside the constancy scale.
+    An order-free table reads each sphere as two prefix ball sums, and sums
+    in integers where its weights stay exact against it.
     """
+    _check_field(bridge, f)
     ext, k, window = bridge.ext, f.constancy_level, f.support_level
     d, _ = f._locate(x)
-    fx = CV_ZERO if d is None else f.values[d]
     e_x = abs_exponent(ext, x)
     l_x = None if e_x is None else -e_x
 
     j_t = l_x if l_x is not None and l_x < window else window
     finite_js = [j_t] if j_t < window else range(window, k)
 
+    view = f._integer_view
+    ints = integer_weights(_direct_weights, (bridge, k, j_t, window), view)
+    if ints is not None:
+        den, (*shell_w, far_w), base = ints
+        fx = ZERO_NUMERATORS if d is None else view.numerators[d]
+        acc = [0] * 6
+        for j, weight in zip(finite_js, shell_w):
+            count = (ext.q - 1) * ext.q ** (k - j - 1)
+            add_weighted(acc, weight, [s - count * v for s, v in zip(f._sphere_around(d, e_x, j), fx)])
+        add_weighted(acc, far_w, fx)
+        return decode(acc, den * view.denominator, base) * _direct_constant(bridge)
+
+    fx = CV_ZERO if d is None else f.values[d]
     total = CV_ZERO
     for j in finite_js:
-        if f.fp == ext and f._order_free:
-            sphere = f._ball_around(d, e_x, j) - f._ball_around(d, e_x, j + 1)
+        if view is not None:
+            sphere = decode(f._sphere_around(d, e_x, j), view.denominator, view.base)
             shell_acc = sphere - fx * ((ext.q - 1) * ext.q ** (k - j - 1))
         else:
             shell_acc = CV_ZERO
@@ -124,6 +159,7 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
 
 def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) -> ComplexValue:
     """Same operator through the degree-n extension model at exponent alpha/n."""
+    _check_field(bridge, f)
     u = ExtendedFunction.from_test_function(f)
     return vladimirov_hypersingular(bridge.ext_params, u, x)
 
@@ -134,6 +170,7 @@ def taibleson_on_window(
     window_level: int | None = None,
 ) -> list[tuple[Point, ComplexValue, ComplexValue]]:
     """(point, direct value, via-extension value) on the dilated window cosets."""
+    _check_field(bridge, f)
     w = (f.support_level - 1) if window_level is None else window_level
     via_ext = vladimirov_on_window(bridge.ext_params, f, window_level=w)
     return [(pt, taibleson_direct(bridge, f, pt), value) for pt, value in via_ext]

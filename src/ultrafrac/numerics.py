@@ -1,5 +1,5 @@
 """Exact scalar ring Q + Q*ln(q) (+ Q/ln(q)), tagged exact/float values,
-and closed-form geometric tail sums.
+closed-form geometric tail sums, and the integer view of an exact table.
 
 Every formula in the package is built from factors q**(a*k) and ln(q); the
 exact path keeps ln(q) symbolic so that identities whose ln(q) factors
@@ -7,6 +7,13 @@ cancel (the log-kernel normalizations) can be verified by exact rational
 cancellation.  Arithmetic that mixes an exact value with a float, or that
 leaves the ring, demotes to a float; demotion is visible through
 ``NumericValue.is_exact`` so tests can assert which path ran.
+
+A table whose parts are all exact with at most one log base has an integer
+view: six integer numerators per entry (a, b, c of the real part, then of
+the imaginary part) over one common denominator.  Sums of such entries, and
+their products with exact weights that stay in the ring, are then integer
+arithmetic, and a result becomes one ``ExactScalar`` per part only at the
+end (``integer_view``, ``exact_weights``, ``add_weighted``, ``decode``).
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import DivergentSeriesError, ExactnessLost
 from .field import FieldParams
@@ -492,3 +501,117 @@ class ComplexValue:
 
 
 CV_ZERO = ComplexValue.zero()
+
+
+# ---------------------------------------------------------------------------
+# integer view of an exact table
+
+Numerators = tuple[int, int, int, int, int, int]  # (a, b, c) of the real part, then of the imaginary part
+ZERO_NUMERATORS: Numerators = (0,) * 6
+
+
+class IntegerView(NamedTuple):
+    """An order-free table as integer numerators over one denominator.
+
+    ``numerators[key]`` times 1/``denominator`` is the entry at key, part for
+    part; ``denominator`` is the least common denominator of every
+    coefficient.  ``base`` is the table's one log base (None when every
+    entry is rational), and ``has_ln``/``has_inv_ln`` say whether some part
+    has a ln / 1/ln coefficient.
+    """
+
+    denominator: int
+    base: int | None
+    has_ln: bool
+    has_inv_ln: bool
+    numerators: dict
+
+
+def _over_one_denominator(scalars: list[ExactScalar], per: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The least common denominator of every a, b and c, and the numerators over it, ``per`` to a tuple."""
+    coeffs = [f for e in scalars for f in (e.a, e.b, e.c)]
+    den = math.lcm(*(f.denominator for f in coeffs))
+    nums = [f.numerator * (den // f.denominator) for f in coeffs]
+    return den, [tuple(nums[i : i + per]) for i in range(0, len(nums), per)]
+
+
+def integer_view(values: Mapping) -> IntegerView | None:
+    """The integer view of a table of ComplexValues, or None unless it is order-free.
+
+    Order-free: every part of every entry is exact, with at most one log
+    base, so that no sum of entries depends on the order it is taken in.
+    """
+    scalars = [part.exact for v in values.values() for part in (v.re, v.im)]
+    if any(e is None for e in scalars):
+        return None
+    bases = {e.logbase for e in scalars} - {None}
+    if len(bases) > 1:
+        return None
+    den, leaves = _over_one_denominator(scalars, 6)
+    has_ln, has_inv_ln = any(e.b for e in scalars), any(e.c for e in scalars)
+    return IntegerView(den, bases.pop() if bases else None, has_ln, has_inv_ln, dict(zip(values, leaves)))
+
+
+def exact_weights(
+    weights: Sequence[NumericValue], base: int | None, has_ln: bool, has_inv_ln: bool
+) -> tuple[int, list[tuple[int, ...]], int | None] | None:
+    """Weights as integer triples (a, b, c) over one denominator W, with the merged log base.
+
+    None when some weight times some entry of a table with this base and
+    these kinds would not be exact: a float weight, a log base other than
+    the table's, a ln weight against ln entries or a 1/ln weight against
+    1/ln entries.  Otherwise every such product, and every sum of them,
+    stays in the ring.
+    """
+    scalars = [w.exact for w in weights]
+    if any(e is None for e in scalars):
+        return None
+    for e in scalars:
+        if e.logbase is not None:
+            if base not in (None, e.logbase):
+                return None
+            base = e.logbase
+        if (e.b and has_ln) or (e.c and has_inv_ln):
+            return None
+    return (*_over_one_denominator(scalars, 3), base)
+
+
+@lru_cache(maxsize=1024)
+def _cached_exact_weights(weights_of: Callable, args: tuple, base: int | None, has_ln: bool, has_inv_ln: bool):
+    return exact_weights(weights_of(*args), base, has_ln, has_inv_ln)
+
+
+def integer_weights(weights_of: Callable, args: tuple, view: IntegerView | None):
+    """``exact_weights(weights_of(*args), ...)`` against a table's view, once per process; None without a view.
+
+    ``weights_of`` is a route's module-level function of hashable constants
+    (the frozen params and levels in ``args``), so the result is cached.
+    """
+    if view is None:
+        return None
+    return _cached_exact_weights(weights_of, args, view.base, view.has_ln, view.has_inv_ln)
+
+
+def add_weighted(acc: list[int], w: tuple[int, int, int], v: Sequence[int]) -> None:
+    """acc += w * v, for a weight triple w and six numerators v, in place.
+
+    (wa + wb ln + wc/ln)(va + vb ln + vc/ln) has a = wa va + wb vc + wc vb,
+    b = wa vb + wb va and c = wa vc + wc va; ``exact_weights`` has ruled out
+    the ln**2 and 1/ln**2 terms.
+    """
+    wa, wb, wc = w
+    ra, rb, rc, ia, ib, ic = v
+    acc[0] += wa * ra + wb * rc + wc * rb
+    acc[1] += wa * rb + wb * ra
+    acc[2] += wa * rc + wc * ra
+    acc[3] += wa * ia + wb * ic + wc * ib
+    acc[4] += wa * ib + wb * ia
+    acc[5] += wa * ic + wc * ia
+
+
+def decode(acc: Sequence[int], den: int, base: int | None) -> ComplexValue:
+    """The value of six numerators over den: one ExactScalar per part."""
+    ra, rb, rc, ia, ib, ic = (Fraction(n, den) if n else _F0 for n in acc)
+    return ComplexValue(
+        _numeric_value(_exact_scalar(ra, rb, rc, base)), _numeric_value(_exact_scalar(ia, ib, ic, base))
+    )

@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 from .errors import (
@@ -50,11 +50,16 @@ from .functions import (
 from .integrate import LogProfile, PowerProfile, _closed_far_sum, profile_coset_integral
 from .numerics import (
     CV_ZERO,
+    NV_ZERO,
+    ZERO_NUMERATORS,
     ComplexValue,
     ExactScalar,
     NumericValue,
+    add_weighted,
     as_fraction,
+    decode,
     geometric_tail,
+    integer_weights,
     q_pow,
     weighted_geometric_tail,
 )
@@ -252,6 +257,15 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
 # Riesz potentials
 
 
+@lru_cache(maxsize=1024)
+def _riesz_kernels(params: OperatorParams, w: int, k: int) -> tuple[NumericValue, ...]:
+    """The Riesz kernel integrated over a level-k coset on each sphere j = w .. k - 1, then over the singular coset."""
+    fp = params.fp
+    profile = LogProfile() if params.gamma == 1 else PowerProfile(params.gamma - 1)
+    shells = (profile_coset_integral(fp, profile, -j, k) for j in range(w, k))
+    return (*shells, profile_coset_integral(fp, profile, None, k))
+
+
 def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int | None = None) -> ExtendedFunction:
     """Riesz potential: convolution with d*|x|**(gamma-1) (d1*ln|x| at gamma = 1).
 
@@ -262,22 +276,36 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 
     The kernel is constant on each sphere |c - x| = q**(-j), so a core value
     is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
-    ball integral times phi(x).
+    ball integral times phi(x).  At a point of phi's support, an order-free
+    phi with kernels that stay exact against it sums in integers.
     """
     fp = params.fp
     g = params.gamma
     if window_level is not None and window_level > phi.support_level:
         raise ValueError("window must contain the support of the input")
-    w = phi.support_level if window_level is None else window_level
+    s = phi.support_level
+    w = s if window_level is None else window_level
     k = phi.constancy_level
     d = constants(params).d
-    profile = LogProfile() if g == 1 else PowerProfile(g - 1)
-    shell_kernels = [profile_coset_integral(fp, profile, -j, k) for j in range(w, k)]
-    inner_kernel = profile_coset_integral(fp, profile, None, k)
+    *shell_kernels, inner_kernel = _riesz_kernels(params, w, k)
 
     fe = ExtendedFunction(phi)
+    view = phi._integer_view
+    ints = integer_weights(_riesz_kernels, (params, s, k), view)
+    if ints is not None:
+        den, (*shell_w, inner_w), base = ints
+        den *= view.denominator
+        spheres = phi._integer_spheres
 
     def core_value(x: Point) -> ComplexValue:
+        if ints is not None:
+            addr, _ = phi._locate(x)
+            if addr is not None:
+                acc = [0] * 6
+                for weight, sphere in zip(shell_w, spheres[addr]):
+                    add_weighted(acc, weight, sphere)
+                add_weighted(acc, inner_w, view.numerators[addr])
+                return decode(acc, den, base) * d
         j0, sums, value = fe.sphere_sums(x)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
@@ -295,6 +323,30 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 # hypersingular operator and its truncation
 
 
+@lru_cache(maxsize=1024)
+def _shell_weight(params: OperatorParams, k: int, j: int) -> NumericValue:
+    """|z|**(-gamma-1) on the shell |z| = q**(-j), times the measure of a level-k coset."""
+    return q_pow(params.fp, (params.gamma + 1) * j) * Fraction(params.fp.q) ** (-k)
+
+
+@lru_cache(maxsize=1024)
+def _far_weight(params: OperatorParams, j_far: int) -> NumericValue:
+    """Measure of the shells j <= j_far against |z|**(-gamma-1)."""
+    return (1 - Fraction(1, params.fp.q)) * geometric_tail(params.fp, params.gamma, -j_far)
+
+
+def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[NumericValue]:
+    """The shell weights j = lo .. hi, then the weight of u(x) against them and that of the far shells j < lo.
+
+    u(x) enters shell j once per coset of the shell, (q - 1) * q**(k - j - 1)
+    times, with the minus sign of the difference u(x + z) - u(x).
+    """
+    q = params.fp.q
+    shells = [_shell_weight(params, k, j) for j in range(lo, hi + 1)]
+    counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(range(lo, hi + 1), shells)), NV_ZERO)
+    return [*shells, -counted, -_far_weight(params, min(lo - 1, hi))]
+
+
 def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: int) -> Callable[[Point], ComplexValue]:
     """x -> shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
 
@@ -305,39 +357,60 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
 
     The shell weights depend on j alone and the far terms on j0 alone: every
     point of u's window has j0 = window, a point beyond it at |x| = q**(-l)
-    has j0 = l.  So each is built once, at its first use, for all the points
-    the returned function is called on.
+    has j0 = l.  The weights are built once per process and looked up once
+    per call, the far sums once per call.
+
+    At a point of the window of an order-free core whose weights stay exact
+    against it, the shells sum in integers.  The far shells' u(x) term joins
+    them when the far sum is rational; any other far sum is added as before,
+    so that a float far sum sees the same float operations.
     """
     fp = params.fp
     g = params.gamma
     q = fp.q
     k = u.constancy_level
-    coset_meas = Fraction(q) ** (-k)
+    core, window = u.core, u.window_level
 
-    @cache
-    def weight(j: int) -> NumericValue:
-        return q_pow(fp, (g + 1) * j) * coset_meas
+    shell_weight = cache(partial(_shell_weight, params, k))
+    far_weight = cache(partial(_far_weight, params))
 
     @cache
     def far_sum(j_far: int) -> ComplexValue:
         return _closed_far_sum(fp, PowerProfile(-g - 1), u, j_far)
 
-    @cache
-    def far_weight(j_far: int) -> NumericValue:
-        return (1 - Fraction(1, q)) * geometric_tail(fp, g, -j_far)
+    def far_part(ux: ComplexValue, j_far: int) -> ComplexValue:
+        far = far_sum(j_far)
+        return far if ux.is_exact_zero() else far - ux * far_weight(j_far)
+
+    view = core._integer_view
+    ints = integer_weights(_engine_weights, (params, k, window, j_hi), view)
+    if ints is not None:
+        den, (*shell_w, count_w, far_w), base = ints
+        den *= view.denominator
+        spheres = core._integer_spheres
+        j_far = min(window - 1, j_hi)
+        far = far_sum(j_far)
+        fold_far = all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
 
     def shell_sum_at(x: Point) -> ComplexValue:
+        if ints is not None:
+            d, _ = core._locate(x)
+            if d is not None:
+                acc = [0] * 6
+                for weight, sphere in zip(shell_w, spheres[d]):
+                    add_weighted(acc, weight, sphere)
+                add_weighted(acc, count_w, view.numerators[d])
+                if not fold_far:
+                    return decode(acc, den, base) + far_part(core.values[d], j_far)
+                add_weighted(acc, far_w, view.numerators[d])
+                return decode(acc, den, base) + far
         j0, sums, ux = u.sphere_sums(x)
         total = CV_ZERO
         for j, shell_sum in zip(range(j0, j_hi + 1), sums):
             shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
             if not shell_acc.is_exact_zero():
-                total = total + shell_acc * weight(j)
-        j_far = min(j0 - 1, j_hi)
-        far = far_sum(j_far)
-        if not ux.is_exact_zero():
-            far = far - ux * far_weight(j_far)
-        return total + far
+                total = total + shell_acc * shell_weight(j)
+        return total + far_part(ux, min(j0 - 1, j_hi))
 
     return shell_sum_at
 
@@ -396,8 +469,19 @@ def _averaging_weight(params: OperatorParams, nu: int, k: int, j: int) -> Numeri
     return constants(params).cd * kernel_r(params, j) * Fraction(params.fp.q) ** (-k) * Fraction(params.fp.q) ** nu
 
 
+def _averaging_weights(params: OperatorParams, nu: int, k: int) -> list[NumericValue]:
+    """The sphere weights j = 1 .. j_star - 1, then the kernel mass of the levels from j_star on."""
+    j_star = max(1, k - nu)
+    return [*(_averaging_weight(params, nu, k, j) for j in range(1, j_star)), kernel_normalization_tail(params, j_star)]
+
+
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
-    """x -> averaging_apply at x; a sphere needing no tail is read from an order-free core's prefix table, others walked."""
+    """x -> averaging_apply at x.
+
+    A sphere needing no tail is read from an order-free core's prefix table,
+    others walked; where every sphere of a point is read so and the weights
+    stay exact against the core, the point sums in integers.
+    """
     _check_truncation(nu)
     pe = _as_extended(phi)
     if params.gamma > 1 and (pe.tail.terms or not pe.core.integral().is_exact_zero()):
@@ -408,13 +492,24 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     core, window, k = pe.core, pe.window_level, pe.constancy_level
     j_star = max(1, k - nu)  # every shell below has nu + j < k
     inner_mass = kernel_normalization_tail(params, j_star)
+    view = core._integer_view
+    ints = integer_weights(_averaging_weights, (params, nu, k), view)
+    if ints is not None:
+        den, (*sphere_w, inner_w), base = ints
+        den *= view.denominator
 
     def average_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)
+        if ints is not None and (not pe.tail.terms or d is not None and nu + 1 >= window):
+            acc = [0] * 6
+            for j, weight in enumerate(sphere_w, start=1):
+                add_weighted(acc, weight, core._sphere_around(d, e, nu + j))
+            add_weighted(acc, inner_w, ZERO_NUMERATORS if d is None else view.numerators[d])
+            return decode(acc, den, base)
         total = CV_ZERO
         for j in range(1, j_star):
-            if core._order_free and (not pe.tail.terms or d is not None and nu + j >= window):
-                inner = core._ball_around(d, e, nu + j) - core._ball_around(d, e, nu + j + 1)
+            if view is not None and (not pe.tail.terms or d is not None and nu + j >= window):
+                inner = decode(core._sphere_around(d, e, nu + j), view.denominator, view.base)
             else:
                 inner = CV_ZERO
                 for rep in sphere_coset_reps(fp, nu + j, k):

@@ -12,6 +12,9 @@ averaging closure for its window, is checked bit for bit against one
 ``averaging_apply`` per point.  ``taibleson_direct`` and ``averaging_apply``,
 which read each sphere of an order-free table as a difference of two prefix
 ball sums, are checked bit for bit against the coset walks they replaced.
+On order-free tables these routes sum in integers (``numerics.integer_view``);
+the encoding's round trip, the exactness gate's refusals and guards on which
+path runs are checked here too.
 """
 
 import warnings
@@ -65,8 +68,17 @@ from ultrafrac.integrate import (
     profile_coset_integral,
     profile_value,
 )
-from ultrafrac.multidim import DimensionBridge, taibleson_direct
-from ultrafrac.numerics import CV_ZERO, ComplexValue, ExactScalar, NumericValue, geometric_tail, q_pow
+from ultrafrac.multidim import DimensionBridge, taibleson_direct, taibleson_via_extension
+from ultrafrac.numerics import (
+    CV_ZERO,
+    ComplexValue,
+    ExactScalar,
+    NumericValue,
+    decode,
+    geometric_tail,
+    integer_view,
+    q_pow,
+)
 from ultrafrac.operators import (
     OperatorParams,
     _difference_shell_sums,
@@ -76,6 +88,7 @@ from ultrafrac.operators import (
     kernel_normalization_tail,
     kernel_r,
     riesz_potential,
+    vladimirov_on_window,
 )
 
 # ---------------------------------------------------------------------------
@@ -343,6 +356,8 @@ EXACT_KINDS = ["zero", "rational", "rational", "ln", "inv_ln"]
 ALL_KINDS = EXACT_KINDS + ["float", "float"]
 # ln 2 and ln 3 in one table: its sums depend on their order, so the routes walk its spheres
 TWO_LOG_KINDS = ["zero", "rational", "ln2", "ln3"]
+# ln 3 alone: order-free, but against q != 3 a ln q weight meets a second log base
+FOREIGN_LOG_KINDS = ["zero", "rational", "ln3"]
 
 
 @st.composite
@@ -464,7 +479,7 @@ def integrate_case(profile, u, region):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=tables(EXACT_KINDS), widen=st.integers(0, 2))
+@given(case=st.sampled_from([EXACT_KINDS, FOREIGN_LOG_KINDS]).flatmap(tables), widen=st.integers(0, 2))
 def test_riesz_engine_matches_pair_loop_on_exact_inputs(case, widen):
     riesz_case(*case, widen)
 
@@ -476,7 +491,7 @@ def test_riesz_engine_matches_pair_loop_on_float_inputs(case, widen):
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=extended(EXACT_KINDS), widen=st.integers(0, 2), cut=st.integers(1, 5))
+@given(case=st.sampled_from([EXACT_KINDS, FOREIGN_LOG_KINDS]).flatmap(extended), widen=st.integers(0, 2), cut=st.integers(1, 5))
 def test_shell_sums_match_coset_loop_on_exact_inputs(case, widen, cut):
     shell_case(*case, widen, cut)
 
@@ -642,11 +657,12 @@ def beyond(fp, level):
 def direct_cases(draw):
     """(bridge, f, points): degree 1 or 2, alpha below, at and above n, points in and beyond the support.
 
-    The table is order-free, float-mixed, or holds ln 2 and ln 3, so that
-    both the prefix reading and the coset walk are reached; above alpha = n
-    the table is projected to zero mean.
+    The table is order-free (with ln q or a foreign ln 3), float-mixed, or
+    holds ln 2 and ln 3, so that the integer path, the decoded prefix
+    reading and the coset walk are all reached; above alpha = n the table is
+    projected to zero mean.
     """
-    kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS]))
+    kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS, FOREIGN_LOG_KINDS]))
     params, f = draw(tables(kinds))
     fp = params.fp
     alpha = fp.n * draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
@@ -660,7 +676,7 @@ def direct_cases(draw):
 @st.composite
 def averaging_cases(draw):
     """(params, phi, nu, points): the residual cases of every table kind, at the residual window and beyond it."""
-    kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS]))
+    kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS, FOREIGN_LOG_KINDS]))
     params, phi, nu, _ = draw(residual_cases(kinds))
     pe = _as_extended(phi)
     w = min(pe.window_level, nu + 1)
@@ -685,9 +701,9 @@ def test_averaging_matches_coset_walk(case):
         assert same_parts(got, outcome(averaging_oracle, params, nu, phi, x)), x
 
 
-def _counting(monkeypatch, module, name):
-    """Replace module.name with a wrapper that records each call's arguments; return the record."""
-    calls = []
+def _counting(monkeypatch, module, name, calls=None):
+    """Replace module.name with a wrapper that records each call's arguments in ``calls`` (a new list by default); return the record."""
+    calls = [] if calls is None else calls
     inner = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or inner(*args))
     return calls
@@ -696,7 +712,7 @@ def _counting(monkeypatch, module, name):
 def test_order_free_tables_walk_no_sphere(monkeypatch):
     # every sphere of an order-free table without a tail is two prefix ball sums apart
     walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
-    walks += _counting(monkeypatch, operators, "sphere_coset_reps")
+    _counting(monkeypatch, operators, "sphere_coset_reps", walks)
     fp = FieldParams(2, 2)
     f = _table(fp, 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
     zero_mean = lizorkin_project(f)
@@ -720,7 +736,7 @@ def test_order_dependent_tables_walk_their_spheres(monkeypatch, kind):
         entries = [NumericValue.from_exact(ExactScalar(Fraction(0), Fraction(i), Fraction(0), 2 + i % 2)) for i in range(8)]
     f = _table(fp, 0, 3, entries)
     walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
-    walks += _counting(monkeypatch, operators, "sphere_coset_reps")
+    _counting(monkeypatch, operators, "sphere_coset_reps", walks)
     bridge, params = DimensionBridge(2, 1, Fraction(1, 2)), OperatorParams(fp, Fraction(1, 2))
     for x in [x for _, x in coset_walk(fp, -1, 3)]:
         assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x))
@@ -743,14 +759,103 @@ def test_each_level_weight_is_built_once_across_points(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(case=tables(EXACT_KINDS))
 def test_prefix_table_is_the_engine_ball_sums(case):
-    # the two independent tables of ball sums agree at every level and ball
+    # the two independent tables of ball sums agree at every level and ball;
+    # the prefix table holds numerators over the table's one denominator
     _, f = case
-    assert f._order_free
+    view = f._integer_view
     q, depth = f.fp.q, f.constancy_level - f.support_level
     for d in f.values:
         for t in range(depth + 1):
             want = f._ball_sums[t][f._ball_index(d) // q ** (depth - t)].value
-            assert same_parts(f._prefix_sums[tuple(ds[:t] for ds in d)], want)
+            got = decode(f._prefix_sums[tuple(ds[:t] for ds in d)], view.denominator, view.base)
+            assert same_parts(got, want)
+
+
+def order_free(f: TestFunction) -> bool:
+    """Every part of every entry exact, with at most one log base."""
+    parts = [part.exact for v in f.values.values() for part in (v.re, v.im)]
+    return all(e is not None for e in parts) and len({e.logbase for e in parts} - {None}) <= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS, FOREIGN_LOG_KINDS]).flatmap(tables))
+def test_integer_view_round_trips(case):
+    # the view exists exactly for order-free tables; each leaf decodes to its
+    # entry part for part, over the least common denominator of all parts
+    _, f = case
+    view = integer_view(f.values)
+    assert (view is None) == (not order_free(f))
+    if view is None:
+        return
+    assert set(view.numerators) == set(f.values)
+    for d, v in f.values.items():
+        assert same_parts(decode(view.numerators[d], view.denominator, view.base), v)
+    coeffs = [c for v in f.values.values() for part in (v.re, v.im) for c in (part.exact.a, part.exact.b, part.exact.c)]
+    assert all((c * view.denominator).denominator == 1 for c in coeffs)
+    for r in range(2, view.denominator + 1):
+        if view.denominator % r == 0 and all(r % s for s in range(2, r)):  # r a prime factor
+            assert any((c * (view.denominator // r)).denominator != 1 for c in coeffs)
+    assert view.has_ln == any(c for v in f.values.values() for c in (v.re.exact.b, v.im.exact.b))
+    assert view.has_inv_ln == any(c for v in f.values.values() for c in (v.re.exact.c, v.im.exact.c))
+
+
+@pytest.mark.parametrize("base", [2, 3], ids=["ln_q_entries", "foreign_ln_3"])
+def test_log_kernel_refuses_log_entries(base):
+    # at gamma = 1 the Riesz kernels are ln 2 multiples: against ln 2 entries
+    # their products leave the ring, against ln 3 entries they meet a second
+    # log base, so the order-free table sums no integer sphere and the pair
+    # loop's exact-versus-float decisions hold
+    fp = FieldParams(2)
+    f = _table(fp, 0, 3, [ExactScalar(Fraction(i % 3), Fraction(i % 4 - 1, 2), Fraction(0), base) for i in range(8)])
+    assert f._integer_view is not None
+    riesz_case(OperatorParams(fp, 1), f, 1)
+    assert "_integer_spheres" not in f.__dict__
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_exact_engine_routes_sum_no_sphere_values(monkeypatch, alpha):
+    # an order-free N = 64 table against exact weights: every window point of
+    # the Riesz core, the hypersingular window and the extension reading sums
+    # in integers, without a BallSum sphere or a radial_sum
+    calls = []
+    sphere_sums = ExtendedFunction.sphere_sums
+    monkeypatch.setattr(ExtendedFunction, "sphere_sums", lambda self, x: calls.append(x) or sphere_sums(self, x))
+    _counting(monkeypatch, operators, "radial_sum", calls)
+    fp = FieldParams(2, 2)
+    f = _table(fp, 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
+    params = OperatorParams(fp, alpha)
+    u = riesz_potential(params, f)
+    for nu in (None, 1, 2):
+        for g in (f, u):
+            assert len(vladimirov_on_window(params, g, window_level=0, nu=nu)) == 64
+    bridge = DimensionBridge(2, 2, alpha)
+    for _, x in coset_walk(f.fp, 0, 3):
+        taibleson_via_extension(bridge, f, x)
+    assert calls == []
+
+
+def test_float_weights_build_no_integer_sphere_table():
+    # alpha = 1/2 over Q_2: q**(3j/2) is irrational at odd j, so the engine
+    # weights fail the exactness check before any integer sphere is summed,
+    # and the prefix routes weight decoded spheres as before
+    fp = FieldParams(2)
+    f = _table(fp, -1, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(16)])
+    params = OperatorParams(fp, Fraction(1, 2))
+    slack = 1e-12 * l1_scale(f)
+    got = riesz_potential(params, f).core.values
+    for d, want in riesz_core_oracle(params, f).items():
+        assert_same(got[d], want, slack)
+    c = constants(params).c
+    for nu in (None, 1, 2):
+        j_hi = f.constancy_level - 1 if nu is None else nu
+        for x, value in vladimirov_on_window(params, f, window_level=-2, nu=nu):
+            assert_same(value, difference_shell_sum_oracle(params, ExtendedFunction(f), x, j_hi) * c, slack)
+    assert "_integer_spheres" not in f.__dict__
+    bridge = DimensionBridge(2, 1, Fraction(1, 2))
+    for _, x in coset_walk(fp, -2, 3):
+        assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x))
+        assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
+    assert "_integer_spheres" not in f.__dict__
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

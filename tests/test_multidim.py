@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_point, random_test_function
 from test_value_fingerprint import _ser
+from ultrafrac.errors import UltrafracError
 from ultrafrac import operators
 from ultrafrac.field import FieldParams, abs_exponent, abs_value, point, zero_point
 from ultrafrac.functions import indicator_ball
@@ -84,6 +85,27 @@ class TestTaiblesonRoutes:
         monkeypatch.setattr(operators, "_difference_shell_sums", lambda *args: calls.append(args) or build(*args))
         assert len(taibleson_on_window(br, f)) == 16
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "fp, make",
+        [
+            # without the check these gave 6/7 and 3/7: the degree-2 value of a table with no shell to walk
+            (FieldParams(2), lambda fp: indicator_ball(fp, 0)),
+            (FieldParams(3, 2), lambda fp: indicator_ball(fp, -1)),
+            # and this one a raw ValueError from the coset walk
+            (FieldParams(2), lambda fp: random_test_function(fp, 0, 2, random.Random(5))),
+        ],
+        ids=["degree_1_ball", "other_prime", "degree_1_table"],
+    )
+    def test_table_over_another_field_raises(self, fp, make):
+        br = DimensionBridge(2, 2, 1)
+        f = make(fp)
+        x = zero_point(fp)
+        for route in (taibleson_direct, taibleson_via_extension):
+            with pytest.raises(UltrafracError, match="needs a table over"):
+                route(br, f, x)
+        with pytest.raises(UltrafracError, match="needs a table over"):
+            taibleson_on_window(br, f)
 
     def test_rational_exponent_paths_are_exact(self):
         # alpha = 1, n = 2: both routes stay rational end to end

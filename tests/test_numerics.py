@@ -15,7 +15,11 @@ from ultrafrac.numerics import (
     ComplexValue,
     ExactScalar,
     NumericValue,
+    add_weighted,
+    decode,
+    exact_weights,
     geometric_tail,
+    integer_view,
     q_pow,
     weighted_geometric_tail,
 )
@@ -269,3 +273,40 @@ class TestRingFastPaths:
             with pytest.raises((AttributeError, TypeError)):
                 obj.extra = 1
             assert not hasattr(obj, "__dict__")
+
+
+class TestIntegerAccumulation:
+    @given(
+        pairs=st.lists(st.tuples(_exact_scalars(), _exact_scalars(), _exact_scalars()), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_sum_is_the_exact_sum_of_products(self, pairs):
+        """Where exact_weights accepts the weights, sum of w * v in integers decodes to the ring's own sum."""
+        table = {i: ComplexValue(NumericValue.from_exact(re), NumericValue.from_exact(im)) for i, (_, re, im) in enumerate(pairs)}
+        view = integer_view(table)
+        weights = [NumericValue.from_exact(w) for w, _, _ in pairs]
+        ints = exact_weights(weights, view.base, view.has_ln, view.has_inv_ln)
+        if ints is None:
+            assert any(w.b for w, _, _ in pairs) and view.has_ln or any(w.c for w, _, _ in pairs) and view.has_inv_ln
+            return
+        den, triples, base = ints
+        acc = [0] * 6
+        for w, i in zip(triples, table):
+            add_weighted(acc, w, view.numerators[i])
+        want = CV_ZERO
+        for w, i in zip(weights, table):
+            want = want + table[i] * w
+        assert want.is_exact
+        assert _parts(decode(acc, den * view.denominator, base)) == _parts(want)
+
+    def test_each_product_that_leaves_the_ring_refuses_the_weights(self, fp2, fp3):
+        ln2, inv2 = NumericValue.from_exact(ExactScalar.ln_q(fp2)), NumericValue.from_exact(ExactScalar.inv_ln_q(fp2))
+        half = NumericValue.from_rational(Fraction(1, 2))
+        assert exact_weights([half, NumericValue.from_float(0.5)], None, False, False) is None
+        assert exact_weights([half, ln2], 3, False, False) is None  # a second log base
+        assert exact_weights([ln2], 2, True, False) is None  # ln * ln
+        assert exact_weights([inv2], 2, False, True) is None  # 1/ln * 1/ln
+        # ln against 1/ln entries, and 1/ln against ln entries, stay in the ring
+        assert exact_weights([half, ln2], 2, False, True) == (2, [(1, 0, 0), (0, 2, 0)], 2)
+        assert exact_weights([inv2, half], None, True, False) == (2, [(0, 0, 2), (1, 0, 0)], 2)
+        assert exact_weights([half], 3, True, True) == (2, [(1, 0, 0)], 3)
