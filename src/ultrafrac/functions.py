@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DivergentIntegralError, UltrafracError
 from .field import (
@@ -185,9 +185,10 @@ class TestFunction:
 
     @cached_property
     def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
-        """Numerators of ``sphere_sums(d)`` at every address d of an order-free table."""
-        levels = self._ball_levels(self._integer_view.numerators, _add_numerators)
-        return {d: self._sibling_sums(levels, d, _add_numerators) for d in self.values}
+        """Numerators of ``sphere_sums(d)``, then of the entry at d, at every address d of an order-free table."""
+        entries = self._integer_view.numerators
+        levels = self._ball_levels(entries, _add_numerators)
+        return {d: [*self._sibling_sums(levels, d, _add_numerators), v] for d, v in entries.items()}
 
     @cached_property
     def _prefix_sums(self) -> dict[Digits, Numerators]:
@@ -210,6 +211,12 @@ class TestFunction:
         """Numerators of the table sum over {|z - x| = q**(-level)}: the ball at level less the ball one level down."""
         return tuple(map(operator.sub, self._ball_around(d, e, level), self._ball_around(d, e, level + 1)))
 
+    def _prefix_spheres(self, d: Digits | None, e: int | None, levels) -> Iterator[Numerators]:
+        """Numerators of the sums over the spheres at ``levels`` around x, as in ``_sphere_around``, then of f(x): its own coset."""
+        for level in levels:
+            yield self._sphere_around(d, e, level)
+        yield self._ball_around(d, e, self.constancy_level)
+
     def ball_sum(self) -> BallSum:
         """Sum of the whole table (the support ball)."""
         return self._ball_sums[0][0]
@@ -226,16 +233,6 @@ class TestFunction:
     def integral(self) -> ComplexValue:
         """Exact Haar integral: the sum of the table times the coset measure."""
         return self.ball_sum().value * Fraction(self.fp.q) ** (-self.constancy_level)
-
-    def refined(self, support_level: int | None = None, constancy_level: int | None = None) -> "TestFunction":
-        """Same function on a coarser window and/or finer constancy level."""
-        sl = self.support_level if support_level is None else support_level
-        k = self.constancy_level if constancy_level is None else constancy_level
-        if sl > self.support_level or k < self.constancy_level:
-            raise ValueError("refinement may only enlarge the window or refine constancy")
-        if sl == self.support_level and k == self.constancy_level:
-            return self
-        return TestFunction.tabulate(self.fp, sl, k, self.evaluate)
 
     def translated(self, h: Point) -> "TestFunction":
         """The function x -> f(x - h)."""
@@ -408,8 +405,11 @@ class ExtendedFunction:
         there is one mixed sphere, |z - x| = |x|: the whole window, plus the
         tail on the levels l .. window - 1, minus the ball around x.
         """
+        return self._sphere_sums_at(*self.core._locate(x))
+
+    def _sphere_sums_at(self, d: Digits | None, e: int | None) -> tuple[int, list[BallSum], ComplexValue]:
+        """``sphere_sums`` at the point the core located at (d, e)."""
         fp, window, k = self.fp, self.window_level, self.constancy_level
-        d, e = self.core._locate(x)
         if d is not None:
             return window, self.core.sphere_sums(d), self.core.values[d]
         q = fp.q

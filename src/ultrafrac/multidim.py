@@ -29,14 +29,13 @@ from .errors import UltrafracError
 from .functions import ExtendedFunction, TestFunction
 from .numerics import (
     CV_ZERO,
-    ZERO_NUMERATORS,
+    NV_ZERO,
     ComplexValue,
     NumericValue,
-    add_weighted,
     as_fraction,
     decode,
     geometric_tail,
-    integer_weights,
+    integer_sum,
     q_pow,
 )
 from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_hypersingular, vladimirov_on_window
@@ -96,9 +95,16 @@ def _direct_far(bridge: DimensionBridge, j_t: int) -> NumericValue:
 
 
 def _direct_weights(bridge: DimensionBridge, k: int, j_t: int, window: int) -> list[NumericValue]:
-    """The shell weights of taibleson_direct's finite shells, then minus its far weight."""
+    """The weights of taibleson_direct's finite shells, then that of f(x).
+
+    f(x) enters shell j once per coset of the shell, with a minus sign, and
+    every far shell, where f vanishes, against the far measure.
+    """
+    q = bridge.ext.q
     finite_js = [j_t] if j_t < window else range(window, k)
-    return [*(_direct_weight(bridge, k, j) for j in finite_js), -_direct_far(bridge, j_t)]
+    shells = [_direct_weight(bridge, k, j) for j in finite_js]
+    counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(finite_js, shells)), NV_ZERO)
+    return [*shells, -counted - _direct_far(bridge, j_t)]
 
 
 def _check_field(bridge: DimensionBridge, f: TestFunction) -> None:
@@ -125,16 +131,9 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     finite_js = [j_t] if j_t < window else range(window, k)
 
     view = f._integer_view
-    ints = integer_weights(_direct_weights, (bridge, k, j_t, window), view)
-    if ints is not None:
-        den, (*shell_w, far_w), base = ints
-        fx = ZERO_NUMERATORS if d is None else view.numerators[d]
-        acc = [0] * 6
-        for j, weight in zip(finite_js, shell_w):
-            count = (ext.q - 1) * ext.q ** (k - j - 1)
-            add_weighted(acc, weight, [s - count * v for s, v in zip(f._sphere_around(d, e_x, j), fx)])
-        add_weighted(acc, far_w, fx)
-        return decode(acc, den * view.denominator, base) * _direct_constant(bridge)
+    weighted = integer_sum(_direct_weights, (bridge, k, j_t, window), view)
+    if weighted is not None:
+        return weighted(f._prefix_spheres(d, e_x, finite_js)) * _direct_constant(bridge)
 
     fx = CV_ZERO if d is None else f.values[d]
     total = CV_ZERO

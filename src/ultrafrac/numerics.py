@@ -13,7 +13,8 @@ view: six integer numerators per entry (a, b, c of the real part, then of
 the imaginary part) over one common denominator.  Sums of such entries, and
 their products with exact weights that stay in the ring, are then integer
 arithmetic, and a result becomes one ``ExactScalar`` per part only at the
-end (``integer_view``, ``exact_weights``, ``add_weighted``, ``decode``).
+end (``integer_view``, then ``integer_sum``: the one gate, accumulator and
+decode of every route).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DivergentSeriesError, ExactnessLost
 from .field import FieldParams
@@ -581,32 +582,41 @@ def _cached_exact_weights(weights_of: Callable, args: tuple, base: int | None, h
     return exact_weights(weights_of(*args), base, has_ln, has_inv_ln)
 
 
-def integer_weights(weights_of: Callable, args: tuple, view: IntegerView | None):
-    """``exact_weights(weights_of(*args), ...)`` against a table's view, once per process; None without a view.
+def integer_sum(
+    weights_of: Callable, args: tuple, view: IntegerView | None
+) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
+    """The sum of a route's weights times a table's numerator vectors, in integers; None where that is not exact.
 
-    ``weights_of`` is a route's module-level function of hashable constants
-    (the frozen params and levels in ``args``), so the result is cached.
+    ``weights_of(*args)`` lists the weights.  It is a route's module-level
+    function of hashable constants (the frozen params and levels in
+    ``args``), so ``exact_weights`` runs against the view's base and kinds
+    once per process.  None without a view or where the weights fail that
+    gate.  Otherwise the returned function takes one vector of six
+    numerators per weight, in weight order, and builds one ExactScalar per
+    part of sum w * v at the end.
     """
     if view is None:
         return None
-    return _cached_exact_weights(weights_of, args, view.base, view.has_ln, view.has_inv_ln)
+    ints = _cached_exact_weights(weights_of, args, view.base, view.has_ln, view.has_inv_ln)
+    if ints is None:
+        return None
+    w_den, triples, base = ints
+    den = w_den * view.denominator
 
+    def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
+        # (wa + wb ln + wc/ln)(va + vb ln + vc/ln) = (wa va + wb vc + wc vb) + (wa vb + wb va) ln
+        # + (wa vc + wc va)/ln, as exact_weights has ruled out the ln**2 and 1/ln**2 terms
+        ra = rb = rc = ia = ib = ic = 0
+        for (wa, wb, wc), (va, vb, vc, xa, xb, xc) in zip(triples, vectors, strict=True):
+            ra += wa * va + wb * vc + wc * vb
+            rb += wa * vb + wb * va
+            rc += wa * vc + wc * va
+            ia += wa * xa + wb * xc + wc * xb
+            ib += wa * xb + wb * xa
+            ic += wa * xc + wc * xa
+        return decode((ra, rb, rc, ia, ib, ic), den, base)
 
-def add_weighted(acc: list[int], w: tuple[int, int, int], v: Sequence[int]) -> None:
-    """acc += w * v, for a weight triple w and six numerators v, in place.
-
-    (wa + wb ln + wc/ln)(va + vb ln + vc/ln) has a = wa va + wb vc + wc vb,
-    b = wa vb + wb va and c = wa vc + wc va; ``exact_weights`` has ruled out
-    the ln**2 and 1/ln**2 terms.
-    """
-    wa, wb, wc = w
-    ra, rb, rc, ia, ib, ic = v
-    acc[0] += wa * ra + wb * rc + wc * rb
-    acc[1] += wa * rb + wb * ra
-    acc[2] += wa * rc + wc * ra
-    acc[3] += wa * ia + wb * ic + wc * ib
-    acc[4] += wa * ib + wb * ia
-    acc[5] += wa * ic + wc * ia
+    return weighted_sum
 
 
 def decode(acc: Sequence[int], den: int, base: int | None) -> ComplexValue:

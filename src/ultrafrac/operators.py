@@ -51,15 +51,13 @@ from .integrate import LogProfile, PowerProfile, _closed_far_sum, profile_coset_
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
-    ZERO_NUMERATORS,
     ComplexValue,
     ExactScalar,
     NumericValue,
-    add_weighted,
     as_fraction,
     decode,
     geometric_tail,
-    integer_weights,
+    integer_sum,
     q_pow,
     weighted_geometric_tail,
 )
@@ -290,23 +288,13 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     *shell_kernels, inner_kernel = _riesz_kernels(params, w, k)
 
     fe = ExtendedFunction(phi)
-    view = phi._integer_view
-    ints = integer_weights(_riesz_kernels, (params, s, k), view)
-    if ints is not None:
-        den, (*shell_w, inner_w), base = ints
-        den *= view.denominator
-        spheres = phi._integer_spheres
+    weighted = integer_sum(_riesz_kernels, (params, s, k), phi._integer_view)
 
     def core_value(x: Point) -> ComplexValue:
-        if ints is not None:
-            addr, _ = phi._locate(x)
-            if addr is not None:
-                acc = [0] * 6
-                for weight, sphere in zip(shell_w, spheres[addr]):
-                    add_weighted(acc, weight, sphere)
-                add_weighted(acc, inner_w, view.numerators[addr])
-                return decode(acc, den, base) * d
-        j0, sums, value = fe.sphere_sums(x)
+        addr, e = phi._locate(x)
+        if weighted is not None and addr is not None:
+            return weighted(phi._integer_spheres[addr]) * d
+        j0, sums, value = fe._sphere_sums_at(addr, e)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
 
@@ -335,16 +323,17 @@ def _far_weight(params: OperatorParams, j_far: int) -> NumericValue:
     return (1 - Fraction(1, params.fp.q)) * geometric_tail(params.fp, params.gamma, -j_far)
 
 
-def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[NumericValue]:
-    """The shell weights j = lo .. hi, then the weight of u(x) against them and that of the far shells j < lo.
+def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int, far: bool) -> list[NumericValue]:
+    """The weights of the spheres j = lo .. k - 1 (zero past the truncation hi), then that of u(x).
 
     u(x) enters shell j once per coset of the shell, (q - 1) * q**(k - j - 1)
-    times, with the minus sign of the difference u(x + z) - u(x).
+    times, with the minus sign of the difference u(x + z) - u(x); with
+    ``far`` it also enters the far shells j < lo, against their measure.
     """
     q = params.fp.q
-    shells = [_shell_weight(params, k, j) for j in range(lo, hi + 1)]
-    counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(range(lo, hi + 1), shells)), NV_ZERO)
-    return [*shells, -counted, -_far_weight(params, min(lo - 1, hi))]
+    shells = [_shell_weight(params, k, j) if j <= hi else NV_ZERO for j in range(lo, k)]
+    counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(range(lo, k), shells)), NV_ZERO)
+    return [*shells, -counted - _far_weight(params, min(lo - 1, hi)) if far else -counted]
 
 
 def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: int) -> Callable[[Point], ComplexValue]:
@@ -382,29 +371,16 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
         far = far_sum(j_far)
         return far if ux.is_exact_zero() else far - ux * far_weight(j_far)
 
-    view = core._integer_view
-    ints = integer_weights(_engine_weights, (params, k, window, j_hi), view)
-    if ints is not None:
-        den, (*shell_w, count_w, far_w), base = ints
-        den *= view.denominator
-        spheres = core._integer_spheres
-        j_far = min(window - 1, j_hi)
-        far = far_sum(j_far)
-        fold_far = all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
+    j_far = min(window - 1, j_hi)
+    far = None if core._integer_view is None else far_sum(j_far)
+    fold_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
+    weighted = integer_sum(_engine_weights, (params, k, window, j_hi, fold_far), core._integer_view)
 
     def shell_sum_at(x: Point) -> ComplexValue:
-        if ints is not None:
-            d, _ = core._locate(x)
-            if d is not None:
-                acc = [0] * 6
-                for weight, sphere in zip(shell_w, spheres[d]):
-                    add_weighted(acc, weight, sphere)
-                add_weighted(acc, count_w, view.numerators[d])
-                if not fold_far:
-                    return decode(acc, den, base) + far_part(core.values[d], j_far)
-                add_weighted(acc, far_w, view.numerators[d])
-                return decode(acc, den, base) + far
-        j0, sums, ux = u.sphere_sums(x)
+        d, e = core._locate(x)
+        if weighted is not None and d is not None:
+            return weighted(core._integer_spheres[d]) + (far if fold_far else far_part(core.values[d], j_far))
+        j0, sums, ux = u._sphere_sums_at(d, e)
         total = CV_ZERO
         for j, shell_sum in zip(range(j0, j_hi + 1), sums):
             shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
@@ -464,15 +440,16 @@ def vladimirov_on_window(
 
 
 @lru_cache(maxsize=1024)
-def _averaging_weight(params: OperatorParams, nu: int, k: int, j: int) -> NumericValue:
-    """Weight of the averaging sphere |z - x| = q**(-nu-j) for a table constant at level k."""
-    return constants(params).cd * kernel_r(params, j) * Fraction(params.fp.q) ** (-k) * Fraction(params.fp.q) ** nu
+def _averaging_weights(params: OperatorParams, nu: int, k: int) -> tuple[NumericValue, ...]:
+    """Weights of the averaging spheres |z - x| = q**(-nu-j), j = 1 .. j_star - 1, for a table constant at level k.
 
-
-def _averaging_weights(params: OperatorParams, nu: int, k: int) -> list[NumericValue]:
-    """The sphere weights j = 1 .. j_star - 1, then the kernel mass of the levels from j_star on."""
+    The last weight, that of f(x), is the kernel mass of the levels from j_star on.
+    """
     j_star = max(1, k - nu)
-    return [*(_averaging_weight(params, nu, k, j) for j in range(1, j_star)), kernel_normalization_tail(params, j_star)]
+    q = Fraction(params.fp.q)
+    cd = constants(params).cd
+    spheres = (cd * kernel_r(params, j) * q ** (-k) * q**nu for j in range(1, j_star))
+    return (*spheres, kernel_normalization_tail(params, j_star))
 
 
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
@@ -491,21 +468,14 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     fp = params.fp
     core, window, k = pe.core, pe.window_level, pe.constancy_level
     j_star = max(1, k - nu)  # every shell below has nu + j < k
-    inner_mass = kernel_normalization_tail(params, j_star)
+    weights = _averaging_weights(params, nu, k)
     view = core._integer_view
-    ints = integer_weights(_averaging_weights, (params, nu, k), view)
-    if ints is not None:
-        den, (*sphere_w, inner_w), base = ints
-        den *= view.denominator
+    weighted = integer_sum(_averaging_weights, (params, nu, k), view)
 
     def average_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)
-        if ints is not None and (not pe.tail.terms or d is not None and nu + 1 >= window):
-            acc = [0] * 6
-            for j, weight in enumerate(sphere_w, start=1):
-                add_weighted(acc, weight, core._sphere_around(d, e, nu + j))
-            add_weighted(acc, inner_w, ZERO_NUMERATORS if d is None else view.numerators[d])
-            return decode(acc, den, base)
+        if weighted is not None and (not pe.tail.terms or d is not None and nu + 1 >= window):
+            return weighted(core._prefix_spheres(d, e, range(nu + 1, nu + j_star)))
         total = CV_ZERO
         for j in range(1, j_star):
             if view is not None and (not pe.tail.terms or d is not None and nu + j >= window):
@@ -518,8 +488,8 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
                         continue
                     inner = inner + v
             if not inner.is_exact_zero():
-                total = total + inner * _averaging_weight(params, nu, k, j)
-        return total + (core.values[d] if d is not None else pe.tail_value_at_exponent(e)) * inner_mass
+                total = total + inner * weights[j - 1]
+        return total + (core.values[d] if d is not None else pe.tail_value_at_exponent(e)) * weights[-1]
 
     return average_at
 

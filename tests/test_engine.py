@@ -12,13 +12,15 @@ averaging closure for its window, is checked bit for bit against one
 ``averaging_apply`` per point.  ``taibleson_direct`` and ``averaging_apply``,
 which read each sphere of an order-free table as a difference of two prefix
 ball sums, are checked bit for bit against the coset walks they replaced.
-On order-free tables these routes sum in integers (``numerics.integer_view``);
+On order-free tables these routes sum in integers (``numerics.integer_sum``);
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too.
 """
 
+import ast
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -749,7 +751,7 @@ def test_each_level_weight_is_built_once_across_points(monkeypatch):
     fp = FieldParams(2)
     f = _table(fp, 0, 6, [Fraction(i % 5 - 2, 3) for i in range(64)])
     params = OperatorParams(fp, Fraction(1, 2))
-    operators._averaging_weight.cache_clear()
+    operators._averaging_weights.cache_clear()
     calls = _counting(monkeypatch, operators, "kernel_r")
     for _, x in coset_walk(fp, 0, 6):
         averaging_apply(params, 1, f, x)
@@ -816,10 +818,12 @@ def test_log_kernel_refuses_log_entries(base):
 def test_exact_engine_routes_sum_no_sphere_values(monkeypatch, alpha):
     # an order-free N = 64 table against exact weights: every window point of
     # the Riesz core, the hypersingular window and the extension reading sums
-    # in integers, without a BallSum sphere or a radial_sum
+    # in integers, without a BallSum sphere or a radial_sum; the routes call
+    # the located form of sphere_sums, so both forms are counted
     calls = []
-    sphere_sums = ExtendedFunction.sphere_sums
+    sphere_sums, located = ExtendedFunction.sphere_sums, ExtendedFunction._sphere_sums_at
     monkeypatch.setattr(ExtendedFunction, "sphere_sums", lambda self, x: calls.append(x) or sphere_sums(self, x))
+    monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
     _counting(monkeypatch, operators, "radial_sum", calls)
     fp = FieldParams(2, 2)
     f = _table(fp, 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
@@ -832,6 +836,28 @@ def test_exact_engine_routes_sum_no_sphere_values(monkeypatch, alpha):
     for _, x in coset_walk(f.fp, 0, 3):
         taibleson_via_extension(bridge, f, x)
     assert calls == []
+
+
+def test_engine_locates_each_point_once(monkeypatch):
+    # the default window of an order-free N = 64 table over Q_2 squared is
+    # dilated by one level: 256 points, 64 summed in integers and 192 beyond
+    # the core, whose sphere sums take the address the engine already found
+    calls = []
+    locate = TestFunction._locate
+    monkeypatch.setattr(TestFunction, "_locate", lambda self, x: calls.append(x) or locate(self, x))
+    f = _table(FieldParams(2, 2), 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
+    rows = vladimirov_on_window(OperatorParams(f.fp, 1), f)
+    assert len(rows) == 256
+    assert len(calls) == 256
+
+
+@pytest.mark.parametrize("module", [operators, multidim], ids=lambda m: m.__name__)
+def test_routes_do_no_numerator_arithmetic(module):
+    # the integer encoding stays behind numerics.integer_sum and the table's
+    # own numerator tables: the routes import none of its parts
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"add_weighted", "ZERO_NUMERATORS", "Numerators", "integer_view", "exact_weights"}
 
 
 def test_float_weights_build_no_integer_sphere_table():

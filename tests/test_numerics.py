@@ -15,10 +15,9 @@ from ultrafrac.numerics import (
     ComplexValue,
     ExactScalar,
     NumericValue,
-    add_weighted,
-    decode,
     exact_weights,
     geometric_tail,
+    integer_sum,
     integer_view,
     q_pow,
     weighted_geometric_tail,
@@ -281,23 +280,25 @@ class TestIntegerAccumulation:
     )
     @settings(max_examples=100, deadline=None)
     def test_weighted_sum_is_the_exact_sum_of_products(self, pairs):
-        """Where exact_weights accepts the weights, sum of w * v in integers decodes to the ring's own sum."""
+        """Where the gate accepts the weights, integer_sum of w * v decodes to the ring's own sum; other counts raise."""
         table = {i: ComplexValue(NumericValue.from_exact(re), NumericValue.from_exact(im)) for i, (_, re, im) in enumerate(pairs)}
         view = integer_view(table)
-        weights = [NumericValue.from_exact(w) for w, _, _ in pairs]
-        ints = exact_weights(weights, view.base, view.has_ln, view.has_inv_ln)
-        if ints is None:
+        weights = tuple(NumericValue.from_exact(w) for w, _, _ in pairs)
+        weighted = integer_sum(tuple, (weights,), view)
+        assert (weighted is None) == (exact_weights(weights, view.base, view.has_ln, view.has_inv_ln) is None)
+        if weighted is None:
             assert any(w.b for w, _, _ in pairs) and view.has_ln or any(w.c for w, _, _ in pairs) and view.has_inv_ln
             return
-        den, triples, base = ints
-        acc = [0] * 6
-        for w, i in zip(triples, table):
-            add_weighted(acc, w, view.numerators[i])
         want = CV_ZERO
         for w, i in zip(weights, table):
             want = want + table[i] * w
         assert want.is_exact
-        assert _parts(decode(acc, den * view.denominator, base)) == _parts(want)
+        vectors = list(view.numerators.values())
+        assert _parts(weighted(vectors)) == _parts(want)
+        # one vector per weight: a vector too few or too many pairs none with a wrong weight
+        for wrong in (vectors[:-1], [*vectors, vectors[0]]):
+            with pytest.raises(ValueError):
+                weighted(wrong)
 
     def test_each_product_that_leaves_the_ring_refuses_the_weights(self, fp2, fp3):
         ln2, inv2 = NumericValue.from_exact(ExactScalar.ln_q(fp2)), NumericValue.from_exact(ExactScalar.inv_ln_q(fp2))

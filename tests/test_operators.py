@@ -424,7 +424,7 @@ class TestInversionResidual:
     def test_each_level_weight_is_built_once_per_residual(self, monkeypatch):
         # nu = 1 on a table down to level 5: levels j = 1, 2, 3 over 32 window points
         phi = random_test_function(FieldParams(2), 0, 5, random.Random(43))
-        operators._averaging_weight.cache_clear()  # weights persist across calls; count this call's builds
+        operators._averaging_weights.cache_clear()  # weights persist across calls; count this call's builds
         calls = []
         shell_value = operators.kernel_r
         monkeypatch.setattr(operators, "kernel_r", lambda pr, j: calls.append(j) or shell_value(pr, j))
