@@ -245,15 +245,17 @@ def kernel_cmd(fp, alpha, shells, check_integral, depth, tol):
     click.option("--op", type=click.Choice(["riesz", "vladimirov", "truncated", "multiplier"]), required=True),
     _ALPHA,
     _FN,
-    click.option("--nu", type=int, default=None, help="Truncation index (required for --op truncated)."),
+    click.option("--nu", type=int, default=None, help="Truncation index (--op truncated only, and required there)."),
     click.option("--window", type=int, default=None, help="Output window level override."),
 )
 def apply_cmd(fp, op, alpha, fn, nu, window):
     """Apply an operator to a function file and tabulate window values."""
-    params = OperatorParams(fp, alpha)
-    f = _function(fp, fn)
     if op == "truncated" and nu is None:
         raise click.UsageError("--op truncated requires --nu")
+    if op != "truncated" and nu is not None:
+        raise click.UsageError(f"--nu applies to --op truncated only, not to --op {op}")
+    params = OperatorParams(fp, alpha)
+    f = _function(fp, fn)
     if op == "riesz":
         u = riesz_potential(params, f, window_level=window)
         values = [(pt, v) for _, pt, v in u.core.items()]
@@ -265,7 +267,7 @@ def apply_cmd(fp, op, alpha, fn, nu, window):
     for pt, v in values:
         yield {**head, "point": str(pt), "re": _fmt(v.re), "im": _fmt(v.im), "exact": _exact(v.re)}
     if op == "riesz":
-        yield {**head, "nu": "", "point": "tail", "exact": str(u.tail)}
+        yield {**head, "point": "tail", "exact": str(u.tail)}
 
 
 @_command(

@@ -63,10 +63,6 @@ class DimensionBridge:
         return FieldParams(self.p, self.n)
 
     @property
-    def gamma(self) -> Fraction:
-        return self.alpha / self.n
-
-    @property
     def ext_params(self) -> OperatorParams:
         return OperatorParams(self.ext, self.alpha)
 
@@ -123,23 +119,20 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     """
     _check_field(bridge, f)
     ext, k, window = bridge.ext, f.constancy_level, f.support_level
-    d, _ = f._locate(x)
-    e_x = abs_exponent(ext, x)
-    l_x = None if e_x is None else -e_x
-
-    j_t = l_x if l_x is not None and l_x < window else window
+    d, e = f._locate(x)
+    j_t = window if d is not None else -e  # beyond the support, |x| = q**e > q**(-window)
     finite_js = [j_t] if j_t < window else range(window, k)
 
     view = f._integer_view
     weighted = integer_sum(_direct_weights, (bridge, k, j_t, window), view)
     if weighted is not None:
-        return weighted(f._prefix_spheres(d, e_x, finite_js)) * _direct_constant(bridge)
+        return weighted(f._prefix_spheres(d, e, finite_js)) * _direct_constant(bridge)
 
     fx = CV_ZERO if d is None else f.values[d]
     total = CV_ZERO
     for j in finite_js:
         if view is not None:
-            sphere = decode(f._sphere_around(d, e_x, j), view.denominator, view.base)
+            sphere = decode(f._sphere_around(d, e, j), view.denominator, view.base)
             shell_acc = sphere - fx * ((ext.q - 1) * ext.q ** (k - j - 1))
         else:
             shell_acc = CV_ZERO

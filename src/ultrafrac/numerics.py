@@ -341,42 +341,34 @@ NV_ONE = NumericValue.from_rational(1)
 
 # What a sum of values was built from: the kinds of its terms, OR-ed together.
 KIND_NONZERO = 1  # some term is not an exact zero
-KIND_FLOAT = 2  # some term is a float
-KIND_LN = 4  # some exact term has a ln(q) part
-KIND_INV_LN = 8  # some exact term has a 1/ln(q) part
+KIND_LN = 2  # some exact term has a ln(q) part
 
 
 def value_kind(v: NumericValue) -> int:
     """The KIND_* bits of a single value."""
     if v.exact is None:
-        return KIND_NONZERO | KIND_FLOAT
+        return KIND_NONZERO
     e = v.exact
     kind = 0 if e.is_zero() else KIND_NONZERO
     if e.b != 0:
         kind |= KIND_LN
-    if e.c != 0:
-        kind |= KIND_INV_LN
     return kind
 
 
 def scale_sum(factor: NumericValue, total: NumericValue, kind: int) -> NumericValue:
     """factor * total, on the path that summing factor * term term by term takes.
 
-    ``total`` is an exact-aware sum of terms whose kinds OR to ``kind``.  Each
-    product factor * term is an exact zero when either side is, exact when both
-    are exact and the product stays in the ring, and a float otherwise; their
-    sum is exact iff every nonzero product is.  So terms that cancel to an
-    exact zero against a float factor still give a float zero here.
+    ``total`` is an exact-aware sum of terms whose kinds OR to ``kind``, and
+    ``factor`` has no 1/ln(q) part.  Each product factor * term is an exact
+    zero when either side is, exact when both are exact and the product stays
+    in the ring, and a float otherwise; their sum is exact iff every nonzero
+    product is (a float term leaves ``total`` a float).  So terms that cancel
+    to an exact zero against a float factor still give a float zero here.
     """
     if not kind & KIND_NONZERO or factor.is_exact_zero():
         return NV_ZERO
     fs = factor.exact
-    if (
-        fs is None
-        or kind & KIND_FLOAT
-        or (kind & KIND_LN and fs.b != 0)
-        or (kind & KIND_INV_LN and fs.c != 0)
-    ):
+    if fs is None or (kind & KIND_LN and fs.b != 0):
         return _numeric_value(None, float(factor) * float(total))
     return factor * total
 
@@ -517,14 +509,13 @@ class IntegerView(NamedTuple):
     ``numerators[key]`` times 1/``denominator`` is the entry at key, part for
     part; ``denominator`` is the least common denominator of every
     coefficient.  ``base`` is the table's one log base (None when every
-    entry is rational), and ``has_ln``/``has_inv_ln`` say whether some part
-    has a ln / 1/ln coefficient.
+    entry is rational), and ``has_ln`` says whether some part has a ln
+    coefficient.
     """
 
     denominator: int
     base: int | None
     has_ln: bool
-    has_inv_ln: bool
     numerators: dict
 
 
@@ -549,20 +540,19 @@ def integer_view(values: Mapping) -> IntegerView | None:
     if len(bases) > 1:
         return None
     den, leaves = _over_one_denominator(scalars, 6)
-    has_ln, has_inv_ln = any(e.b for e in scalars), any(e.c for e in scalars)
-    return IntegerView(den, bases.pop() if bases else None, has_ln, has_inv_ln, dict(zip(values, leaves)))
+    return IntegerView(den, bases.pop() if bases else None, any(e.b for e in scalars), dict(zip(values, leaves)))
 
 
 def exact_weights(
-    weights: Sequence[NumericValue], base: int | None, has_ln: bool, has_inv_ln: bool
+    weights: Sequence[NumericValue], base: int | None, has_ln: bool
 ) -> tuple[int, list[tuple[int, ...]], int | None] | None:
-    """Weights as integer triples (a, b, c) over one denominator W, with the merged log base.
+    """Weights as integer triples (a, b, c = 0) over one denominator W, with the merged log base.
 
-    None when some weight times some entry of a table with this base and
-    these kinds would not be exact: a float weight, a log base other than
-    the table's, a ln weight against ln entries or a 1/ln weight against
-    1/ln entries.  Otherwise every such product, and every sum of them,
-    stays in the ring.
+    None for a float weight, a log base other than the table's, a ln weight
+    against a table with ln entries, and any weight with a 1/ln part (no
+    route hands one in).  Otherwise every product of a weight with an entry
+    of a table with this base and kind, and every sum of them, stays in the
+    ring.
     """
     scalars = [w.exact for w in weights]
     if any(e is None for e in scalars):
@@ -572,14 +562,14 @@ def exact_weights(
             if base not in (None, e.logbase):
                 return None
             base = e.logbase
-        if (e.b and has_ln) or (e.c and has_inv_ln):
+        if e.c or (e.b and has_ln):
             return None
     return (*_over_one_denominator(scalars, 3), base)
 
 
 @lru_cache(maxsize=1024)
-def _cached_exact_weights(weights_of: Callable, args: tuple, base: int | None, has_ln: bool, has_inv_ln: bool):
-    return exact_weights(weights_of(*args), base, has_ln, has_inv_ln)
+def _cached_exact_weights(weights_of: Callable, args: tuple, base: int | None, has_ln: bool):
+    return exact_weights(weights_of(*args), base, has_ln)
 
 
 def integer_sum(
@@ -597,23 +587,23 @@ def integer_sum(
     """
     if view is None:
         return None
-    ints = _cached_exact_weights(weights_of, args, view.base, view.has_ln, view.has_inv_ln)
+    ints = _cached_exact_weights(weights_of, args, view.base, view.has_ln)
     if ints is None:
         return None
     w_den, triples, base = ints
     den = w_den * view.denominator
 
     def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
-        # (wa + wb ln + wc/ln)(va + vb ln + vc/ln) = (wa va + wb vc + wc vb) + (wa vb + wb va) ln
-        # + (wa vc + wc va)/ln, as exact_weights has ruled out the ln**2 and 1/ln**2 terms
+        # (wa + wb ln)(va + vb ln + vc/ln) = (wa va + wb vc) + (wa vb + wb va) ln + wa vc/ln,
+        # as exact_weights has ruled out the ln**2 term
         ra = rb = rc = ia = ib = ic = 0
-        for (wa, wb, wc), (va, vb, vc, xa, xb, xc) in zip(triples, vectors, strict=True):
-            ra += wa * va + wb * vc + wc * vb
+        for (wa, wb, _), (va, vb, vc, xa, xb, xc) in zip(triples, vectors, strict=True):
+            ra += wa * va + wb * vc
             rb += wa * vb + wb * va
-            rc += wa * vc + wc * va
-            ia += wa * xa + wb * xc + wc * xb
+            rc += wa * vc
+            ia += wa * xa + wb * xc
             ib += wa * xb + wb * xa
-            ic += wa * xc + wc * xa
+            ic += wa * xc
         return decode((ra, rb, rc, ia, ib, ic), den, base)
 
     return weighted_sum

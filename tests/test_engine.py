@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac import multidim, operators
+from ultrafrac import integrate, multidim, operators
 from ultrafrac.errors import (
     HypothesisBoundaryWarning,
     HypothesisViolationError,
@@ -73,11 +73,14 @@ from ultrafrac.integrate import (
 from ultrafrac.multidim import DimensionBridge, taibleson_direct, taibleson_via_extension
 from ultrafrac.numerics import (
     CV_ZERO,
+    NV_ONE,
     ComplexValue,
     ExactScalar,
     NumericValue,
     decode,
+    exact_weights,
     geometric_tail,
+    integer_sum,
     integer_view,
     q_pow,
 )
@@ -798,7 +801,6 @@ def test_integer_view_round_trips(case):
         if view.denominator % r == 0 and all(r % s for s in range(2, r)):  # r a prime factor
             assert any((c * (view.denominator // r)).denominator != 1 for c in coeffs)
     assert view.has_ln == any(c for v in f.values.values() for c in (v.re.exact.b, v.im.exact.b))
-    assert view.has_inv_ln == any(c for v in f.values.values() for c in (v.re.exact.c, v.im.exact.c))
 
 
 @pytest.mark.parametrize("base", [2, 3], ids=["ln_q_entries", "foreign_ln_3"])
@@ -812,6 +814,49 @@ def test_log_kernel_refuses_log_entries(base):
     assert f._integer_view is not None
     riesz_case(OperatorParams(fp, 1), f, 1)
     assert "_integer_spheres" not in f.__dict__
+
+
+def _has_inv_ln(v: NumericValue) -> bool:
+    return v.exact is not None and v.exact.c != 0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2), 1, 2], ids=str)
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_no_route_weight_has_an_inv_ln_part(monkeypatch, p, n, alpha):
+    # the one 1/ln q quantity, the normalizer d at alpha = n, is applied after
+    # the sums: no weight list handed to integer_sum and no radial factor
+    # handed to scale_sum has a 1/ln part, and the gate refuses one outright
+    fp = FieldParams(p, n)
+    params, bridge = OperatorParams(fp, alpha), DimensionBridge(p, n, alpha)
+    assert _has_inv_ln(constants(params).d) == (alpha == n)
+    s, k = -1, 2
+    weights = [
+        *operators._riesz_kernels(params, s - 1, k),
+        *(w for far in (False, True) for w in operators._engine_weights(params, k, s, k - 1, far)),
+        *(w for nu in (1, 2) for w in operators._averaging_weights(params, nu, k + 1)),
+        *(w for j_t in (s - 2, s) for w in multidim._direct_weights(bridge, k, j_t, s)),
+    ]
+    factors = []
+    radial_sum = integrate.radial_sum
+
+    def spy(terms):
+        terms = list(terms)
+        factors.extend(w for w, _ in terms)
+        return radial_sum(terms)
+
+    monkeypatch.setattr(integrate, "radial_sum", spy)
+    f = _table(fp, s, k, [Fraction(i % 5 - 2, 3) for i in range(fp.q ** (k - s))])
+    riesz = LogProfile() if params.gamma == 1 else PowerProfile(params.gamma - 1)
+    for profile in (riesz, LogProfile(), ShiftedProfile(riesz, params.sigma)):
+        integrate_product(profile, f)
+    assert factors
+    assert not [w for w in weights + factors if _has_inv_ln(w)]
+
+    inv = NumericValue.from_exact(ExactScalar.inv_ln_q(fp))
+    for a, b, c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]:
+        view = integer_view({0: ComplexValue.from_rational(0), 1: ComplexValue._coerce(ExactScalar(a, b, c, fp.q))})
+        assert exact_weights([NV_ONE, inv], view.base, view.has_ln) is None
+        assert integer_sum(tuple, ((NV_ONE, inv),), view) is None
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

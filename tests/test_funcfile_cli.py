@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,8 @@ from ultrafrac.errors import FunctionFileError
 from ultrafrac.field import FieldParams, point
 from ultrafrac.funcfile import function_to_dict, read_function, write_function
 from ultrafrac.functions import indicator_ball
+from ultrafrac.numerics import ExactScalar
+from ultrafrac.operators import OperatorParams, riesz_potential
 
 
 class TestFunctionFiles:
@@ -124,6 +128,26 @@ class TestCli:
             assert code == 0, op
         out = capsys.readouterr().out
         assert "riesz" in out and "multiplier" in out
+
+    def test_riesz_log_tail_row(self, capsys):
+        # at alpha = n = 1 the Riesz potential of 1_O is d * ln|x| beyond the
+        # window, d = (1 - q)/(q ln q) = -1/(2 ln 2) carried as a 1/ln coefficient
+        assert run(["apply", "--op", "riesz", "--p", "2", "--alpha", "1", "--fn", "one_O.json"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1] == "riesz,2,1,,tail,,,[(0) + (0)i] + [(-1/2/ln(2)) + (0)i] * ln|x|"
+        fp = FieldParams(2)
+        tail = riesz_potential(OperatorParams(fp, 1), indicator_ball(fp, 0)).tail
+        assert str(tail) == rows[-1].split(",")[-1]
+        assert tail.log_coeff.re.exact == ExactScalar.inv_ln_q(fp, Fraction(-1, 2))
+        assert float(tail.log_coeff.re) == -1 / (2 * math.log(2))
+
+    @pytest.mark.parametrize("op", ["vladimirov", "riesz", "multiplier"])
+    def test_nu_for_another_op_exits_2(self, op, capsys):
+        # --nu truncates only --op truncated; any other op would print a nu it never used
+        assert run(["apply", "--op", op, "--p", "2", "--alpha", "1/2", "--fn", "one_O.json", "--nu", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"not to --op {op}" in captured.err
 
     def test_deterministic_output(self, tmp_path):
         args = ["kernel", "--p", "3", "--alpha", "0.7", "--shells", "-2..5",

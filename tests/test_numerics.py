@@ -274,6 +274,51 @@ class TestRingFastPaths:
             assert not hasattr(obj, "__dict__")
 
 
+class TestRingOperationsOffTheRoutes:
+    """Ring operations that no operator route reaches, pinned exactly and against their floats."""
+
+    def test_quotients_that_stay_in_the_ring(self, fp2):
+        cases = [
+            # a value with ln and 1/ln parts over a rational
+            (ExactScalar(Fraction(1, 2), Fraction(3), Fraction(-1), 2), ExactScalar.rational(Fraction(2, 3)),
+             ExactScalar(Fraction(3, 4), Fraction(9, 2), Fraction(-3, 2), 2)),
+            # a 1/ln value over a 1/ln value
+            (ExactScalar.inv_ln_q(fp2, 3), ExactScalar.inv_ln_q(fp2, Fraction(1, 2)), ExactScalar.rational(6)),
+            # a rational over a pure ln
+            (ExactScalar.rational(Fraction(3, 4)), ExactScalar.ln_q(fp2, 2), ExactScalar.inv_ln_q(fp2, Fraction(3, 8))),
+        ]
+        for x, y, want in cases:
+            got = x / y
+            assert got == want
+            assert got.evaluate() == pytest.approx(x.evaluate() / y.evaluate(), rel=1e-15)
+
+    def test_quotients_that_leave_the_ring(self, fp2):
+        one_plus_ln = ExactScalar(Fraction(1), Fraction(1), Fraction(0), 2)
+        ln, inv = ExactScalar.ln_q(fp2), ExactScalar.inv_ln_q(fp2)
+        for x, y in ((one_plus_ln, ln), (inv, ln), (ExactScalar.rational(1), one_plus_ln)):
+            with pytest.raises(ExactnessLost, match="quotient leaves the ring"):
+                x / y
+            out = NumericValue.from_exact(x) / NumericValue.from_exact(y)
+            assert not out.is_exact
+            assert float(out) == x.evaluate() / y.evaluate()
+
+    def test_complex_negation_division_and_complex_operands(self, fp2):
+        ln = NumericValue.from_exact(ExactScalar(Fraction(1, 2), Fraction(1, 3), Fraction(0), 2))
+        z = ComplexValue(ln, NumericValue.from_rational(Fraction(-2, 3)))
+        neg = -z
+        assert _parts(neg) == ("(-1/2,-1/3,0,2)", "(2/3,0,0,None)")
+        assert neg.to_complex() == -z.to_complex()
+        half = z / Fraction(2)
+        assert _parts(half) == ("(1/4,1/6,0,2)", "(-1/3,0,0,None)")
+        assert half.to_complex() == pytest.approx(z.to_complex() / 2, rel=1e-15)
+        # a Python complex operand is coerced to two float parts
+        w = ComplexValue._coerce(0.25 - 1.5j)
+        assert _parts(w) == ((0.25).hex(), (-1.5).hex())
+        for out, want in ((z + (0.25 - 1.5j), z.to_complex() + (0.25 - 1.5j)), (z * 2j, z.to_complex() * 2j)):
+            assert not out.is_exact
+            assert out.to_complex() == pytest.approx(want, rel=1e-15)
+
+
 class TestIntegerAccumulation:
     @given(
         pairs=st.lists(st.tuples(_exact_scalars(), _exact_scalars(), _exact_scalars()), min_size=1, max_size=5),
@@ -285,9 +330,9 @@ class TestIntegerAccumulation:
         view = integer_view(table)
         weights = tuple(NumericValue.from_exact(w) for w, _, _ in pairs)
         weighted = integer_sum(tuple, (weights,), view)
-        assert (weighted is None) == (exact_weights(weights, view.base, view.has_ln, view.has_inv_ln) is None)
+        assert (weighted is None) == (exact_weights(weights, view.base, view.has_ln) is None)
         if weighted is None:
-            assert any(w.b for w, _, _ in pairs) and view.has_ln or any(w.c for w, _, _ in pairs) and view.has_inv_ln
+            assert any(w.c for w, _, _ in pairs) or (any(w.b for w, _, _ in pairs) and view.has_ln)
             return
         want = CV_ZERO
         for w, i in zip(weights, table):
@@ -303,11 +348,11 @@ class TestIntegerAccumulation:
     def test_each_product_that_leaves_the_ring_refuses_the_weights(self, fp2, fp3):
         ln2, inv2 = NumericValue.from_exact(ExactScalar.ln_q(fp2)), NumericValue.from_exact(ExactScalar.inv_ln_q(fp2))
         half = NumericValue.from_rational(Fraction(1, 2))
-        assert exact_weights([half, NumericValue.from_float(0.5)], None, False, False) is None
-        assert exact_weights([half, ln2], 3, False, False) is None  # a second log base
-        assert exact_weights([ln2], 2, True, False) is None  # ln * ln
-        assert exact_weights([inv2], 2, False, True) is None  # 1/ln * 1/ln
-        # ln against 1/ln entries, and 1/ln against ln entries, stay in the ring
-        assert exact_weights([half, ln2], 2, False, True) == (2, [(1, 0, 0), (0, 2, 0)], 2)
-        assert exact_weights([inv2, half], None, True, False) == (2, [(0, 0, 2), (1, 0, 0)], 2)
-        assert exact_weights([half], 3, True, True) == (2, [(1, 0, 0)], 3)
+        assert exact_weights([half, NumericValue.from_float(0.5)], None, False) is None
+        assert exact_weights([half, ln2], 3, False) is None  # a second log base
+        assert exact_weights([ln2], 2, True) is None  # ln * ln
+        assert exact_weights([inv2], 2, False) is None  # a 1/ln weight, which no route hands in
+        assert exact_weights([inv2, half], None, True) is None  # even against ln entries
+        # a ln weight against entries without a ln part stays in the ring
+        assert exact_weights([half, ln2], 2, False) == (2, [(1, 0, 0), (0, 2, 0)], 2)
+        assert exact_weights([half], 3, True) == (2, [(1, 0, 0)], 3)
