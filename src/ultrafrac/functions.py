@@ -190,6 +190,15 @@ class TestFunction:
         levels = self._ball_levels(entries, _add_numerators)
         return {d: [*self._sibling_sums(levels, d, _add_numerators), v] for d, v in entries.items()}
 
+    def _difference_spheres(self, d: Digits) -> list[Numerators]:
+        """Numerators of the sums of f(z) - f(x) over the spheres of ``sphere_sums(d)``: each sphere sum less its coset count times the entry."""
+        *spheres, v = self._integer_spheres[d]
+        q, k = self.fp.q, self.constancy_level
+        return [
+            tuple(s - (q - 1) * q ** (k - j - 1) * x for s, x in zip(sphere, v))
+            for j, sphere in zip(range(self.support_level, k), spheres)
+        ]
+
     @cached_property
     def _prefix_sums(self) -> dict[Digits, Numerators]:
         """Numerators of the sum over each ball of an order-free table, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""

@@ -14,7 +14,9 @@ the imaginary part) over one common denominator.  Sums of such entries, and
 their products with exact weights that stay in the ring, are then integer
 arithmetic, and a result becomes one ``ExactScalar`` per part only at the
 end (``integer_view``, then ``integer_sum``: the one gate, accumulator and
-decode of every route).
+decode of every route).  Against weights that are partly floats, a rational
+table's sums still add in integers up to the first float term
+(``mixed_sum``), with the ring's own rounding from there on.
 """
 
 from __future__ import annotations
@@ -605,6 +607,85 @@ def integer_sum(
             ib += wa * xb + wb * xa
             ic += wa * xc
         return decode((ra, rb, rc, ia, ib, ic), den, base)
+
+    return weighted_sum
+
+
+def mixed_weights(weights: Sequence[NumericValue]) -> tuple[int, int, list[tuple[int, int | float]]] | None:
+    """The weight count, one denominator W, and each weight that is not an exact zero as (position, numerator over W or float).
+
+    None for an exact weight with a log part: the mixed lane sums a rational
+    table, whose terms are then each an exact rational or a float.
+    """
+    scalars = [w.exact for w in weights if w.exact is not None]
+    if any(e.logbase is not None for e in scalars):
+        return None
+    w_den = math.lcm(*(e.a.denominator for e in scalars))
+    terms = [
+        (i, w.approx if w.exact is None else w.exact.a.numerator * (w_den // w.exact.a.denominator))
+        for i, w in enumerate(weights)
+        if not w.is_exact_zero()
+    ]
+    return len(weights), w_den, terms
+
+
+@lru_cache(maxsize=1024)
+def _cached_mixed_weights(weights_of: Callable, args: tuple):
+    return mixed_weights(weights_of(*args))
+
+
+def mixed_sum(
+    weights_of: Callable, args: tuple, view: IntegerView | None
+) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
+    """``integer_sum`` for weights that are each an exact rational or a float, on a rational order-free table.
+
+    None without a view, for a table with a log base, or where
+    ``mixed_weights`` refuses.  Otherwise the returned function takes one
+    vector of six numerators per weight, in weight order, and gives each part
+    of sum w * v exactly as the ring's sum of the products in that order:
+    a term whose numerator or weight is an exact zero is skipped (the exact
+    zero absorbs); exact terms add in integers until the first float term;
+    from there every term adds in order as a float, a float-weight term as
+    (n / L) * w and an exact one as the float of its exact product.  Int
+    true division rounds correctly, like ``float(Fraction)``, so the bits
+    are the ring's.
+    """
+    if view is None or view.base is not None:
+        return None
+    lane = _cached_mixed_weights(weights_of, args)
+    if lane is None:
+        return None
+    count, w_den, terms = lane
+    den_v = view.denominator
+    den = w_den * den_v
+
+    def part_sum(nums: list[int]) -> NumericValue:
+        acc, total = 0, None
+        for i, w in terms:
+            n = nums[i]
+            if not n:
+                continue
+            if w.__class__ is float:
+                t = n / den_v * w
+            elif total is None:
+                acc += n * w
+                continue
+            else:
+                t = n * w / den
+            if total is not None:
+                total += t
+            else:
+                total = acc / den + t if acc else t
+        if total is not None:
+            return _numeric_value(None, total)
+        return _numeric_value(_exact_scalar(Fraction(acc, den) if acc else _F0))
+
+    def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
+        vectors = list(vectors)
+        if len(vectors) != count:
+            raise ValueError(f"{len(vectors)} vectors for {count} weights")
+        # a rational table has no b or c numerators: a of the real part, a of the imaginary part
+        return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[3] for v in vectors]))
 
     return weighted_sum
 

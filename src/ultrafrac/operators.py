@@ -58,6 +58,7 @@ from .numerics import (
     decode,
     geometric_tail,
     integer_sum,
+    mixed_sum,
     q_pow,
     weighted_geometric_tail,
 )
@@ -323,6 +324,11 @@ def _far_weight(params: OperatorParams, j_far: int) -> NumericValue:
     return (1 - Fraction(1, params.fp.q)) * geometric_tail(params.fp, params.gamma, -j_far)
 
 
+def _shell_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[NumericValue]:
+    """The weights of the spheres j = lo .. k - 1, zero past the truncation hi."""
+    return [_shell_weight(params, k, j) if j <= hi else NV_ZERO for j in range(lo, k)]
+
+
 def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int, far: bool) -> list[NumericValue]:
     """The weights of the spheres j = lo .. k - 1 (zero past the truncation hi), then that of u(x).
 
@@ -331,7 +337,7 @@ def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int, far: bool)
     ``far`` it also enters the far shells j < lo, against their measure.
     """
     q = params.fp.q
-    shells = [_shell_weight(params, k, j) if j <= hi else NV_ZERO for j in range(lo, k)]
+    shells = _shell_weights(params, k, lo, hi)
     counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(range(lo, k), shells)), NV_ZERO)
     return [*shells, -counted - _far_weight(params, min(lo - 1, hi)) if far else -counted]
 
@@ -352,7 +358,10 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     At a point of the window of an order-free core whose weights stay exact
     against it, the shells sum in integers.  The far shells' u(x) term joins
     them when the far sum is rational; any other far sum is added as before,
-    so that a float far sum sees the same float operations.
+    so that a float far sum sees the same float operations.  Against partly
+    float weights, a rational core's shells take ``mixed_sum`` instead: a
+    float term must see u(x)'s share of its own shell, so each shell comes
+    as its difference sum, and the far part is added as before.
     """
     fp = params.fp
     g = params.gamma
@@ -375,11 +384,14 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     far = None if core._integer_view is None else far_sum(j_far)
     fold_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
     weighted = integer_sum(_engine_weights, (params, k, window, j_hi, fold_far), core._integer_view)
+    mixed = None if weighted is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), core._integer_view)
 
     def shell_sum_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)
         if weighted is not None and d is not None:
             return weighted(core._integer_spheres[d]) + (far if fold_far else far_part(core.values[d], j_far))
+        if mixed is not None and d is not None:
+            return mixed(core._difference_spheres(d)) + far_part(core.values[d], j_far)
         j0, sums, ux = u._sphere_sums_at(d, e)
         total = CV_ZERO
         for j, shell_sum in zip(range(j0, j_hi + 1), sums):
@@ -413,7 +425,7 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
 
 
 def _check_truncation(nu: int) -> None:
-    if not isinstance(nu, int) or nu < 1:
+    if not isinstance(nu, int) or isinstance(nu, bool) or nu < 1:
         raise ValueError(f"truncation index must be a positive integer, got {nu}")
 
 
@@ -457,7 +469,8 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
 
     A sphere needing no tail is read from an order-free core's prefix table,
     others walked; where every sphere of a point is read so and the weights
-    stay exact against the core, the point sums in integers.
+    stay exact against the core, the point sums in integers, and against a
+    rational core with partly float weights it takes ``mixed_sum``.
     """
     _check_truncation(nu)
     pe = _as_extended(phi)
@@ -470,7 +483,8 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     j_star = max(1, k - nu)  # every shell below has nu + j < k
     weights = _averaging_weights(params, nu, k)
     view = core._integer_view
-    weighted = integer_sum(_averaging_weights, (params, nu, k), view)
+    args = (params, nu, k)
+    weighted = integer_sum(_averaging_weights, args, view) or mixed_sum(_averaging_weights, args, view)
 
     def average_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)

@@ -12,7 +12,8 @@ averaging closure for its window, is checked bit for bit against one
 ``averaging_apply`` per point.  ``taibleson_direct`` and ``averaging_apply``,
 which read each sphere of an order-free table as a difference of two prefix
 ball sums, are checked bit for bit against the coset walks they replaced.
-On order-free tables these routes sum in integers (``numerics.integer_sum``);
+On order-free tables these routes sum in integers (``numerics.integer_sum``,
+or ``numerics.mixed_sum`` on a rational table against partly float weights);
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too.
 """
@@ -883,32 +884,51 @@ def test_exact_engine_routes_sum_no_sphere_values(monkeypatch, alpha):
     assert calls == []
 
 
-def test_engine_locates_each_point_once(monkeypatch):
+@pytest.mark.parametrize("alpha", [1, Fraction(1, 2)], ids=str)
+def test_engine_locates_each_point_once(monkeypatch, alpha):
     # the default window of an order-free N = 64 table over Q_2 squared is
-    # dilated by one level: 256 points, 64 summed in integers and 192 beyond
-    # the core, whose sphere sums take the address the engine already found
+    # dilated by one level: 256 points, 64 summed in integers (at alpha = 1/2
+    # on the mixed lane) and 192 beyond the core, whose sphere sums take the
+    # address the engine already found
     calls = []
     locate = TestFunction._locate
     monkeypatch.setattr(TestFunction, "_locate", lambda self, x: calls.append(x) or locate(self, x))
+    lanes = _counting_lanes(monkeypatch)
     f = _table(FieldParams(2, 2), 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
-    rows = vladimirov_on_window(OperatorParams(f.fp, 1), f)
+    rows = vladimirov_on_window(OperatorParams(f.fp, alpha), f)
     assert len(rows) == 256
     assert len(calls) == 256
+    assert len(lanes) == (0 if alpha == 1 else 64)
 
 
 @pytest.mark.parametrize("module", [operators, multidim], ids=lambda m: m.__name__)
 def test_routes_do_no_numerator_arithmetic(module):
-    # the integer encoding stays behind numerics.integer_sum and the table's
-    # own numerator tables: the routes import none of its parts
+    # the integer encoding stays behind numerics.integer_sum, numerics.mixed_sum
+    # and the table's own numerator tables: the routes import none of its parts
     tree = ast.parse(Path(module.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"add_weighted", "ZERO_NUMERATORS", "Numerators", "integer_view", "exact_weights"}
+    assert not imported & {"add_weighted", "ZERO_NUMERATORS", "Numerators", "integer_view", "exact_weights", "mixed_weights"}
 
 
-def test_float_weights_build_no_integer_sphere_table():
+def _counting_lanes(monkeypatch):
+    """Wrap operators.mixed_sum so that every call of a lane it hands out records its weights' function; return the record."""
+    calls = []
+    mixed_sum = operators.mixed_sum
+
+    def counted(weights_of, args, view):
+        lane = mixed_sum(weights_of, args, view)
+        return lane and (lambda vectors: calls.append(weights_of.__name__) or lane(vectors))
+
+    monkeypatch.setattr(operators, "mixed_sum", counted)
+    return calls
+
+
+def test_float_weights_take_the_mixed_lane(monkeypatch):
     # alpha = 1/2 over Q_2: q**(3j/2) is irrational at odd j, so the engine
-    # weights fail the exactness check before any integer sphere is summed,
-    # and the prefix routes weight decoded spheres as before
+    # weights fail the exactness check; the engine and the averaging route
+    # sum the rational table on the mixed lane instead, the Riesz core and
+    # taibleson_direct keep their paths, and every value is the oracle's
+    lanes = _counting_lanes(monkeypatch)
     fp = FieldParams(2)
     f = _table(fp, -1, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(16)])
     params = OperatorParams(fp, Fraction(1, 2))
@@ -916,17 +936,21 @@ def test_float_weights_build_no_integer_sphere_table():
     got = riesz_potential(params, f).core.values
     for d, want in riesz_core_oracle(params, f).items():
         assert_same(got[d], want, slack)
+    assert "_integer_spheres" not in f.__dict__
     c = constants(params).c
     for nu in (None, 1, 2):
         j_hi = f.constancy_level - 1 if nu is None else nu
         for x, value in vladimirov_on_window(params, f, window_level=-2, nu=nu):
             assert_same(value, difference_shell_sum_oracle(params, ExtendedFunction(f), x, j_hi) * c, slack)
-    assert "_integer_spheres" not in f.__dict__
+    # 16 of the 32 window points lie in the core, once per truncation
+    assert lanes == ["_shell_weights"] * 48
+    lanes.clear()
     bridge = DimensionBridge(2, 1, Fraction(1, 2))
     for _, x in coset_walk(fp, -2, 3):
         assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x))
         assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
-    assert "_integer_spheres" not in f.__dict__
+    # without a tail every point of the averaging route takes the lane
+    assert lanes == ["_averaging_weights"] * 32
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

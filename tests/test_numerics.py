@@ -3,7 +3,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
@@ -11,6 +11,7 @@ from ultrafrac.errors import DivergentSeriesError, ExactnessLost
 from ultrafrac.field import FieldParams
 from ultrafrac.numerics import (
     CV_ZERO,
+    NV_ONE,
     NV_ZERO,
     ComplexValue,
     ExactScalar,
@@ -19,6 +20,7 @@ from ultrafrac.numerics import (
     geometric_tail,
     integer_sum,
     integer_view,
+    mixed_sum,
     q_pow,
     weighted_geometric_tail,
 )
@@ -356,3 +358,54 @@ class TestIntegerAccumulation:
         # a ln weight against entries without a ln part stays in the ring
         assert exact_weights([half, ln2], 2, False) == (2, [(1, 0, 0), (0, 2, 0)], 2)
         assert exact_weights([half], 3, True) == (2, [(1, 0, 0)], 3)
+
+
+def _lane_terms():
+    """(entry re, entry im, weight) triples: a prefix of exact weights, then weights of every kind.
+
+    Entries and weights come mostly from small sets, so that parts are often
+    exact zeros and exact sums often cancel to zero.
+    """
+    small = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-1, 3)])
+    rationals = st.one_of(small, st.fractions(max_denominator=12).filter(lambda f: abs(f) < 10**6))
+    exact = st.one_of(st.just(NV_ZERO), rationals.map(NumericValue.from_rational))
+    floats = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2**0.5, -(2**0.5)]), st.floats(-1e6, 1e6)).map(NumericValue.from_float)
+    prefix = st.lists(st.tuples(rationals, rationals, exact), max_size=4)
+    rest = st.lists(st.tuples(rationals, rationals, st.one_of(exact, floats)), max_size=6)
+    return st.tuples(prefix, rest).map(lambda t: t[0] + t[1]).filter(bool)
+
+
+def _first_of_each(pairs):
+    return tuple(first for first, _ in pairs)
+
+
+class TestMixedAccumulation:
+    @given(terms=_lane_terms())
+    @example(terms=[(1, 0, NV_ONE), (-1, 0, NV_ONE), (1, 0, NumericValue.from_float(-0.0))])
+    @example(terms=[(1, 1, NumericValue.from_rational(Fraction(1, 3))), (1, 0, NumericValue.from_float(2**0.5)), (Fraction(1, 3), 0, NV_ONE)])
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_sum_is_the_ring_sum_part_by_part(self, terms):
+        """mixed_sum of w * v on a rational table has the ring's exactness and bits in every part; other counts raise."""
+        table = {i: ComplexValue.from_rational(re, im) for i, (re, im, _) in enumerate(terms)}
+        weights = tuple(w for _, _, w in terms)
+        view = integer_view(table)
+        # the gate's cache is keyed by value, and 0.0 == -0.0: key each weight by its bits too
+        lane = mixed_sum(_first_of_each, (tuple((w, _part(w)) for w in weights),), view)
+        assert lane is not None
+        want = CV_ZERO
+        for w, v in zip(weights, table.values()):
+            want = want + v * w
+        vectors = list(view.numerators.values())
+        assert _parts(lane(vectors)) == _parts(want)
+        for wrong in (vectors[:-1], [*vectors, vectors[0]]):
+            with pytest.raises(ValueError):
+                lane(wrong)
+
+    def test_refuses_log_tables_and_log_weights(self, fp2):
+        rational = integer_view({0: ComplexValue.from_rational(1, 2)})
+        with_log = integer_view({0: ComplexValue._coerce(ExactScalar.ln_q(fp2))})
+        half, ln2 = NumericValue.from_rational(Fraction(1, 2)), NumericValue.from_exact(ExactScalar.ln_q(fp2))
+        assert mixed_sum(tuple, ((half,),), None) is None
+        assert mixed_sum(tuple, ((half,),), with_log) is None
+        assert mixed_sum(tuple, ((ln2,),), rational) is None
+        assert mixed_sum(tuple, ((half,),), rational) is not None
