@@ -203,21 +203,34 @@ def _ball_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int)
         raise InvalidPointError(f"{x} has {len(x.coords)} coordinates, expected {fp.n}")
     p = fp.p
     depth = resolution - ambient_level
-    scale = _prime_power(p, -ambient_level)
-    modulus = p**depth
+    ints = _ball_integers(fp, x, ambient_level, p**depth)
+    if ints is None:
+        return None
     out = []
-    for xc in x.coords:
-        # xc * p**(-ambient_level) is an integer iff this division leaves no remainder
-        rel, rem = divmod(xc.numerator * scale.numerator, xc.denominator * scale.denominator)
-        if rem:
-            return None
-        r = rel % modulus
+    for r in ints:
         ds = []
         for _ in range(depth):
             ds.append(r % p)
             r //= p
         out.append(tuple(ds))
     return tuple(out)
+
+
+def _ball_integers(fp: FieldParams, x: Point, ambient_level: int, modulus: int) -> list[int] | None:
+    """x_c * p**(-ambient_level) mod modulus for each coordinate, or None when x is not in the ambient ball.
+
+    This is the integer sum_j a_j p**j of the coordinate's digits a_j, with
+    modulus p**depth; None also covers a denominator that is not a power of p.
+    """
+    scale = _prime_power(fp.p, -ambient_level)
+    out = []
+    for xc in x.coords:
+        # xc * p**(-ambient_level) is an integer iff this division leaves no remainder
+        rel, rem = divmod(xc.numerator * scale.numerator, xc.denominator * scale.denominator)
+        if rem:
+            return None
+        out.append(rel % modulus)
+    return out
 
 
 def coset_digits(fp: FieldParams, x: Point, ambient_level: int, resolution: int) -> Digits:
@@ -250,6 +263,17 @@ def enumerate_digits(fp: FieldParams, ambient_level: int, resolution: int) -> It
     per_coord = list(_cartesian(range(fp.p), repeat=depth))
     for combo in _cartesian(per_coord, repeat=fp.n):
         yield combo
+
+
+@lru_cache(maxsize=64)
+def _coordinate_integers(p: int, depth: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The integer A = sum_j a_j p**j of each digit tuple of one coordinate, in ``enumerate_digits`` order, and the tuple of each A."""
+    per_coord = list(_cartesian(range(p), repeat=depth))
+    ints = [sum(a * p**j for j, a in enumerate(ds)) for ds in per_coord]
+    by_int: list[tuple[int, ...]] = [()] * len(per_coord)
+    for a, ds in zip(ints, per_coord):
+        by_int[a] = ds
+    return tuple(ints), tuple(by_int)
 
 
 def coset_walk(fp: FieldParams, ambient_level: int, resolution: int) -> Iterator[tuple[Digits, Point]]:

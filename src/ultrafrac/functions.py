@@ -16,6 +16,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import product
 from typing import Iterator, Mapping
 
 from .errors import DivergentIntegralError, UltrafracError
@@ -24,6 +25,8 @@ from .field import (
     FieldParams,
     Point,
     _ball_digits,
+    _ball_integers,
+    _coordinate_integers,
     abs_exponent,
     coset_digits,
     coset_walk,
@@ -131,6 +134,24 @@ class TestFunction:
             return d, None
         point(self.fp, *x.coords)  # with p-power denominators only, x fails the address test only beyond the support
         return None, abs_exponent(self.fp, x)
+
+    def _shifted_addresses(self, h: Point) -> list[Digits] | None:
+        """The address of x - h for each address x, in ``enumerate_digits`` order; None unless h is in the support ball.
+
+        Each coordinate of x has the integer A = sum_j a_j p**j of its digits,
+        and h the integer H = h_c * p**(-support_level) once h is in the
+        ball, so x - h has the digits of (A - H) mod p**D, with
+        D = constancy_level - support_level: no Point and no locate.
+        """
+        fp = self.fp
+        if len(h.coords) != fp.n:
+            return None  # the Point arithmetic of the ring path raises for it
+        ints, by_int = _coordinate_integers(fp.p, self.constancy_level - self.support_level)
+        modulus = len(ints)
+        shifts = _ball_integers(fp, h, self.support_level, modulus)
+        if shifts is None:
+            return None
+        return list(product(*([by_int[(a - s) % modulus] for a in ints] for s in shifts)))
 
     def _ball_index(self, d: Digits) -> int:
         """Position of a constancy-level coset in the ball-sum layout.
@@ -431,7 +452,16 @@ class ExtendedFunction:
         return -e, [total], self.tail_value_at_exponent(e)
 
     def translated(self, h: Point) -> "ExtendedFunction":
-        """The function x -> f(x - h); the window grows to hold the translated core."""
+        """The function x -> f(x - h); the window grows to hold the translated core.
+
+        For h inside the window the core's own values move to their shifted
+        addresses; f beyond the window is unchanged, as |x - h| = |x| there.
+        """
+        sources = self.core._shifted_addresses(h)
+        if sources is not None:
+            values = self.core.values
+            table = {d: values[s] for d, s in zip(self.core.addresses(), sources)}
+            return ExtendedFunction(TestFunction(self.fp, self.window_level, self.constancy_level, table), self.tail)
         e = abs_exponent(self.fp, h)
         window = self.window_level if e is None else min(self.window_level, -e)
         core = TestFunction.tabulate(self.fp, window, self.constancy_level, lambda x: self.evaluate(x - h))
@@ -520,9 +550,14 @@ def lp_window_sum(fp: FieldParams, window: int, k: int, p: float, diff) -> float
     diffs = [diff(x) for _, x in coset_walk(fp, window, k)]
     if all(dv.is_exact_zero() for dv in diffs):
         return 0.0
+    return _power_sum(fp, k, p, map(abs, diffs))
+
+
+def _power_sum(fp: FieldParams, k: int, p: float, magnitudes) -> float:
+    """Sum of m**p over the magnitudes, added left to right, times the level-k coset measure."""
     total = 0.0
-    for dv in diffs:
-        total += abs(dv) ** p
+    for m in magnitudes:
+        total += m**p
     return total * float(Fraction(fp.q) ** (-k))
 
 
@@ -566,7 +601,19 @@ def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
     e = abs_exponent(f.fp, h)
     if e is None or e <= -f.constancy_level:
         return 0.0
-    return lp_distance(f, f.translated(h), p)
+    view = f._integer_view if isinstance(f, TestFunction) else None
+    sources = None if view is None or view.base is not None else f._shifted_addresses(h)
+    if sources is None:
+        return lp_distance(f, f.translated(h), p)
+    # a rational table, h in its support: lp_distance on the integer numerators,
+    # each part of f(x) - f(x - h) as the float of (n(x) - n(x - h)) / L;
+    # int true division rounds correctly, like float(Fraction), so the bits are the ring's
+    nums, den = view.numerators, view.denominator
+    pairs = zip(map(nums.__getitem__, f.addresses()), map(nums.__getitem__, sources))
+    diffs = [(x[0] - y[0], x[3] - y[3]) for x, y in pairs]
+    if not any(map(any, diffs)):
+        return 0.0
+    return _power_sum(f.fp, f.constancy_level, p, (abs(complex(re / den, im / den)) for re, im in diffs)) ** (1.0 / p)
 
 
 def lizorkin_project(f: TestFunction, window_level: int | None = None) -> TestFunction:

@@ -569,8 +569,28 @@ def exact_weights(
     return (*_over_one_denominator(scalars, 3), base)
 
 
+def _float_bits(x) -> tuple[str, ...]:
+    """``float.hex`` of every float in x, through tuples and the value classes.
+
+    The gate caches key on ``args`` by ==, and 0.0 == -0.0 with one hash, so
+    these bits key them too: a lane built for one sign of zero must not serve
+    the other.
+    """
+    if x.__class__ is float:
+        return (x.hex(),)
+    if x.__class__ is complex:
+        return (x.real.hex(), x.imag.hex())
+    if x.__class__ is NumericValue:
+        return _float_bits(x.approx)
+    if x.__class__ is ComplexValue:
+        return _float_bits(x.re) + _float_bits(x.im)
+    if isinstance(x, tuple):
+        return tuple(b for item in x for b in _float_bits(item))
+    return ()
+
+
 @lru_cache(maxsize=1024)
-def _cached_exact_weights(weights_of: Callable, args: tuple, base: int | None, has_ln: bool):
+def _cached_exact_weights(weights_of: Callable, args: tuple, bits: tuple, base: int | None, has_ln: bool):
     return exact_weights(weights_of(*args), base, has_ln)
 
 
@@ -582,14 +602,14 @@ def integer_sum(
     ``weights_of(*args)`` lists the weights.  It is a route's module-level
     function of hashable constants (the frozen params and levels in
     ``args``), so ``exact_weights`` runs against the view's base and kinds
-    once per process.  None without a view or where the weights fail that
-    gate.  Otherwise the returned function takes one vector of six
-    numerators per weight, in weight order, and builds one ExactScalar per
-    part of sum w * v at the end.
+    once per process; a float in ``args`` also keys the cache by its bits.
+    None without a view or where the weights fail that gate.  Otherwise the
+    returned function takes one vector of six numerators per weight, in
+    weight order, and builds one ExactScalar per part of sum w * v at the end.
     """
     if view is None:
         return None
-    ints = _cached_exact_weights(weights_of, args, view.base, view.has_ln)
+    ints = _cached_exact_weights(weights_of, args, _float_bits(args), view.base, view.has_ln)
     if ints is None:
         return None
     w_den, triples, base = ints
@@ -630,7 +650,7 @@ def mixed_weights(weights: Sequence[NumericValue]) -> tuple[int, int, list[tuple
 
 
 @lru_cache(maxsize=1024)
-def _cached_mixed_weights(weights_of: Callable, args: tuple):
+def _cached_mixed_weights(weights_of: Callable, args: tuple, bits: tuple):
     return mixed_weights(weights_of(*args))
 
 
@@ -652,7 +672,7 @@ def mixed_sum(
     """
     if view is None or view.base is not None:
         return None
-    lane = _cached_mixed_weights(weights_of, args)
+    lane = _cached_mixed_weights(weights_of, args, _float_bits(args))
     if lane is None:
         return None
     count, w_den, terms = lane

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from ultrafrac.field import FieldParams, Point, enumerate_digits
 from ultrafrac.functions import (
@@ -11,6 +12,10 @@ from ultrafrac.functions import (
     lizorkin_project,
 )
 from ultrafrac.numerics import ComplexValue
+
+# selected with --hypothesis-profile=ci: a failing property prints the blob
+# that replays it (@reproduce_failure); example counts and deadlines are the tests' own
+settings.register_profile("ci", print_blob=True)
 
 
 def random_test_function(fp, support_level, constancy_level, rng, complex_vals=False):

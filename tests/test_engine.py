@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac import integrate, multidim, operators
+from ultrafrac import field, integrate, multidim, operators
 from ultrafrac.errors import (
     HypothesisBoundaryWarning,
     HypothesisViolationError,
@@ -93,6 +93,7 @@ from ultrafrac.operators import (
     inversion_residual,
     kernel_normalization_tail,
     kernel_r,
+    minkowski_bound,
     riesz_potential,
     vladimirov_on_window,
 )
@@ -899,6 +900,37 @@ def test_engine_locates_each_point_once(monkeypatch, alpha):
     assert len(rows) == 256
     assert len(calls) == 256
     assert len(lanes) == (0 if alpha == 1 else 64)
+
+
+@pytest.mark.parametrize("order_free", [True, False], ids=["rational", "float entry"])
+def test_minkowski_bound_translates_on_addresses(monkeypatch, order_free):
+    # every translation h of the bound on an order-free rational N = 64 table
+    # lies in the support, so the modulus of continuity reads the table at
+    # shifted integer addresses: no locate and no Point per translation.  A
+    # float entry sends each translation back to the ring path, which does both.
+    events = []
+    locate, to_point = TestFunction._locate, field.digits_to_point
+    monkeypatch.setattr(TestFunction, "_locate", lambda self, x: events.append("locate") or locate(self, x))
+    monkeypatch.setattr(field, "digits_to_point", lambda *args: events.append("point") or to_point(*args))
+    per_translation = []
+    modulus = operators.modulus_of_continuity
+
+    def counted(phi, h, p):
+        before = len(events)
+        out = modulus(phi, h, p)
+        per_translation.append(len(events) - before)
+        return out
+
+    monkeypatch.setattr(operators, "modulus_of_continuity", counted)
+    values = [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)]
+    if not order_free:
+        values[5] = 0.25
+    f = _table(FieldParams(2, 2), 0, 3, values)
+    assert (f._integer_view is not None) == order_free
+    for alpha in (1, 2):
+        minkowski_bound(OperatorParams(f.fp, alpha), 2, f, 1)
+    assert len(per_translation) == 2 * 3  # the q - 1 level-2 cosets of the level-1 sphere, scaled by p**nu, once per alpha
+    assert all(n == 0 for n in per_translation) == order_free
 
 
 @pytest.mark.parametrize("module", [operators, multidim], ids=lambda m: m.__name__)

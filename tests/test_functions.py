@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_point, random_test_function
 from ultrafrac.errors import DivergentIntegralError, InvalidPointError, UltrafracError
-from ultrafrac.field import FieldParams, Point, point
+from ultrafrac.field import FieldParams, Point, abs_exponent, enumerate_digits, point
 from ultrafrac.functions import (
     ExtendedFunction,
     TestFunction,
@@ -184,6 +184,81 @@ class TestModulusOfContinuity:
         f = random_test_function(fp, -1, 1, rng)
         h = random_point(fp, rng).scaled_by_prime_power(fp, 6)  # |h| <= q**-constancy
         assert f.translated(h).table_equal(f)
+
+
+_TABLE_KINDS = ["rational", "complex", "ln", "float entry"]
+
+
+@st.composite
+def _translation_case(draw, kind):
+    """(f, translations): a table of the kind over Q_p or its degree-2 model, and one h per level.
+
+    The levels run from one beyond the support to one within the constancy
+    scale, so that h lies on every sphere inside the support, beyond it and
+    within the constancy scale; a coordinate may be negative.  Tables have
+    at most 16 entries, so that the point-by-point side stays quick.
+    """
+    fp = FieldParams(draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2])))
+    s = draw(st.integers(-1, 0))
+    k = s + draw(st.integers(1, 2 if fp.q <= 4 else 1))
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))  # small, so that differences often cancel
+    values = []
+    for _ in enumerate_digits(fp, s, k):
+        re, im = draw(small), draw(small) if kind == "complex" else 0
+        if kind == "ln":
+            values.append(ComplexValue._coerce(ExactScalar.rational(re) + ExactScalar.ln_q(fp, draw(small.filter(bool)))))
+        else:
+            values.append(ComplexValue.from_rational(re, im))
+    if kind == "float entry":
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = ComplexValue.from_complex(values[i].to_complex() + 0.5)
+    f = TestFunction(fp, s, k, dict(zip(enumerate_digits(fp, s, k), values)))
+    unit = st.integers(-(fp.p**2), fp.p**2).filter(lambda m: m % fp.p)
+    translations = []
+    for level in range(s - 1, k + 2):
+        coords = [draw(st.integers(-(fp.p**2), fp.p**2)) for _ in range(fp.n)]
+        coords[draw(st.integers(0, fp.n - 1))] = draw(unit)  # |h| = q**(-level)
+        translations.append(point(fp, *(Fraction(c) * Fraction(fp.p) ** level for c in coords)))
+    return f, translations
+
+
+def _ring_translate(f, h) -> TestFunction:
+    """The table of x -> f(x - h), point by point, on the window that holds it; f is a table or a core plus a tail."""
+    core = getattr(f, "core", f)
+    e = abs_exponent(core.fp, h)
+    window = core.support_level if e is None else min(core.support_level, -e)
+    return TestFunction.tabulate(core.fp, window, core.constancy_level, lambda x: f.evaluate(x - h))
+
+
+class TestAddressTranslation:
+    @pytest.mark.parametrize("kind", _TABLE_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_modulus_is_the_ring_definition_bit_for_bit(self, kind, data):
+        """On a rational table the address lane gives the ring's L^p distance in every bit; other tables take the ring path."""
+        f, translations = data.draw(_translation_case(kind))
+        assert (f._integer_view is not None and f._integer_view.base is None) == (kind in ("rational", "complex"))
+        for h in [*translations, point(f.fp, *([0] * f.fp.n))]:
+            for p in (1, 1.5, 2, 3):
+                assert modulus_of_continuity(f, h, p).hex() == lp_distance(f, _ring_translate(f, h), p).hex()
+
+    @pytest.mark.parametrize("kind", _TABLE_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_translated_table_is_the_pointwise_table(self, kind, data):
+        """translated(h) moves the same values to shifted addresses: equal tables, in the same order, with equal exactness per part."""
+        f, translations = data.draw(_translation_case(kind))
+        tail = power_tail(Fraction(1, 3), -2)
+        for g in (f, ExtendedFunction(f, tail)):
+            for h in translations:
+                got, want = g.translated(h), _ring_translate(g, h)
+                if g is not f:
+                    assert got.tail == tail  # beyond the window |x - h| = |x|
+                    got = got.core
+                assert list(got.values) == list(want.values)
+                assert got.table_equal(want)
+                for a, b in zip(got.values.values(), want.values.values()):
+                    assert (a.re.is_exact, a.im.is_exact) == (b.re.is_exact, b.im.is_exact)
 
 
 class TestTableEqual:

@@ -1,0 +1,177 @@
+"""Parent-versus-change benchmark records: alternating perfbench pairs and an in-process sweep.
+
+    python3 tools/bench_record.py pairs --parent A --change B --pairs 10 --seconds 30 --out pairs.jsonl
+    python3 tools/bench_record.py summary --runs pairs.jsonl
+    python3 tools/bench_record.py sweep --parent A --change B
+
+A and B are two source checkouts (for example ``git archive`` of each commit,
+unpacked), each with its own ``src/`` and ``perfbench/``.
+
+``pairs`` runs ``perfbench/run.py --trace 0`` once per side for every pair
+index and workload, on seeds 41, 42, ...: the parent first on even pair
+indices and the change first on odd ones, the three workloads interleaved
+within each index.  Each run appends one JSON line to --out as it finishes.
+``summary`` prints, per workload and end-to-end metric, the quartiles of
+each side, how many pairs the change wins, and the median change against
+the bound in ``BENCHMARK.json``.
+
+``sweep`` times ``operators.minkowski_bound`` in a fresh interpreter per
+side and size: p = 2, n = 1, alpha = 1, L^2, nu = 1, on a random exact table
+with support level 0 and N = 16, 64, 256, 1024 cosets, alternating the sides.
+It prints the seconds per call (best of the repeats), the log-log slope in N
+and whether both sides give the same value in every bit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("operators-exact", "operators-float", "cli-oneshot")
+FIRST_SEED = 41
+SWEEP_LEVELS = (4, 6, 8, 10)  # N = 2**k
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"], **metrics}
+
+
+def pairs(args) -> None:
+    sides = {"parent": Path(args.parent), "change": Path(args.change)}
+    with open(args.out, "a") as out:
+        for i in range(args.pairs):
+            seed = FIRST_SEED + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for workload in WORKLOADS:
+                for side in order:
+                    record = {"workload": workload, "side": side, "seed": seed, **_run(sides[side], workload, seed, args.seconds)}
+                    out.write(json.dumps(record) + "\n")
+                    out.flush()
+
+
+def _quartiles(xs: list[float]) -> list[float]:
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return [round(q1, 4), round(q2, 4), round(q3, 4)]
+
+
+def summary(args) -> None:
+    runs = [json.loads(line) for line in Path(args.runs).read_text().splitlines()]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    out = {}
+    for workload in WORKLOADS:
+        mine = [r for r in runs if r["workload"] == workload]
+        by_seed = {}
+        for r in mine:
+            by_seed.setdefault(r["seed"], {})[r["side"]] = r
+        paired = [s for s in by_seed.values() if len(s) == 2]
+        table = {}
+        for metric in spec["end_to_end"]:
+            name, lower = metric["name"], metric["better"] == "lower"
+            par = [s["parent"][name] for s in paired]
+            chg = [s["change"][name] for s in paired]
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+            ties = sum(c == p for p, c in zip(par, chg))
+            mp, mc = statistics.median(par), statistics.median(chg)
+            change = (mc - mp) / mp if mp else 0.0
+            worse = change if lower else -change
+            table[name] = {
+                "parent_q1_median_q3": _quartiles(par),
+                "change_q1_median_q3": _quartiles(chg),
+                "change_wins": f"{wins}/{len(paired)}",
+                "ties": ties,
+                "median_change": round(change, 4),
+                "parent_iqr": round(_quartiles(par)[2] - _quartiles(par)[0], 4),
+                "within_bound": worse <= metric["bound"],
+            }
+        out[workload] = {"pairs": len(paired), "all_correct": all(r["correct"] for r in mine), **table}
+    print(json.dumps(out, indent=1))
+
+
+def _sweep_point(level: int, repeats: int) -> None:
+    """One size in this interpreter: print seconds per call (best of the repeats) and the value's bits."""
+    import random
+    import time
+    from fractions import Fraction
+
+    from ultrafrac.field import FieldParams, enumerate_digits
+    from ultrafrac.functions import TestFunction
+    from ultrafrac.numerics import ComplexValue
+    from ultrafrac.operators import OperatorParams, minkowski_bound
+
+    fp = FieldParams(2)
+    rng = random.Random(level)
+    values = {d: ComplexValue.from_rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for d in enumerate_digits(fp, 0, level)}
+    best, value = math.inf, None
+    for _ in range(repeats):
+        phi = TestFunction(fp, 0, level, dict(values))  # a new table each time: no cached view is reused
+        t0 = time.perf_counter()
+        value = minkowski_bound(OperatorParams(fp, 1), 2, phi, 1)
+        best = min(best, time.perf_counter() - t0)
+    print(json.dumps({"seconds": best, "value": value.hex()}))
+
+
+def _slope(levels, seconds) -> float:
+    xs = [k * math.log(2) for k in levels]
+    ys = [math.log(s) for s in seconds]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def sweep(args) -> None:
+    sides = {"parent": Path(args.parent), "change": Path(args.change)}
+    points = {side: {} for side in sides}
+    for i, level in enumerate(SWEEP_LEVELS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            repeats = args.repeats if level < SWEEP_LEVELS[-1] or side == "change" else 1
+            cmd = [sys.executable, __file__, "sweep-point", "--level", str(level), "--repeats", str(repeats)]
+            env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
+            out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
+            points[side][level] = json.loads(out)
+    result = {"N": [2**k for k in SWEEP_LEVELS]}
+    for side, by_level in points.items():
+        seconds = [by_level[k]["seconds"] for k in SWEEP_LEVELS]
+        result[side] = {"seconds": [round(s, 6) for s in seconds], "n_slope": round(_slope(SWEEP_LEVELS, seconds), 3)}
+    result["speedup"] = [round(p / c, 2) for p, c in zip(result["parent"]["seconds"], result["change"]["seconds"])]
+    result["same_bits"] = all(points["parent"][k]["value"] == points["change"][k]["value"] for k in SWEEP_LEVELS)
+    print(json.dumps(result, indent=1))
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("pairs")
+    p.add_argument("--parent", required=True)
+    p.add_argument("--change", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=30)
+    p.add_argument("--out", required=True)
+    s = sub.add_parser("summary")
+    s.add_argument("--runs", required=True)
+    w = sub.add_parser("sweep")
+    w.add_argument("--parent", required=True)
+    w.add_argument("--change", required=True)
+    w.add_argument("--repeats", type=int, default=3)
+    pt = sub.add_parser("sweep-point")
+    pt.add_argument("--level", type=int, required=True)
+    pt.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args(argv)
+    if args.command == "sweep-point":
+        _sweep_point(args.level, args.repeats)
+    else:
+        {"pairs": pairs, "summary": summary, "sweep": sweep}[args.command](args)
+
+
+if __name__ == "__main__":
+    main()
