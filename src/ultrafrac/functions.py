@@ -201,12 +201,12 @@ class TestFunction:
 
     @cached_property
     def _integer_view(self) -> IntegerView | None:
-        """The table as integer numerators over one denominator; None unless it is order-free."""
+        """The table as integer numerators over one denominator; None unless every part is an exact rational."""
         return integer_view(self.values)
 
     @cached_property
     def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
-        """Numerators of ``sphere_sums(d)``, then of the entry at d, at every address d of an order-free table."""
+        """Numerators of ``sphere_sums(d)``, then of the entry at d, at every address d of a rational table."""
         entries = self._integer_view.numerators
         levels = self._ball_levels(entries, _add_numerators)
         return {d: [*self._sibling_sums(levels, d, _add_numerators), v] for d, v in entries.items()}
@@ -222,7 +222,7 @@ class TestFunction:
 
     @cached_property
     def _prefix_sums(self) -> dict[Digits, Numerators]:
-        """Numerators of the sum over each ball of an order-free table, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""
+        """Numerators of the sum over each ball of a rational table, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""
         sums: dict[Digits, Numerators] = {}
         for d, v in self._integer_view.numerators.items():
             for t in range(self.constancy_level - self.support_level + 1):
@@ -591,7 +591,8 @@ def lp_distance(f, g, p) -> float:
 
 
 def lp_norm(f, p) -> float:
-    return lp_distance(f, zero_function(_as_extended(f).fp), p)
+    fe = _as_extended(f)
+    return lp_distance(fe, constant_on_ball(fe.fp, fe.window_level, 0), p)
 
 
 def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
@@ -602,7 +603,7 @@ def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
     if e is None or e <= -f.constancy_level:
         return 0.0
     view = f._integer_view if isinstance(f, TestFunction) else None
-    sources = None if view is None or view.base is not None else f._shifted_addresses(h)
+    sources = None if view is None else f._shifted_addresses(h)
     if sources is None:
         return lp_distance(f, f.translated(h), p)
     # a rational table, h in its support: lp_distance on the integer numerators,
@@ -610,7 +611,7 @@ def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
     # int true division rounds correctly, like float(Fraction), so the bits are the ring's
     nums, den = view.numerators, view.denominator
     pairs = zip(map(nums.__getitem__, f.addresses()), map(nums.__getitem__, sources))
-    diffs = [(x[0] - y[0], x[3] - y[3]) for x, y in pairs]
+    diffs = [(x[0] - y[0], x[1] - y[1]) for x, y in pairs]
     if not any(map(any, diffs)):
         return 0.0
     return _power_sum(f.fp, f.constancy_level, p, (abs(complex(re / den, im / den)) for re, im in diffs)) ** (1.0 / p)

@@ -4,10 +4,10 @@ the one-dimensional operator over an unramified degree-n extension.
 The coordinate model makes the two readings of the same operator literally
 comparable.  ``taibleson_direct`` sums shells in the max-norm geometry, in
 powers of the base prime, each as two ball sums of the table's own prefix
-table (a coset walk when the sums depend on their order).  On an
-order-free table whose shell weights are exact, the shells are weighted and
-summed as integer numerators over one denominator, and the value becomes
-one ``ExactScalar`` per part at the end.  The extension reading runs the
+table (a coset walk for a table with a float or log part).  On a rational
+table whose shell weights are exact, the shells are weighted and summed as
+integer numerators over one denominator, and the value becomes one
+``ExactScalar`` per part at the end.  The extension reading runs the
 engine at q**n and gamma = alpha/n.  The two routes share no formula code,
 only the integer encoding of a table; their agreement is a theorem and a
 test.  Both refuse a table over a field other than the extension model.
@@ -114,8 +114,8 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     Shell decomposition of the difference integral against the kernel
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
     locally constant inputs kill every shell inside the constancy scale.
-    An order-free table reads each sphere as two prefix ball sums, and sums
-    in integers where its weights stay exact against it.
+    A rational table reads each sphere as two prefix ball sums, and sums
+    in integers where its weights are exact.
     """
     _check_field(bridge, f)
     ext, k, window = bridge.ext, f.constancy_level, f.support_level
@@ -132,7 +132,7 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     total = CV_ZERO
     for j in finite_js:
         if view is not None:
-            sphere = decode(f._sphere_around(d, e, j), view.denominator, view.base)
+            sphere = decode(f._sphere_around(d, e, j), view.denominator)
             shell_acc = sphere - fx * ((ext.q - 1) * ext.q ** (k - j - 1))
         else:
             shell_acc = CV_ZERO
@@ -156,15 +156,10 @@ def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) 
     return vladimirov_hypersingular(bridge.ext_params, u, x)
 
 
-def taibleson_on_window(
-    bridge: DimensionBridge,
-    f: TestFunction,
-    window_level: int | None = None,
-) -> list[tuple[Point, ComplexValue, ComplexValue]]:
-    """(point, direct value, via-extension value) on the dilated window cosets."""
+def taibleson_on_window(bridge: DimensionBridge, f: TestFunction) -> list[tuple[Point, ComplexValue, ComplexValue]]:
+    """(point, direct value, via-extension value) on the cosets of f's window dilated by one level."""
     _check_field(bridge, f)
-    w = (f.support_level - 1) if window_level is None else window_level
-    via_ext = vladimirov_on_window(bridge.ext_params, f, window_level=w)
+    via_ext = vladimirov_on_window(bridge.ext_params, f, window_level=f.support_level - 1)
     return [(pt, taibleson_direct(bridge, f, pt), value) for pt, value in via_ext]
 
 

@@ -8,15 +8,16 @@ cancellation.  Arithmetic that mixes an exact value with a float, or that
 leaves the ring, demotes to a float; demotion is visible through
 ``NumericValue.is_exact`` so tests can assert which path ran.
 
-A table whose parts are all exact with at most one log base has an integer
-view: six integer numerators per entry (a, b, c of the real part, then of
-the imaginary part) over one common denominator.  Sums of such entries, and
-their products with exact weights that stay in the ring, are then integer
+A table whose parts are all exact rationals has an integer view: one
+(re, im) numerator pair per entry over one common denominator.  Every
+route builds such tables from rational input; a table with a log part is
+built by hand only and takes the ring path.  Sums of a view's entries, and
+their products with exact weights a + b*ln(q), are then integer
 arithmetic, and a result becomes one ``ExactScalar`` per part only at the
 end (``integer_view``, then ``integer_sum``: the one gate, accumulator and
-decode of every route).  Against weights that are partly floats, a rational
-table's sums still add in integers up to the first float term
-(``mixed_sum``), with the ring's own rounding from there on.
+decode of every route).  Against weights that are partly floats, the sums
+still add in integers up to the first float term (``mixed_sum``), with the
+ring's own rounding from there on.
 """
 
 from __future__ import annotations
@@ -499,74 +500,58 @@ CV_ZERO = ComplexValue.zero()
 
 
 # ---------------------------------------------------------------------------
-# integer view of an exact table
+# integer view of a rational table
 
-Numerators = tuple[int, int, int, int, int, int]  # (a, b, c) of the real part, then of the imaginary part
-ZERO_NUMERATORS: Numerators = (0,) * 6
+Numerators = tuple[int, int]  # of the real part, then of the imaginary part
+ZERO_NUMERATORS: Numerators = (0, 0)
 
 
 class IntegerView(NamedTuple):
-    """An order-free table as integer numerators over one denominator.
+    """A rational table as integer numerators over one denominator.
 
-    ``numerators[key]`` times 1/``denominator`` is the entry at key, part for
-    part; ``denominator`` is the least common denominator of every
-    coefficient.  ``base`` is the table's one log base (None when every
-    entry is rational), and ``has_ln`` says whether some part has a ln
-    coefficient.
+    ``numerators[key]`` times 1/``denominator`` is the entry at key, real
+    part then imaginary part; ``denominator`` is the least common
+    denominator of every part.
     """
 
     denominator: int
-    base: int | None
-    has_ln: bool
     numerators: dict
 
 
-def _over_one_denominator(scalars: list[ExactScalar], per: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The least common denominator of every a, b and c, and the numerators over it, ``per`` to a tuple."""
-    coeffs = [f for e in scalars for f in (e.a, e.b, e.c)]
-    den = math.lcm(*(f.denominator for f in coeffs))
-    nums = [f.numerator * (den // f.denominator) for f in coeffs]
-    return den, [tuple(nums[i : i + per]) for i in range(0, len(nums), per)]
+def _over_one_denominator(rationals: list[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of the rationals, and their numerators over it."""
+    den = math.lcm(*(f.denominator for f in rationals))
+    return den, [f.numerator * (den // f.denominator) for f in rationals]
 
 
 def integer_view(values: Mapping) -> IntegerView | None:
-    """The integer view of a table of ComplexValues, or None unless it is order-free.
+    """The integer view of a table of ComplexValues, or None unless every part of every entry is an exact rational.
 
-    Order-free: every part of every entry is exact, with at most one log
-    base, so that no sum of entries depends on the order it is taken in.
+    Every route builds rational tables from rational input; a table with a
+    ln or 1/ln part is built by hand only, and takes the ring path.
     """
     scalars = [part.exact for v in values.values() for part in (v.re, v.im)]
-    if any(e is None for e in scalars):
+    if any(e is None or e.logbase is not None for e in scalars):
+        return None
+    den, nums = _over_one_denominator([e.a for e in scalars])
+    return IntegerView(den, dict(zip(values, zip(nums[::2], nums[1::2]))))
+
+
+def exact_weights(weights: Sequence[NumericValue]) -> tuple[int, list[tuple[int, int]], int | None] | None:
+    """Weights a + b*ln(base) as integer pairs (a, b) over one denominator W, with their one log base.
+
+    None for a float weight, a weight with a 1/ln part (no route hands one
+    in), and weights with two log bases.  Otherwise every product of a
+    weight with a rational entry, and every sum of them, stays in the ring.
+    """
+    scalars = [w.exact for w in weights]
+    if any(e is None or e.c for e in scalars):
         return None
     bases = {e.logbase for e in scalars} - {None}
     if len(bases) > 1:
         return None
-    den, leaves = _over_one_denominator(scalars, 6)
-    return IntegerView(den, bases.pop() if bases else None, any(e.b for e in scalars), dict(zip(values, leaves)))
-
-
-def exact_weights(
-    weights: Sequence[NumericValue], base: int | None, has_ln: bool
-) -> tuple[int, list[tuple[int, ...]], int | None] | None:
-    """Weights as integer triples (a, b, c = 0) over one denominator W, with the merged log base.
-
-    None for a float weight, a log base other than the table's, a ln weight
-    against a table with ln entries, and any weight with a 1/ln part (no
-    route hands one in).  Otherwise every product of a weight with an entry
-    of a table with this base and kind, and every sum of them, stays in the
-    ring.
-    """
-    scalars = [w.exact for w in weights]
-    if any(e is None for e in scalars):
-        return None
-    for e in scalars:
-        if e.logbase is not None:
-            if base not in (None, e.logbase):
-                return None
-            base = e.logbase
-        if e.c or (e.b and has_ln):
-            return None
-    return (*_over_one_denominator(scalars, 3), base)
+    den, nums = _over_one_denominator([f for e in scalars for f in (e.a, e.b)])
+    return den, list(zip(nums[::2], nums[1::2])), bases.pop() if bases else None
 
 
 def _float_bits(x) -> tuple[str, ...]:
@@ -590,45 +575,51 @@ def _float_bits(x) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _cached_exact_weights(weights_of: Callable, args: tuple, bits: tuple, base: int | None, has_ln: bool):
-    return exact_weights(weights_of(*args), base, has_ln)
+def _cached_exact_weights(weights_of: Callable, args: tuple, bits: tuple):
+    return exact_weights(weights_of(*args))
 
 
 def integer_sum(
     weights_of: Callable, args: tuple, view: IntegerView | None
 ) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """The sum of a route's weights times a table's numerator vectors, in integers; None where that is not exact.
+    """The sum of a route's weights times a table's numerator pairs, in integers; None where that is not exact.
 
     ``weights_of(*args)`` lists the weights.  It is a route's module-level
     function of hashable constants (the frozen params and levels in
-    ``args``), so ``exact_weights`` runs against the view's base and kinds
-    once per process; a float in ``args`` also keys the cache by its bits.
-    None without a view or where the weights fail that gate.  Otherwise the
-    returned function takes one vector of six numerators per weight, in
-    weight order, and builds one ExactScalar per part of sum w * v at the end.
+    ``args``), so ``exact_weights`` runs once per process; a float in
+    ``args`` also keys the cache by its bits.  None without a view or where
+    the weights fail that gate.  Otherwise the returned function takes one
+    numerator pair per weight, in weight order, and builds each part of
+    sum w * v as one ExactScalar a + b*ln(base) at the end.
     """
     if view is None:
         return None
-    ints = _cached_exact_weights(weights_of, args, _float_bits(args), view.base, view.has_ln)
+    ints = _cached_exact_weights(weights_of, args, _float_bits(args))
     if ints is None:
         return None
-    w_den, triples, base = ints
+    w_den, pairs, base = ints
     den = w_den * view.denominator
 
     def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
-        # (wa + wb ln)(va + vb ln + vc/ln) = (wa va + wb vc) + (wa vb + wb va) ln + wa vc/ln,
-        # as exact_weights has ruled out the ln**2 term
-        ra = rb = rc = ia = ib = ic = 0
-        for (wa, wb, _), (va, vb, vc, xa, xb, xc) in zip(triples, vectors, strict=True):
-            ra += wa * va + wb * vc
-            rb += wa * vb + wb * va
-            rc += wa * vc
-            ia += wa * xa + wb * xc
-            ib += wa * xb + wb * xa
-            ic += wa * xc
-        return decode((ra, rb, rc, ia, ib, ic), den, base)
+        ra = rb = ia = ib = 0
+        for (wa, wb), (vr, vi) in zip(pairs, vectors, strict=True):
+            ra += wa * vr
+            rb += wb * vr
+            ia += wa * vi
+            ib += wb * vi
+        return ComplexValue(_log_part(ra, rb, den, base), _log_part(ia, ib, den, base))
 
     return weighted_sum
+
+
+def _log_part(a: int, b: int, den: int, base: int | None) -> NumericValue:
+    """(a + b*ln(base)) / den as an exact value."""
+    return _numeric_value(_exact_scalar(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0, _F0, base))
+
+
+def decode(nums: Sequence[int], den: int) -> ComplexValue:
+    """The value of a numerator pair over den: one rational per part."""
+    return ComplexValue(_log_part(nums[0], 0, den, None), _log_part(nums[1], 0, den, None))
 
 
 def mixed_weights(weights: Sequence[NumericValue]) -> tuple[int, int, list[tuple[int, int | float]]] | None:
@@ -657,20 +648,19 @@ def _cached_mixed_weights(weights_of: Callable, args: tuple, bits: tuple):
 def mixed_sum(
     weights_of: Callable, args: tuple, view: IntegerView | None
 ) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """``integer_sum`` for weights that are each an exact rational or a float, on a rational order-free table.
+    """``integer_sum`` for weights that are each an exact rational or a float.
 
-    None without a view, for a table with a log base, or where
-    ``mixed_weights`` refuses.  Otherwise the returned function takes one
-    vector of six numerators per weight, in weight order, and gives each part
-    of sum w * v exactly as the ring's sum of the products in that order:
-    a term whose numerator or weight is an exact zero is skipped (the exact
-    zero absorbs); exact terms add in integers until the first float term;
-    from there every term adds in order as a float, a float-weight term as
-    (n / L) * w and an exact one as the float of its exact product.  Int
-    true division rounds correctly, like ``float(Fraction)``, so the bits
-    are the ring's.
+    None without a view or where ``mixed_weights`` refuses.  Otherwise the
+    returned function takes one numerator pair per weight, in weight order,
+    and gives each part of sum w * v exactly as the ring's sum of the
+    products in that order: a term whose numerator or weight is an exact
+    zero is skipped (the exact zero absorbs); exact terms add in integers
+    until the first float term; from there every term adds in order as a
+    float, a float-weight term as (n / L) * w and an exact one as the float
+    of its exact product.  Int true division rounds correctly, like
+    ``float(Fraction)``, so the bits are the ring's.
     """
-    if view is None or view.base is not None:
+    if view is None:
         return None
     lane = _cached_mixed_weights(weights_of, args, _float_bits(args))
     if lane is None:
@@ -704,15 +694,6 @@ def mixed_sum(
         vectors = list(vectors)
         if len(vectors) != count:
             raise ValueError(f"{len(vectors)} vectors for {count} weights")
-        # a rational table has no b or c numerators: a of the real part, a of the imaginary part
-        return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[3] for v in vectors]))
+        return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[1] for v in vectors]))
 
     return weighted_sum
-
-
-def decode(acc: Sequence[int], den: int, base: int | None) -> ComplexValue:
-    """The value of six numerators over den: one ExactScalar per part."""
-    ra, rb, rc, ia, ib, ic = (Fraction(n, den) if n else _F0 for n in acc)
-    return ComplexValue(
-        _numeric_value(_exact_scalar(ra, rb, rc, base)), _numeric_value(_exact_scalar(ia, ib, ic, base))
-    )

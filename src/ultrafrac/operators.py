@@ -275,8 +275,8 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 
     The kernel is constant on each sphere |c - x| = q**(-j), so a core value
     is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
-    ball integral times phi(x).  At a point of phi's support, an order-free
-    phi with kernels that stay exact against it sums in integers.
+    ball integral times phi(x).  At a point of phi's support, a rational
+    phi with exact kernels sums in integers.
     """
     fp = params.fp
     g = params.gamma
@@ -355,8 +355,8 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     has j0 = l.  The weights are built once per process and looked up once
     per call, the far sums once per call.
 
-    At a point of the window of an order-free core whose weights stay exact
-    against it, the shells sum in integers.  The far shells' u(x) term joins
+    At a point of the window of a rational core whose weights are exact,
+    the shells sum in integers.  The far shells' u(x) term joins
     them when the far sum is rational; any other far sum is added as before,
     so that a float far sum sees the same float operations.  Against partly
     float weights, a rational core's shells take ``mixed_sum`` instead: a
@@ -467,10 +467,10 @@ def _averaging_weights(params: OperatorParams, nu: int, k: int) -> tuple[Numeric
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
     """x -> averaging_apply at x.
 
-    A sphere needing no tail is read from an order-free core's prefix table,
+    A sphere needing no tail is read from a rational core's prefix table,
     others walked; where every sphere of a point is read so and the weights
-    stay exact against the core, the point sums in integers, and against a
-    rational core with partly float weights it takes ``mixed_sum``.
+    are exact, the point sums in integers, and with partly float weights it
+    takes ``mixed_sum``.
     """
     _check_truncation(nu)
     pe = _as_extended(phi)
@@ -493,7 +493,7 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
         total = CV_ZERO
         for j in range(1, j_star):
             if view is not None and (not pe.tail.terms or d is not None and nu + j >= window):
-                inner = decode(core._sphere_around(d, e, nu + j), view.denominator, view.base)
+                inner = decode(core._sphere_around(d, e, nu + j), view.denominator)
             else:
                 inner = CV_ZERO
                 for rep in sphere_coset_reps(fp, nu + j, k):

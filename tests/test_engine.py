@@ -10,10 +10,10 @@ it replaced, and ``multiplier_vladimirov`` against its former double loop
 over (output, frequency) pairs.  ``inversion_residual``, which builds one
 averaging closure for its window, is checked bit for bit against one
 ``averaging_apply`` per point.  ``taibleson_direct`` and ``averaging_apply``,
-which read each sphere of an order-free table as a difference of two prefix
+which read each sphere of a rational table as a difference of two prefix
 ball sums, are checked bit for bit against the coset walks they replaced.
-On order-free tables these routes sum in integers (``numerics.integer_sum``,
-or ``numerics.mixed_sum`` on a rational table against partly float weights);
+On rational tables these routes sum in integers (``numerics.integer_sum``,
+or ``numerics.mixed_sum`` against partly float weights);
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too.
 """
@@ -363,7 +363,7 @@ EXACT_KINDS = ["zero", "rational", "rational", "ln", "inv_ln"]
 ALL_KINDS = EXACT_KINDS + ["float", "float"]
 # ln 2 and ln 3 in one table: its sums depend on their order, so the routes walk its spheres
 TWO_LOG_KINDS = ["zero", "rational", "ln2", "ln3"]
-# ln 3 alone: order-free, but against q != 3 a ln q weight meets a second log base
+# ln 3 alone: one log base, but against q != 3 a ln q weight meets a second one
 FOREIGN_LOG_KINDS = ["zero", "rational", "ln3"]
 
 
@@ -664,7 +664,7 @@ def beyond(fp, level):
 def direct_cases(draw):
     """(bridge, f, points): degree 1 or 2, alpha below, at and above n, points in and beyond the support.
 
-    The table is order-free (with ln q or a foreign ln 3), float-mixed, or
+    The table is exact (with ln q or a foreign ln 3), float-mixed, or
     holds ln 2 and ln 3, so that the integer path, the decoded prefix
     reading and the coset walk are all reached; above alpha = n the table is
     projected to zero mean.
@@ -764,7 +764,7 @@ def test_each_level_weight_is_built_once_across_points(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=tables(EXACT_KINDS))
+@given(case=tables(["zero", "rational"]))
 def test_prefix_table_is_the_engine_ball_sums(case):
     # the two independent tables of ball sums agree at every level and ball;
     # the prefix table holds numerators over the table's one denominator
@@ -774,46 +774,46 @@ def test_prefix_table_is_the_engine_ball_sums(case):
     for d in f.values:
         for t in range(depth + 1):
             want = f._ball_sums[t][f._ball_index(d) // q ** (depth - t)].value
-            got = decode(f._prefix_sums[tuple(ds[:t] for ds in d)], view.denominator, view.base)
+            got = decode(f._prefix_sums[tuple(ds[:t] for ds in d)], view.denominator)
             assert same_parts(got, want)
 
 
-def order_free(f: TestFunction) -> bool:
-    """Every part of every entry exact, with at most one log base."""
-    parts = [part.exact for v in f.values.values() for part in (v.re, v.im)]
-    return all(e is not None for e in parts) and len({e.logbase for e in parts} - {None}) <= 1
+def all_rational(f: TestFunction) -> bool:
+    """Every part of every entry an exact rational."""
+    return all(part.exact is not None and part.exact.is_rational for v in f.values.values() for part in (v.re, v.im))
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS, FOREIGN_LOG_KINDS]).flatmap(tables))
 def test_integer_view_round_trips(case):
-    # the view exists exactly for order-free tables; each leaf decodes to its
-    # entry part for part, over the least common denominator of all parts
+    # the view exists exactly when every part of every entry is an exact
+    # rational; each numerator pair decodes to its entry part for part, over
+    # the least common denominator of all parts
     _, f = case
     view = integer_view(f.values)
-    assert (view is None) == (not order_free(f))
+    assert (view is None) == (not all_rational(f))
     if view is None:
         return
     assert set(view.numerators) == set(f.values)
     for d, v in f.values.items():
-        assert same_parts(decode(view.numerators[d], view.denominator, view.base), v)
-    coeffs = [c for v in f.values.values() for part in (v.re, v.im) for c in (part.exact.a, part.exact.b, part.exact.c)]
+        assert len(view.numerators[d]) == 2
+        assert same_parts(decode(view.numerators[d], view.denominator), v)
+    coeffs = [part.exact.a for v in f.values.values() for part in (v.re, v.im)]
     assert all((c * view.denominator).denominator == 1 for c in coeffs)
     for r in range(2, view.denominator + 1):
         if view.denominator % r == 0 and all(r % s for s in range(2, r)):  # r a prime factor
             assert any((c * (view.denominator // r)).denominator != 1 for c in coeffs)
-    assert view.has_ln == any(c for v in f.values.values() for c in (v.re.exact.b, v.im.exact.b))
 
 
 @pytest.mark.parametrize("base", [2, 3], ids=["ln_q_entries", "foreign_ln_3"])
 def test_log_kernel_refuses_log_entries(base):
     # at gamma = 1 the Riesz kernels are ln 2 multiples: against ln 2 entries
     # their products leave the ring, against ln 3 entries they meet a second
-    # log base, so the order-free table sums no integer sphere and the pair
-    # loop's exact-versus-float decisions hold
+    # log base.  A table with a log part has no integer view, so it sums no
+    # integer sphere and the pair loop's exact-versus-float decisions hold
     fp = FieldParams(2)
     f = _table(fp, 0, 3, [ExactScalar(Fraction(i % 3), Fraction(i % 4 - 1, 2), Fraction(0), base) for i in range(8)])
-    assert f._integer_view is not None
+    assert f._integer_view is None
     riesz_case(OperatorParams(fp, 1), f, 1)
     assert "_integer_spheres" not in f.__dict__
 
@@ -855,10 +855,9 @@ def test_no_route_weight_has_an_inv_ln_part(monkeypatch, p, n, alpha):
     assert not [w for w in weights + factors if _has_inv_ln(w)]
 
     inv = NumericValue.from_exact(ExactScalar.inv_ln_q(fp))
-    for a, b, c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]:
-        view = integer_view({0: ComplexValue.from_rational(0), 1: ComplexValue._coerce(ExactScalar(a, b, c, fp.q))})
-        assert exact_weights([NV_ONE, inv], view.base, view.has_ln) is None
-        assert integer_sum(tuple, ((NV_ONE, inv),), view) is None
+    view = integer_view({0: ComplexValue.from_rational(0), 1: ComplexValue.from_rational(Fraction(1, 2), -1)})
+    assert exact_weights([NV_ONE, inv]) is None
+    assert integer_sum(tuple, ((NV_ONE, inv),), view) is None
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from ultrafrac.cli import run
 from ultrafrac.errors import FunctionFileError
 from ultrafrac.field import FieldParams, point
 from ultrafrac.funcfile import function_to_dict, read_function, write_function
-from ultrafrac.functions import indicator_ball
-from ultrafrac.numerics import ExactScalar
+from ultrafrac.functions import constant_on_ball, indicator_ball
+from ultrafrac.numerics import ComplexValue, ExactScalar
 from ultrafrac.operators import OperatorParams, riesz_potential
 
 
@@ -68,6 +69,40 @@ class TestFunctionFiles:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(FunctionFileError, match="integer"):
+            read_function(p)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda doc: doc.pop("degree"), "expected exactly the keys"),
+            (lambda doc: doc["values"][0].update(re={"num": 1}), "expected {'num', 'den'}"),
+            (lambda doc: doc["values"][0].update(im={"num": 1, "den": 0}), "zero denominator"),
+            (lambda doc: doc.update(p=4), "p must be prime"),
+            (lambda doc: doc.update(constancy_level=-1), "below the support scale"),
+            (lambda doc: doc["values"].__setitem__(0, {"digits": [[]]}), "record must have digits/re/im"),
+        ],
+        ids=["keys", "num/den", "zero denominator", "non-prime p", "constancy below support", "record shape"],
+    )
+    def test_malformed_document_rejected(self, tmp_path, mutate, message):
+        doc = function_to_dict(indicator_ball(FieldParams(2), 0))
+        mutate(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FunctionFileError, match=re.escape(message)):
+            read_function(p)
+
+    @pytest.mark.parametrize("case", ["non-rational write", "unreadable file", "invalid JSON"])
+    def test_file_errors_are_function_file_errors(self, tmp_path, case):
+        p = tmp_path / "f.json"
+        if case == "non-rational write":
+            fp = FieldParams(2)
+            with pytest.raises(FunctionFileError, match="only exact rational-valued"):
+                write_function(constant_on_ball(fp, 0, ComplexValue._coerce(ExactScalar.ln_q(fp))), p)
+            assert not p.exists()
+            return
+        if case == "invalid JSON":
+            p.write_text("{")
+        with pytest.raises(FunctionFileError, match="cannot read" if case == "unreadable file" else "not valid JSON"):
             read_function(p)
 
     def test_out_of_order_records_rejected(self, tmp_path):
@@ -189,12 +224,18 @@ class TestCli:
             (["kernel", "--p", "2", "--alpha", "1/2", "--depth", "-5"], "--depth"),
             (["invert", "--p", "2", "--alpha", "1/2", "--fn", "one_O.json", "--nu-min", "3", "--nu-max", "1"],
              "empty range 3..1"),
+            (["integrate", "--p", "2", "--alpha", "0", "--levels", "0"], "order must be positive"),
+            (["integrate", "--p", "2", "--alpha", "x", "--levels", "0"], "cannot parse order 'x'"),
+            (["integrate", "--p", "2", "--alpha", "1/2", "--levels", "3..1"], "empty range '3..1'"),
+            (["integrate", "--p", "2", "--alpha", "1/2", "--levels", "a"], "not an integer range 'a'"),
+            (["apply", "--p", "2", "--alpha", "1/2", "--fn", "one_O.json", "--op", "truncated"], "requires --nu"),
+            (["multidim-check", "--p", "2", "--degree", "1", "--alpha", "1/2", "--fn", "one_O.json"], "needs --degree >= 2"),
         ],
     )
     def test_out_of_range_exits_2(self, args, message, capsys):
         assert run(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args",
@@ -248,6 +289,12 @@ class TestCli:
         assert run(["kernel", "--p", "2", "--alpha", "1/2", "--shells", "1..2", "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite tolerance" in captured.err
+
+    def test_unparsable_env_tolerance_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("ULTRA_TOL", "abc")
+        assert run(["integrate", "--p", "2", "--alpha", "1/2", "--levels", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: ULTRA_TOL='abc' is not a decimal string\n"
 
     def test_bad_env_tolerance_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("ULTRA_TOL", "nan")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_point, random_test_function
+from ultrafrac import field
 from ultrafrac.errors import DivergentIntegralError, InvalidPointError, UltrafracError
 from ultrafrac.field import FieldParams, Point, abs_exponent, enumerate_digits, point
 from ultrafrac.functions import (
@@ -83,6 +84,16 @@ class TestLpDistance:
         core = indicator_ball(fp2, 0)
         t = power_tail(Fraction(1, 3), Fraction(-2))
         assert lp_distance(ExtendedFunction(core, t), ExtendedFunction(core, t), 1) == 0.0
+
+    @pytest.mark.parametrize("level, value", [(-12, 4096.0), (5, 2.0**-5)])
+    def test_norm_walks_only_the_window(self, monkeypatch, fp2, level, value):
+        # the zero table compared against sits at the function's own window,
+        # so a one-entry table is one coset, however far from level 0 it lies
+        calls = []
+        to_point = field.digits_to_point
+        monkeypatch.setattr(field, "digits_to_point", lambda *args: calls.append(args) or to_point(*args))
+        assert lp_norm(constant_on_ball(fp2, level, 1), 1) == value
+        assert len(calls) == 1
 
     def test_single_power_tail_closed_form(self, fp2):
         # |x|**-2 outside O: integral over |x| > 1 of |x|**-2 is 1/2
@@ -237,7 +248,7 @@ class TestAddressTranslation:
     def test_modulus_is_the_ring_definition_bit_for_bit(self, kind, data):
         """On a rational table the address lane gives the ring's L^p distance in every bit; other tables take the ring path."""
         f, translations = data.draw(_translation_case(kind))
-        assert (f._integer_view is not None and f._integer_view.base is None) == (kind in ("rational", "complex"))
+        assert (f._integer_view is not None) == (kind in ("rational", "complex"))
         for h in [*translations, point(f.fp, *([0] * f.fp.n))]:
             for p in (1, 1.5, 2, 3):
                 assert modulus_of_continuity(f, h, p).hex() == lp_distance(f, _ring_translate(f, h), p).hex()

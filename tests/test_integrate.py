@@ -192,6 +192,22 @@ class TestBruteForceOracle:
         # integrand |x - a| on |x| = 1: compare with the alpha = 2 closed form
         assert res.value == pytest.approx(float(shifted_power_over_sphere(fp2, 2, 0)), abs=2e-4)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("resolution", [3, 6])
+    def test_outer_tail_bounds_an_unbounded_region(self, p, resolution):
+        # |x|**-2 over |x| >= 1 integrates to 1; the sampled shells reach
+        # |x| = q**resolution, and the outer bound is the mass beyond them
+        fp = FieldParams(p)
+        res = brute_force_oracle(fp, lambda pt: float(_abs_f(fp, pt)) ** -2, Region.outside(0), resolution,
+                                 tail_spec=OracleTailSpec(outer=(1.0, -2.0)))
+        assert res.tail_bound == pytest.approx(float(p) ** -(resolution + 1), rel=1e-12)
+        assert res.value + res.tail_bound == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("outer, message", [(None, "needs an outer tail bound"), ((1.0, -1.0), "must be integrable")])
+    def test_unbounded_region_needs_an_integrable_outer_bound(self, fp2, outer, message):
+        with pytest.raises(DivergentIntegralError, match=message):
+            brute_force_oracle(fp2, lambda pt: 1.0, Region.outside(0), 3, tail_spec=OracleTailSpec(outer=outer))
+
 
 def _level_of(fp, pt):
     from ultrafrac.field import abs_exponent

@@ -28,7 +28,7 @@ from ultrafrac.integrate import (
     shifted_power_over_sphere,
 )
 from ultrafrac.multidim import DimensionBridge, taibleson_direct, taibleson_via_extension
-from ultrafrac.numerics import ComplexValue, NumericValue
+from ultrafrac.numerics import ComplexValue, ExactScalar, NumericValue
 from ultrafrac.operators import (
     OperatorParams,
     averaging_apply,
@@ -45,6 +45,10 @@ from ultrafrac.operators import (
 FINGERPRINT = "5c5c387ca989d4e8131b9497f1da1b8914d1033ba907c8aece7ead1f5798b2f5"
 
 ALPHAS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
+
+# sha256 of _log_table_stream(), recorded before the integer view was narrowed
+# to rational tables: tables with ln or 1/ln parts now take the ring path.
+LOG_TABLE_FINGERPRINT = "9b8faf330ba0da5388d8192c39fc23fad571f2ebbd53a9948516ac7e8101d062"
 
 
 def _part(v) -> str:
@@ -169,3 +173,65 @@ def test_every_route_value_is_unchanged():
         stream = _stream()
     digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
     assert digest == FINGERPRINT
+
+
+def _log_tables():
+    """Tables over q = 2, 3, 4 at levels 0..2 whose entries mix rationals with
+    ln q, 1/ln q and (for p = 2) ln 3 multiples; one real and one complex table per mix."""
+    rng = random.Random(1931)
+    for fp in (FieldParams(2), FieldParams(3), FieldParams(2, 2)):
+        mixes = {
+            "ln": lambda r: ExactScalar.ln_q(fp, r),
+            "inv_ln": lambda r: ExactScalar.inv_ln_q(fp, r),
+        }
+        if fp.p == 2:
+            mixes["ln3"] = lambda r: ExactScalar(Fraction(0), r, Fraction(0), 3)
+
+        for mix, log_part in mixes.items():
+            for complex_vals in (False, True):
+
+                def part():
+                    r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        return NumericValue.from_rational(r)
+                    s = log_part(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                    return NumericValue.from_exact(s if kind == 1 else ExactScalar.rational(r) + s)
+
+                table = {
+                    d: ComplexValue(part(), part() if complex_vals else NumericValue.from_rational(0))
+                    for d in enumerate_digits(fp, 0, 2)
+                }
+                yield f"p={fp.p} n={fp.n} {mix} {'complex' if complex_vals else 'real'}", TestFunction(fp, 0, 2, table)
+
+
+def _log_table_stream() -> list[str]:
+    out: list[str] = []
+    for name, f in _log_tables():
+        fp = f.fp
+        window = [digits_to_point(fp, d, 0) for d in enumerate_digits(fp, 0, 2)]
+        out.append(f"{name}: {_ser(f)}")
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            pr = OperatorParams(fp, alpha)
+            tag = f"{name} alpha={alpha}"
+            _emit(out, f"{tag} riesz_potential", riesz_potential, pr, f)
+            for nu in (None, 1, 2):
+                _emit(out, f"{tag} vladimirov_on_window(nu={nu})", vladimirov_on_window, pr, f, None, nu)
+            _emit(out, f"{tag} averaging_apply(nu=1)", lambda: [(x, averaging_apply(pr, 1, f, x)) for x in window])
+            _emit(out, f"{tag} inversion_residual(p=1, nu=1)", inversion_residual, pr, 1, f, 1)
+            _emit(out, f"{tag} minkowski_bound(p=1, nu=1)", minkowski_bound, pr, 1, f, 1)
+            if fp.n == 2:
+                bridge = DimensionBridge(fp.p, 2, alpha)
+                _emit(out, f"{tag} taibleson_direct", lambda: [(x, taibleson_direct(bridge, f, x)) for x in window])
+                _emit(out, f"{tag} taibleson_via_extension", lambda: [(x, taibleson_via_extension(bridge, f, x)) for x in window])
+    return out
+
+
+def test_every_log_table_value_is_unchanged():
+    # tables with ln or 1/ln parts are built by hand only; pin what every
+    # route returns on them, exact coefficients and float bits alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stream = _log_table_stream()
+    digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
+    assert digest == LOG_TABLE_FINGERPRINT
