@@ -159,7 +159,7 @@ def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) 
 def taibleson_on_window(bridge: DimensionBridge, f: TestFunction) -> list[tuple[Point, ComplexValue, ComplexValue]]:
     """(point, direct value, via-extension value) on the cosets of f's window dilated by one level."""
     _check_field(bridge, f)
-    via_ext = vladimirov_on_window(bridge.ext_params, f, window_level=f.support_level - 1)
+    via_ext = vladimirov_on_window(bridge.ext_params, f)
     return [(pt, taibleson_direct(bridge, f, pt), value) for pt, value in via_ext]
 
 

@@ -85,14 +85,21 @@ class TestLpDistance:
         t = power_tail(Fraction(1, 3), Fraction(-2))
         assert lp_distance(ExtendedFunction(core, t), ExtendedFunction(core, t), 1) == 0.0
 
-    @pytest.mark.parametrize("level, value", [(-12, 4096.0), (5, 2.0**-5)])
-    def test_norm_walks_only_the_window(self, monkeypatch, fp2, level, value):
+    @pytest.mark.parametrize(
+        "q, level, value, p, norm",
+        [(2, -12, 1, 1, 4096.0), (2, 5, 1, 1, 2.0**-5), (3, -3, Fraction(1, 3), 1.5, 3.0)],
+    )
+    def test_norm_walks_only_the_window(self, monkeypatch, q, level, value, p, norm):
         # the zero table compared against sits at the function's own window,
-        # so a one-entry table is one coset, however far from level 0 it lies
+        # so a one-entry table is one coset, however far from level 0 it lies,
+        # and its power is multiplied by the ball's measure once, not added
+        # once per level-0 coset
         calls = []
         to_point = field.digits_to_point
         monkeypatch.setattr(field, "digits_to_point", lambda *args: calls.append(args) or to_point(*args))
-        assert lp_norm(constant_on_ball(fp2, level, 1), 1) == value
+        got = lp_norm(constant_on_ball(FieldParams(q), level, value), p)
+        assert got == pytest.approx(norm, rel=1e-15)
+        assert got == (float(value) ** p * float(q) ** -level) ** (1 / p)
         assert len(calls) == 1
 
     def test_single_power_tail_closed_form(self, fp2):

@@ -1,15 +1,15 @@
 """Line traffic of the library: which statements each source of work reaches.
 
-    python3 tools/traffic.py [--cycles N] [--seed S] [--smoke] [FILE:LINE ...]
+    python3 tools/traffic.py [--cycles N] [--smoke] [FILE:LINE ...]
 
-Five sources run in one process, each traced with ``sys.settrace`` limited
-to ``src/ultrafrac``:
+Five sources run in one process, each under its own ``trace.Trace``, and
+only the counts of ``src/ultrafrac`` are kept:
 
 * ``import``: importing the library and the two modules below, so that
   code run only at import time counts as reached;
 * ``operators-exact`` and ``operators-float``: N cycles (default 2) of the
-  ops of that workload in ``perfbench/workloads.py``, built from seed S
-  (default 7), or from its small smoke tables with ``--smoke``;
+  ops of that workload in ``perfbench/workloads.py``, built from seed 7,
+  or from its small smoke tables with ``--smoke``;
 * ``cli``: the 15 golden CLI commands of that file, through
   ``ultrafrac.cli.run``, with their output discarded;
 * ``fingerprint``: the value stream ``_stream()`` of
@@ -17,41 +17,36 @@ to ``src/ultrafrac``:
 
 With FILE:LINE arguments (FILE relative to ``src/ultrafrac``, for example
 ``numerics.py:620``) it prints how often each source ran each of those
-lines.  Without them it prints every statement inside a function of the
-library that no source reaches, as FILE:LINE and its first line of code.
+lines.  Without them it prints every executable line of the library that
+no source reaches, as FILE:LINE and its code (the lines ``trace`` reports
+as missing).
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import io
 import sys
+import trace
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ultrafrac"
+SEED = 7  # the seed of the traced perfbench runs
 
 
-def _traced(hits: Counter, work) -> None:
-    """Run work() with every line event of a library frame counted in hits, keyed (file name, line)."""
+def _traced(work) -> Counter:
+    """Run work() under ``trace`` and return its line counts in the library, keyed (file name, line)."""
+    # no ignoredirs: trace caches an ignore decision by bare module name, so
+    # ignoring the standard library would drop ultrafrac/__init__.py as well
+    tracer = trace.Trace(count=1, trace=0)
+    tracer.runfunc(work)
     prefix = str(PACKAGE) + "/"
-
-    def local(frame, event, arg):
-        if event == "line":
-            hits[frame.f_code.co_filename[len(prefix) :], frame.f_lineno] += 1
-        return local
-
-    def call(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
-
-    sys.settrace(call)
-    try:
-        work()
-    finally:
-        sys.settrace(None)
+    return Counter(
+        {(name[len(prefix) :], line): n for (name, line), n in tracer.results().counts.items() if name.startswith(prefix)}
+    )
 
 
 def _import() -> None:
@@ -60,10 +55,10 @@ def _import() -> None:
     import workloads  # noqa: F401
 
 
-def _workload(name: str, cycles: int, seed: int, smoke: bool):
+def _workload(name: str, cycles: int, smoke: bool):
     import workloads
 
-    workload = workloads.WORKLOADS[name](seed, smoke)  # tables are built before tracing starts
+    workload = workloads.WORKLOADS[name](SEED, smoke)  # tables are built before tracing starts
 
     def work():
         for _ in range(cycles):
@@ -100,63 +95,22 @@ def _fingerprint():
     return work
 
 
-def _header_end(node: ast.AST) -> int:
-    """The last line of a compound statement's header: the line before its body, or its own line."""
-    return max(node.lineno, node.body[0].lineno - 1)
-
-
-def _statements(tree: ast.Module) -> list[tuple[int, int]]:
-    """(first, last) line of every statement inside a function body that compiles to code.
-
-    A compound statement counts by its header lines, an except clause by
-    its own line; a docstring, ``pass``, ``global`` and ``try:`` compile to
-    nothing and are left out.
-    """
-    spans = []
-
-    def visit(body: list[ast.stmt]) -> None:
-        for node in body:
-            if isinstance(node, (ast.Pass, ast.Global, ast.Nonlocal)) or (
-                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            ):
-                continue
-            if isinstance(node, ast.Try):
-                for handler in node.handlers:
-                    spans.append((handler.lineno, handler.lineno))
-                    visit(handler.body)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-                spans.append((first, _header_end(node)))
-            elif hasattr(node, "body"):
-                spans.append((node.lineno, _header_end(node)))
-            else:
-                spans.append((node.lineno, node.end_lineno))
-            for field in ("body", "orelse", "finalbody"):
-                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    visit(getattr(node, field, []))
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            visit(node.body)
-    return sorted(set(spans))
-
-
 def _unreached(hits: dict[str, Counter]) -> list[str]:
+    """FILE:LINE and its code for every executable line of the library that no source reaches."""
     reached = {key for counter in hits.values() for key in counter}
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text()
-        lines = text.splitlines()
-        for first, last in _statements(ast.parse(text)):
-            if not any((path.name, line) in reached for line in range(first, last + 1)):
-                out.append(f"{path.name}:{first}: {lines[first - 1].strip()}")
+        lines = path.read_text().splitlines()
+        # line 0 (a module's first instruction) and None (3.13: no source line) are no lines of code
+        for line in sorted(filter(None, trace._find_executable_linenos(str(path)))):
+            if (path.name, line) not in reached:
+                out.append(f"{path.name}:{line}: {lines[line - 1].strip()}")
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--cycles", type=int, default=2, help="cycles of each operator workload (default 2)")
-    ap.add_argument("--seed", type=int, default=7, help="seed of the operator workloads (default 7)")
     ap.add_argument("--smoke", action="store_true", help="the workloads' small smoke tables")
     ap.add_argument("lines", nargs="*", metavar="FILE:LINE", help="lines to count, FILE relative to src/ultrafrac")
     args = ap.parse_args(argv)
@@ -168,16 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         wanted.append((name, int(line)))
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
-    hits = {"import": Counter()}
-    _traced(hits["import"], _import)
-    sources = {
-        name: _workload(name, args.cycles, args.seed, args.smoke) for name in ("operators-exact", "operators-float")
-    }
-    sources["cli"] = _cli()
-    sources["fingerprint"] = _fingerprint()
-    for name, work in sources.items():
-        hits[name] = Counter()
-        _traced(hits[name], work)
+    hits = {"import": _traced(_import)}
+    for name in ("operators-exact", "operators-float"):
+        hits[name] = _traced(_workload(name, args.cycles, args.smoke))
+    hits["cli"] = _traced(_cli())
+    hits["fingerprint"] = _traced(_fingerprint())
 
     if wanted:
         print("line," + ",".join(hits))
