@@ -40,23 +40,27 @@ def function_from_dict(doc: dict) -> TestFunction:
     required = {"p", "degree", "support_level", "constancy_level", "values"}
     if not isinstance(doc, dict) or set(doc) != required:
         raise FunctionFileError(f"expected exactly the keys {sorted(required)}")
+    for key in ("p", "degree", "support_level", "constancy_level"):
+        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            raise FunctionFileError(f"{key} must be an integer, got {doc[key]!r}")
     try:
-        fp = FieldParams(int(doc["p"]), int(doc["degree"]))
+        fp = FieldParams(doc["p"], doc["degree"])
     except ValueError as exc:
         raise FunctionFileError(str(exc)) from exc
-    m = int(doc["support_level"])
-    k = int(doc["constancy_level"])
+    m, k = doc["support_level"], doc["constancy_level"]
     if k < -m:
         raise FunctionFileError(f"constancy_level {k} below the support scale {-m}")
     records = doc["values"]
-    expected = fp.p ** (fp.n * (m + k))
-    if not isinstance(records, list) or len(records) != expected:
+    count = len(records) if isinstance(records, list) else None
+    depth = fp.n * (m + k)
+    # p**depth >= 2**depth exceeds every count below 2**depth, so a far-out level is refused before its power is built
+    if count is None or depth >= count.bit_length() or fp.p**depth != count:
         raise FunctionFileError(
-            f"value table has {len(records) if isinstance(records, list) else 'non-list'}"
-            f" entries, expected p**(n*(m+k)) = {expected}"
+            f"value table has {'non-list' if count is None else count} entries, expected p**(n*(m+k)) = {fp.p}**{depth}"
         )
     table = {}
-    for rec, want in zip(records, enumerate_digits(fp, -m, k), strict=True):
+    addresses = enumerate_digits(fp, -m, k)  # taken after each record's shape check, which bounds the degree
+    for rec in records:
         if not isinstance(rec, dict) or set(rec) != {"digits", "re", "im"}:
             raise FunctionFileError(f"record must have digits/re/im, got {rec!r}")
         digits = rec["digits"]
@@ -67,7 +71,7 @@ def function_from_dict(doc: dict) -> TestFunction:
             or any(not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < fp.p for ds in digits for a in ds)
         ):
             raise FunctionFileError(f"bad digit arrays {digits!r}: need {fp.n} arrays of length {m + k} with digits in [0, {fp.p})")
-        got = tuple(tuple(ds) for ds in digits)
+        got, want = tuple(tuple(ds) for ds in digits), next(addresses)
         if got != want:
             raise FunctionFileError(f"records out of canonical order: got {got}, expected {want}")
         re = _read_rational(rec["re"], f"value at {got}")

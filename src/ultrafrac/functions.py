@@ -144,8 +144,6 @@ class TestFunction:
         D = constancy_level - support_level: no Point and no locate.
         """
         fp = self.fp
-        if len(h.coords) != fp.n:
-            return None  # the Point arithmetic of the ring path raises for it
         ints, by_int = _coordinate_integers(fp.p, self.constancy_level - self.support_level)
         modulus = len(ints)
         shifts = _ball_integers(fp, h, self.support_level, modulus)
@@ -457,6 +455,7 @@ class ExtendedFunction:
         For h inside the window the core's own values move to their shifted
         addresses; f beyond the window is unchanged, as |x - h| = |x| there.
         """
+        point(self.fp, *h.coords)  # the coordinate count and p-power denominators, checked on every path
         sources = self.core._shifted_addresses(h)
         if sources is not None:
             values = self.core.values

@@ -11,13 +11,14 @@ leaves the ring, demotes to a float; demotion is visible through
 A table whose parts are all exact rationals has an integer view: one
 (re, im) numerator pair per entry over one common denominator.  Every
 route builds such tables from rational input; a table with a log part is
-built by hand only and takes the ring path.  Sums of a view's entries, and
-their products with exact weights a + b*ln(q), are then integer
-arithmetic, and a result becomes one ``ExactScalar`` per part only at the
-end (``integer_view``, then ``integer_sum``: the one gate, accumulator and
-decode of every route).  Against weights that are partly floats, the sums
-still add in integers up to the first float term (``mixed_sum``), with the
-ring's own rounding from there on.
+built by hand only and takes the ring path.  No route weight has a log
+part either (the Riesz core's weights include its normalizer d, whose
+1/ln(q) meets the ln(q) of each log kernel), so a route's weighted sum of
+a view's entries adds in integers up to the first float term, with the
+ring's own rounding from there on, and becomes one ``ExactScalar`` per
+part only at the end (``integer_view``, then ``mixed_sum``: the one gate,
+accumulator and decode of every route; ``integer_sum`` is its case of
+exact rational weights).
 """
 
 from __future__ import annotations
@@ -537,28 +538,30 @@ def integer_view(values: Mapping) -> IntegerView | None:
     return IntegerView(den, dict(zip(values, zip(nums[::2], nums[1::2]))))
 
 
-def exact_weights(weights: Sequence[NumericValue]) -> tuple[int, list[tuple[int, int]], int | None] | None:
-    """Weights a + b*ln(base) as integer pairs (a, b) over one denominator W, with their one log base.
+def mixed_weights(weights: Sequence[NumericValue]) -> tuple[int, int, list[tuple[int, int | float]]] | None:
+    """The weight count, one denominator W, and each weight that is not an exact zero as (position, numerator over W or float).
 
-    None for a float weight, a weight with a 1/ln part (no route hands one
-    in), and weights with two log bases.  Otherwise every product of a
-    weight with a rational entry, and every sum of them, stays in the ring.
+    None for an exact weight with a ln or 1/ln part, which no route hands
+    in: against a rational table every term is then an exact rational or a
+    float.
     """
-    scalars = [w.exact for w in weights]
-    if any(e is None or e.c for e in scalars):
+    scalars = [w.exact for w in weights if w.exact is not None]
+    if any(e.logbase is not None for e in scalars):
         return None
-    bases = {e.logbase for e in scalars} - {None}
-    if len(bases) > 1:
-        return None
-    den, nums = _over_one_denominator([f for e in scalars for f in (e.a, e.b)])
-    return den, list(zip(nums[::2], nums[1::2])), bases.pop() if bases else None
+    w_den = math.lcm(*(e.a.denominator for e in scalars))
+    terms = [
+        (i, w.approx if w.exact is None else w.exact.a.numerator * (w_den // w.exact.a.denominator))
+        for i, w in enumerate(weights)
+        if not w.is_exact_zero()
+    ]
+    return len(weights), w_den, terms
 
 
 def _float_bits(x) -> tuple[str, ...]:
     """``float.hex`` of every float in x, through tuples and the value classes.
 
-    The gate caches key on ``args`` by ==, and 0.0 == -0.0 with one hash, so
-    these bits key them too: a lane built for one sign of zero must not serve
+    The gate cache keys on ``args`` by ==, and 0.0 == -0.0 with one hash, so
+    these bits key it too: a lane built for one sign of zero must not serve
     the other.
     """
     if x.__class__ is float:
@@ -575,97 +578,53 @@ def _float_bits(x) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=1024)
-def _cached_exact_weights(weights_of: Callable, args: tuple, bits: tuple):
-    return exact_weights(weights_of(*args))
-
-
-def integer_sum(
-    weights_of: Callable, args: tuple, view: IntegerView | None
-) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """The sum of a route's weights times a table's numerator pairs, in integers; None where that is not exact.
-
-    ``weights_of(*args)`` lists the weights.  It is a route's module-level
-    function of hashable constants (the frozen params and levels in
-    ``args``), so ``exact_weights`` runs once per process; a float in
-    ``args`` also keys the cache by its bits.  None without a view or where
-    the weights fail that gate.  Otherwise the returned function takes one
-    numerator pair per weight, in weight order, and builds each part of
-    sum w * v as one ExactScalar a + b*ln(base) at the end.
-    """
-    if view is None:
-        return None
-    ints = _cached_exact_weights(weights_of, args, _float_bits(args))
-    if ints is None:
-        return None
-    w_den, pairs, base = ints
-    den = w_den * view.denominator
-
-    def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
-        ra = rb = ia = ib = 0
-        for (wa, wb), (vr, vi) in zip(pairs, vectors, strict=True):
-            ra += wa * vr
-            rb += wb * vr
-            ia += wa * vi
-            ib += wb * vi
-        return ComplexValue(_log_part(ra, rb, den, base), _log_part(ia, ib, den, base))
-
-    return weighted_sum
-
-
-def _log_part(a: int, b: int, den: int, base: int | None) -> NumericValue:
-    """(a + b*ln(base)) / den as an exact value."""
-    return _numeric_value(_exact_scalar(Fraction(a, den) if a else _F0, Fraction(b, den) if b else _F0, _F0, base))
-
-
-def decode(nums: Sequence[int], den: int) -> ComplexValue:
-    """The value of a numerator pair over den: one rational per part."""
-    return ComplexValue(_log_part(nums[0], 0, den, None), _log_part(nums[1], 0, den, None))
-
-
-def mixed_weights(weights: Sequence[NumericValue]) -> tuple[int, int, list[tuple[int, int | float]]] | None:
-    """The weight count, one denominator W, and each weight that is not an exact zero as (position, numerator over W or float).
-
-    None for an exact weight with a log part: the mixed lane sums a rational
-    table, whose terms are then each an exact rational or a float.
-    """
-    scalars = [w.exact for w in weights if w.exact is not None]
-    if any(e.logbase is not None for e in scalars):
-        return None
-    w_den = math.lcm(*(e.a.denominator for e in scalars))
-    terms = [
-        (i, w.approx if w.exact is None else w.exact.a.numerator * (w_den // w.exact.a.denominator))
-        for i, w in enumerate(weights)
-        if not w.is_exact_zero()
-    ]
-    return len(weights), w_den, terms
-
-
-@lru_cache(maxsize=1024)
-def _cached_mixed_weights(weights_of: Callable, args: tuple, bits: tuple):
+def _cached_weights(weights_of: Callable, args: tuple, bits: tuple):
     return mixed_weights(weights_of(*args))
 
 
 def mixed_sum(
     weights_of: Callable, args: tuple, view: IntegerView | None
 ) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """``integer_sum`` for weights that are each an exact rational or a float.
+    """The sum of a route's weights times a table's numerator pairs, in integers up to the first float term.
 
-    None without a view or where ``mixed_weights`` refuses.  Otherwise the
-    returned function takes one numerator pair per weight, in weight order,
-    and gives each part of sum w * v exactly as the ring's sum of the
-    products in that order: a term whose numerator or weight is an exact
-    zero is skipped (the exact zero absorbs); exact terms add in integers
-    until the first float term; from there every term adds in order as a
-    float, a float-weight term as (n / L) * w and an exact one as the float
-    of its exact product.  Int true division rounds correctly, like
-    ``float(Fraction)``, so the bits are the ring's.
+    ``weights_of(*args)`` lists the weights.  It is a route's module-level
+    function of hashable constants (the frozen params and levels in
+    ``args``), so ``mixed_weights`` runs once per process; a float in
+    ``args`` also keys the cache by its bits.  None without a view or where
+    that gate refuses.  Otherwise the returned function takes one numerator
+    pair per weight, in weight order, and gives each part of sum w * v
+    exactly as the ring's sum of the products in that order: a term whose
+    numerator or weight is an exact zero is skipped (the exact zero
+    absorbs); exact terms add in integers until the first float term; from
+    there every term adds in order as a float, a float-weight term as
+    (n / L) * w and an exact one as the float of its exact product.  Int
+    true division rounds correctly, like ``float(Fraction)``, so the bits
+    are the ring's.
     """
+    return _lane(weights_of, args, view, exact=False)
+
+
+def integer_sum(
+    weights_of: Callable, args: tuple, view: IntegerView | None
+) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
+    """``mixed_sum`` where every weight is an exact rational; None otherwise.
+
+    Its sums are exact, and exact sums are the same in every order, so a
+    route may fold a factor or a repeated term into its weights only where
+    this lane is given.
+    """
+    return _lane(weights_of, args, view, exact=True)
+
+
+def _lane(weights_of: Callable, args: tuple, view: IntegerView | None, exact: bool):
     if view is None:
         return None
-    lane = _cached_mixed_weights(weights_of, args, _float_bits(args))
-    if lane is None:
+    gated = _cached_weights(weights_of, args, _float_bits(args))
+    if gated is None:
         return None
-    count, w_den, terms = lane
+    count, w_den, terms = gated
+    if exact and any(w.__class__ is float for _, w in terms):
+        return None
     den_v = view.denominator
     den = w_den * den_v
 
@@ -688,7 +647,7 @@ def mixed_sum(
                 total = acc / den + t if acc else t
         if total is not None:
             return _numeric_value(None, total)
-        return _numeric_value(_exact_scalar(Fraction(acc, den) if acc else _F0))
+        return _rational(acc, den)
 
     def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
         vectors = list(vectors)
@@ -697,3 +656,13 @@ def mixed_sum(
         return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[1] for v in vectors]))
 
     return weighted_sum
+
+
+def _rational(n: int, den: int) -> NumericValue:
+    """n / den as an exact value."""
+    return _numeric_value(_exact_scalar(Fraction(n, den) if n else _F0))
+
+
+def decode(nums: Sequence[int], den: int) -> ComplexValue:
+    """The value of a numerator pair over den: one rational per part."""
+    return ComplexValue(_rational(nums[0], den), _rational(nums[1], den))

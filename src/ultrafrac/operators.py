@@ -265,6 +265,12 @@ def _riesz_kernels(params: OperatorParams, w: int, k: int) -> tuple[NumericValue
     return (*shells, profile_coset_integral(fp, profile, None, k))
 
 
+def _riesz_weights(params: OperatorParams, w: int, k: int) -> tuple[NumericValue, ...]:
+    """The Riesz kernels times d, for the lane's gate cache: rational at gamma = 1, where each pure ln(q) kernel meets the 1/ln(q) of d."""
+    d = constants(params).d
+    return tuple(kernel * d for kernel in _riesz_kernels(params, w, k))
+
+
 def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int | None = None) -> ExtendedFunction:
     """Riesz potential: convolution with d*|x|**(gamma-1) (d1*ln|x| at gamma = 1).
 
@@ -276,7 +282,8 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     The kernel is constant on each sphere |c - x| = q**(-j), so a core value
     is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
     ball integral times phi(x).  At a point of phi's support, a rational
-    phi with exact kernels sums in integers.
+    phi whose kernels times d are exact rationals sums in integers against
+    them; elsewhere d multiplies the ring's sum.
     """
     fp = params.fp
     g = params.gamma
@@ -289,12 +296,12 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     *shell_kernels, inner_kernel = _riesz_kernels(params, w, k)
 
     fe = ExtendedFunction(phi)
-    weighted = integer_sum(_riesz_kernels, (params, s, k), phi._integer_view)
+    weighted = integer_sum(_riesz_weights, (params, s, k), phi._integer_view)
 
     def core_value(x: Point) -> ComplexValue:
         addr, e = phi._locate(x)
         if weighted is not None and addr is not None:
-            return weighted(phi._integer_spheres[addr]) * d
+            return weighted(phi._integer_spheres[addr])
         j0, sums, value = fe._sphere_sums_at(addr, e)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
@@ -468,9 +475,8 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     """x -> averaging_apply at x.
 
     A sphere needing no tail is read from a rational core's prefix table,
-    others walked; where every sphere of a point is read so and the weights
-    are exact, the point sums in integers, and with partly float weights it
-    takes ``mixed_sum``.
+    others walked; where every sphere of a point is read so, the point sums
+    on the ``mixed_sum`` lane.
     """
     _check_truncation(nu)
     pe = _as_extended(phi)
@@ -483,8 +489,7 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     j_star = max(1, k - nu)  # every shell below has nu + j < k
     weights = _averaging_weights(params, nu, k)
     view = core._integer_view
-    args = (params, nu, k)
-    weighted = integer_sum(_averaging_weights, args, view) or mixed_sum(_averaging_weights, args, view)
+    weighted = mixed_sum(_averaging_weights, (params, nu, k), view)
 
     def average_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)

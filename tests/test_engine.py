@@ -79,10 +79,10 @@ from ultrafrac.numerics import (
     ExactScalar,
     NumericValue,
     decode,
-    exact_weights,
     geometric_tail,
     integer_sum,
     integer_view,
+    mixed_weights,
     q_pow,
 )
 from ultrafrac.operators import (
@@ -751,6 +751,23 @@ def test_order_dependent_tables_walk_their_spheres(monkeypatch, kind):
     assert walks
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=str)
+def test_averaging_reads_prefix_spheres_under_a_tail(monkeypatch, alpha):
+    # a rational core with a tail sums point by point; a sphere inside the
+    # window is still decoded from the prefix table, bit for bit the walk
+    decoded = _counting(monkeypatch, operators, "decode")
+    fp = FieldParams(2)
+    core = _table(fp, 3, 6, [Fraction((5 * i) % 11 - 5, 1 + i % 3) for i in range(8)])
+    phi = ExtendedFunction(core, power_tail(Fraction(1, 3), -2))
+    params = OperatorParams(fp, alpha)
+    points = [x for _, x in coset_walk(fp, 2, 6)]
+    assert len(points) == 16
+    for x in points:
+        assert same_parts(averaging_apply(params, 1, phi, x), averaging_oracle(params, 1, phi, x)), x
+    # the 8 points of the support, each with its 3 spheres |z - x| = 2**-j, j = 3 .. 5, inside the window
+    assert len(decoded) == 24
+
+
 def test_each_level_weight_is_built_once_across_points(monkeypatch):
     # 64 per-point calls at nu = 1 on a table down to level 6: levels j = 1 .. 4
     fp = FieldParams(2)
@@ -822,18 +839,23 @@ def _has_inv_ln(v: NumericValue) -> bool:
     return v.exact is not None and v.exact.c != 0
 
 
+def _has_log_part(v: NumericValue) -> bool:
+    return v.exact is not None and v.exact.logbase is not None
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 2), 1, 2], ids=str)
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_no_route_weight_has_an_inv_ln_part(monkeypatch, p, n, alpha):
-    # the one 1/ln q quantity, the normalizer d at alpha = n, is applied after
-    # the sums: no weight list handed to integer_sum and no radial factor
-    # handed to scale_sum has a 1/ln part, and the gate refuses one outright
+    # the one 1/ln q quantity, the normalizer d at alpha = n, enters the
+    # Riesz lane's weights, where it meets the ln q of each pure log kernel:
+    # no weight list handed to a lane has a ln or a 1/ln part, and the one
+    # gate refuses either.  No radial factor handed to scale_sum has a 1/ln part
     fp = FieldParams(p, n)
     params, bridge = OperatorParams(fp, alpha), DimensionBridge(p, n, alpha)
     assert _has_inv_ln(constants(params).d) == (alpha == n)
     s, k = -1, 2
     weights = [
-        *operators._riesz_kernels(params, s - 1, k),
+        *operators._riesz_weights(params, s - 1, k),
         *(w for far in (False, True) for w in operators._engine_weights(params, k, s, k - 1, far)),
         *(w for nu in (1, 2) for w in operators._averaging_weights(params, nu, k + 1)),
         *(w for j_t in (s - 2, s) for w in multidim._direct_weights(bridge, k, j_t, s)),
@@ -852,12 +874,14 @@ def test_no_route_weight_has_an_inv_ln_part(monkeypatch, p, n, alpha):
     for profile in (riesz, LogProfile(), ShiftedProfile(riesz, params.sigma)):
         integrate_product(profile, f)
     assert factors
-    assert not [w for w in weights + factors if _has_inv_ln(w)]
+    assert not [w for w in weights if _has_log_part(w)]
+    assert not [w for w in (*operators._riesz_kernels(params, s - 1, k), *factors) if _has_inv_ln(w)]
 
-    inv = NumericValue.from_exact(ExactScalar.inv_ln_q(fp))
     view = integer_view({0: ComplexValue.from_rational(0), 1: ComplexValue.from_rational(Fraction(1, 2), -1)})
-    assert exact_weights([NV_ONE, inv]) is None
-    assert integer_sum(tuple, ((NV_ONE, inv),), view) is None
+    for log_part in (ExactScalar.inv_ln_q(fp), ExactScalar.ln_q(fp)):
+        weight = NumericValue.from_exact(log_part)
+        assert mixed_weights([NV_ONE, weight]) is None
+        assert integer_sum(tuple, ((NV_ONE, weight),), view) is None
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -938,7 +962,7 @@ def test_routes_do_no_numerator_arithmetic(module):
     # and the table's own numerator tables: the routes import none of its parts
     tree = ast.parse(Path(module.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"add_weighted", "ZERO_NUMERATORS", "Numerators", "integer_view", "exact_weights", "mixed_weights"}
+    assert not imported & {"add_weighted", "ZERO_NUMERATORS", "Numerators", "integer_view", "mixed_weights"}
 
 
 def _counting_lanes(monkeypatch):

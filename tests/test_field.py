@@ -72,6 +72,10 @@ class TestHaarMeasure:
     def test_sphere_value(self, fp2):
         assert haar_measure(fp2, SphereSpec(zero_point(fp2), 0)) == Fraction(1, 2)
 
+    def test_other_regions_rejected(self, fp2):
+        with pytest.raises(TypeError, match="not a ball or sphere"):
+            haar_measure(fp2, object())
+
     def test_sphere_decomposition_sum(self, fp3):
         # ball measure equals truncated sphere sum plus a closed-form tail
         level = -1
@@ -96,6 +100,11 @@ class TestEnumerateCosets:
     def test_rejects_coarser_resolution(self, fp2):
         with pytest.raises(CosetResolutionError):
             enumerate_cosets(fp2, 1, 0)
+        with pytest.raises(CosetResolutionError):
+            coset_digits(fp2, zero_point(fp2), 1, 0)
+        # a sphere's cosets need a level finer than the sphere
+        with pytest.raises(CosetResolutionError, match=r"level \+ 1"):
+            sphere_coset_reps(fp2, 1, 1)
 
     def test_partition_measures_sum_to_ambient(self):
         fp = FieldParams(3, 2)
@@ -226,6 +235,10 @@ class TestPrimality:
         assert not _is_prime(m)
         with pytest.raises(ValueError, match="must be prime"):
             FieldParams(m)
+
+    def test_degree_below_one_raises(self):
+        with pytest.raises(ValueError, match="extension degree must be >= 1"):
+            FieldParams(2, 0)
 
     def test_mersenne_61_is_fast(self):
         start = perf_counter()

@@ -80,8 +80,19 @@ class TestFunctionFiles:
             (lambda doc: doc.update(p=4), "p must be prime"),
             (lambda doc: doc.update(constancy_level=-1), "below the support scale"),
             (lambda doc: doc["values"].__setitem__(0, {"digits": [[]]}), "record must have digits/re/im"),
+            (lambda doc: doc.update(support_level=None), "support_level must be an integer, got None"),
+            (lambda doc: doc.update(p=2.9), "p must be an integer, got 2.9"),
+            (lambda doc: doc.update(support_level=0.7), "support_level must be an integer, got 0.7"),
+            (lambda doc: doc.update(degree="1"), "degree must be an integer, got '1'"),
+            (lambda doc: doc.update(constancy_level=True), "constancy_level must be an integer, got True"),
+            # refused from the record count and the first record, before p**(n*(m+k)) or q is built
+            (lambda doc: doc.update(support_level=10**11), "1 entries, expected p**(n*(m+k)) = 2**100000000000"),
+            (lambda doc: doc.update(degree=10**11), "need 100000000000 arrays"),
         ],
-        ids=["keys", "num/den", "zero denominator", "non-prime p", "constancy below support", "record shape"],
+        ids=[
+            "keys", "num/den", "zero denominator", "non-prime p", "constancy below support", "record shape",
+            "null level", "float p", "float level", "string degree", "bool level", "far-out level", "far-out degree",
+        ],
     )
     def test_malformed_document_rejected(self, tmp_path, mutate, message):
         doc = function_to_dict(indicator_ball(FieldParams(2), 0))
@@ -253,6 +264,15 @@ class TestCli:
         # the two routes agree to about 2e-16 relative there, not to 1e-17
         assert run(["integrate", "--p", "2", "--alpha", "1/8", "--levels", "700", "--tol", "1e-17"]) == 1
         assert ",1e-17,fail" in capsys.readouterr().out
+
+    def test_malformed_function_file_exits_2(self, tmp_path, capsys):
+        doc = function_to_dict(indicator_ball(FieldParams(2), 0))
+        doc["support_level"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["apply", "--op", "riesz", "--p", "2", "--alpha", "1/2", "--fn", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: support_level must be an integer, got None\n"
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.csv"

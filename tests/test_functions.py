@@ -170,6 +170,11 @@ class TestModulusOfContinuity:
         f = indicator_ball(fp2, 0)
         assert modulus_of_continuity(f, point(fp2, 3), 1) == 0.0
         assert modulus_of_continuity(f, point(fp2, 2), 1) == 0.0
+        # a constant table finer than its support: translations in the support
+        # leave the constancy scale, and every shifted numerator is the same
+        flat = TestFunction.tabulate(fp2, 0, 2, lambda x: ComplexValue.from_rational(Fraction(2, 3)))
+        assert flat._integer_view is not None
+        assert modulus_of_continuity(flat, point(fp2, 1), 1) == 0.0
 
     @pytest.mark.parametrize("p", [0.5, math.inf, math.nan, "x"])
     @pytest.mark.parametrize("h", [3, 8, 0, Fraction(1, 2)])
@@ -185,6 +190,10 @@ class TestModulusOfContinuity:
         # 1/3 and 8/3 have the size of a translation within the constancy scale, which the size test alone took for 0.0
         with pytest.raises(InvalidPointError):
             modulus_of_continuity(indicator_ball(fp2, 0), Point(coords), 1)
+        # translated checks h on every path, the address path included
+        for f in (indicator_ball(fp2, 0), ExtendedFunction(indicator_ball(fp2, 0), power_tail(1, -2))):
+            with pytest.raises(InvalidPointError):
+                f.translated(Point(coords))
 
     def test_disjoint_translate_two_unit_balls(self, fp2):
         f = indicator_ball(fp2, 0)
@@ -296,6 +305,8 @@ class TestTableEqual:
         for level in (0, 1):
             with pytest.raises(UltrafracError, match="different fields"):
                 indicator_ball(FieldParams(2), level).table_equal(indicator_ball(other, level))
+            with pytest.raises(UltrafracError, match="different fields"):
+                lp_distance(indicator_ball(FieldParams(2), level), indicator_ball(other, level), 1)
 
 
 class TestLizorkinProject:
@@ -304,6 +315,8 @@ class TestLizorkinProject:
         assert f.integral().is_exact_zero()
         vals = sorted(v.re.exact.a for v in f.values.values())
         assert vals == [Fraction(-1, 2), Fraction(1, 2)]
+        with pytest.raises(ValueError, match="projection window must contain the support"):
+            lizorkin_project(indicator_ball(fp2, 0), 1)
 
     def test_idempotent(self, fp2):
         rng = random.Random(11)

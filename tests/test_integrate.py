@@ -63,10 +63,14 @@ class TestClosedForms:
     def test_radius_mismatch_rejected(self, fp2):
         with pytest.raises(RegionMismatchError):
             shifted_power_over_sphere(fp2, 1, 2, a_abs_exp=1)
+        with pytest.raises(RegionMismatchError):
+            shifted_log_over_sphere(fp2, 2, a_abs_exp=1)
 
     def test_nonpositive_exponent_rejected(self, fp2):
         with pytest.raises(DivergentIntegralError):
             power_over_ball(fp2, 0, 0)
+        with pytest.raises(DivergentIntegralError, match="needs alpha > 0"):
+            shifted_power_over_sphere(fp2, 0, 0)
 
 
 class TestClosedVsOracleGrid:

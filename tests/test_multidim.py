@@ -138,6 +138,8 @@ class TestMultidimKernel:
             )
 
     def test_order_range_gate(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            DimensionBridge(2, 2, 0)
         with pytest.raises(ValueError):
             kernel_r_multidim(DimensionBridge(2, 2, 2), 1)
         with pytest.raises(ValueError):

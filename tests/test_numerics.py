@@ -16,11 +16,12 @@ from ultrafrac.numerics import (
     ComplexValue,
     ExactScalar,
     NumericValue,
-    exact_weights,
+    as_fraction,
     geometric_tail,
     integer_sum,
     integer_view,
     mixed_sum,
+    mixed_weights,
     q_pow,
     weighted_geometric_tail,
 )
@@ -41,6 +42,15 @@ class TestExactScalar:
         with pytest.raises(ExactnessLost):
             ExactScalar.ln_q(fp2) + ExactScalar.ln_q(fp3)
 
+    def test_construction_checks(self):
+        with pytest.raises(ValueError, match="cannot convert inf"):
+            as_fraction(math.inf)
+        assert as_fraction("1/3") == Fraction(1, 3)
+        with pytest.raises(TypeError, match="cannot convert object"):
+            as_fraction(object())
+        with pytest.raises(ValueError, match="logbase >= 2"):
+            ExactScalar(Fraction(0), Fraction(1))
+
     def test_evaluate(self, fp2):
         es = ExactScalar(Fraction(1), Fraction(2), Fraction(0), 2)
         assert es.evaluate() == pytest.approx(1 + 2 * math.log(2), rel=1e-15)
@@ -53,6 +63,10 @@ class TestNumericValue:
         assert a.is_exact and not b.is_exact
         assert not (a + b).is_exact
         assert (a + a).is_exact
+
+    def test_needs_exactly_one_part(self):
+        with pytest.raises(ValueError, match="exactly one of exact/approx"):
+            NumericValue(None, None)
 
     def test_ring_escape_demotes_product(self, fp2):
         ln = NumericValue.from_exact(ExactScalar.ln_q(fp2))
@@ -327,19 +341,15 @@ class TestRingOperationsOffTheRoutes:
 
 class TestIntegerAccumulation:
     @given(
-        pairs=st.lists(st.tuples(_exact_scalars(), _rationals(), _rationals()), min_size=1, max_size=5),
+        triples=st.lists(st.tuples(_rationals(), _rationals(), _rationals()), min_size=1, max_size=5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_weighted_sum_is_the_exact_sum_of_products(self, pairs):
-        """Where the gate accepts the weights, integer_sum of w * v on a rational table is the ring's own sum; other counts raise."""
-        table = {i: ComplexValue.from_rational(re, im) for i, (_, re, im) in enumerate(pairs)}
+    def test_weighted_sum_is_the_exact_sum_of_products(self, triples):
+        """integer_sum of rational w * v on a rational table is the ring's own sum; other counts raise, and a ln weight refuses."""
+        table = {i: ComplexValue.from_rational(re, im) for i, (_, re, im) in enumerate(triples)}
         view = integer_view(table)
-        weights = tuple(NumericValue.from_exact(w) for w, _, _ in pairs)
+        weights = tuple(NumericValue.from_rational(w) for w, _, _ in triples)
         weighted = integer_sum(tuple, (weights,), view)
-        assert (weighted is None) == (exact_weights(weights) is None)
-        if weighted is None:
-            assert any(w.c for w, _, _ in pairs)  # the drawn weights share one log base
-            return
         want = CV_ZERO
         for w, i in zip(weights, table):
             want = want + table[i] * w
@@ -350,19 +360,26 @@ class TestIntegerAccumulation:
         for wrong in (vectors[:-1], [*vectors, vectors[0]]):
             with pytest.raises(ValueError):
                 weighted(wrong)
+        ln2 = NumericValue.from_exact(ExactScalar.ln_q(FieldParams(2)))
+        assert integer_sum(tuple, ((*weights[:-1], weights[-1] + ln2),), view) is None
 
     def test_each_product_that_leaves_the_ring_refuses_the_weights(self, fp2, fp3):
+        # the one gate of every lane: against a rational table a weight with a
+        # ln or 1/ln part would leave the rationals, and no route hands one in;
+        # a float passes as a float and an exact zero drops out.  integer_sum
+        # takes only weights that are all exact rationals
         ln2, inv2 = NumericValue.from_exact(ExactScalar.ln_q(fp2)), NumericValue.from_exact(ExactScalar.inv_ln_q(fp2))
-        half = NumericValue.from_rational(Fraction(1, 2))
+        half, third = NumericValue.from_rational(Fraction(1, 2)), NumericValue.from_rational(Fraction(1, 3))
         ln3 = NumericValue.from_exact(ExactScalar.ln_q(fp3))
-        assert exact_weights([half, NumericValue.from_float(0.5)]) is None
-        assert exact_weights([half, ln2, ln3]) is None  # two log bases
-        assert exact_weights([inv2]) is None  # a 1/ln weight, which no route hands in
-        assert exact_weights([inv2, half]) is None
-        # a ln weight against rational entries stays in the ring: pairs (a, b) of a + b*ln q
-        assert exact_weights([half, ln2]) == (2, [(1, 0), (0, 2)], 2)
-        assert exact_weights([half, ln3 * half]) == (2, [(1, 0), (0, 1)], 3)
-        assert exact_weights([half]) == (2, [(1, 0)], None)
+        for weights in ([half, ln2], [inv2], [inv2, half], [half, ln3 * half], [ln2 + half]):
+            assert mixed_weights(weights) is None
+        assert mixed_weights([half, NumericValue.from_float(0.5), NV_ZERO, third]) == (4, 6, [(0, 3), (1, 0.5), (3, 2)])
+        assert mixed_weights([half]) == (1, 2, [(0, 1)])
+        view = integer_view({0: ComplexValue.from_rational(1), 1: ComplexValue.from_rational(2)})
+        partly_float = ((half, NumericValue.from_float(0.5)),)
+        assert integer_sum(tuple, partly_float, view) is None
+        assert mixed_sum(tuple, partly_float, view) is not None
+        assert integer_sum(tuple, ((half, third),), view) is not None
 
 
 def _lane_terms():

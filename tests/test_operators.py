@@ -184,6 +184,8 @@ class TestRieszPotential:
             for d in enumerate_digits(fp2, phi.support_level - 1, phi.constancy_level):
                 x = digits_to_point(fp2, d, phi.support_level - 1)
                 assert abs((u_wide.core.evaluate(x) - u.evaluate(x)).to_complex()) < 1e-13
+        with pytest.raises(ValueError, match="window must contain the support"):
+            riesz_potential(params(2, 1), phi, window_level=phi.support_level + 1)
 
 
 class TestHypersingular:

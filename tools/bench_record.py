@@ -12,8 +12,11 @@ index and workload, on seeds 41, 42, ...: the parent first on even pair
 indices and the change first on odd ones, the three workloads interleaved
 within each index.  Each run appends one JSON line to --out as it finishes.
 ``summary`` prints, per workload and end-to-end metric, the quartiles of
-each side, how many pairs the change wins, and the median change against
-the bound in ``BENCHMARK.json``.
+each side, how many pairs the change wins, the median change against the
+bound in ``BENCHMARK.json``, and a verdict: ``unresolved`` where the
+parent's interquartile range, relative to its median, exceeds the bound
+(unless every change run beats every parent run), else ``within_bound`` or
+``beyond_bound`` by the median change.
 
 ``sweep`` times ``operators.minkowski_bound`` in a fresh interpreter per
 side and size: p = 2, n = 1, alpha = 1, L^2, nu = 1, on a random exact table
@@ -85,14 +88,22 @@ def summary(args) -> None:
             mp, mc = statistics.median(par), statistics.median(chg)
             change = (mc - mp) / mp if mp else 0.0
             worse = change if lower else -change
+            q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive")
+            spread = (q3 - q1) / abs(mp) if mp else (0.0 if q3 == q1 else math.inf)
+            separated = max(chg) < min(par) if lower else min(chg) > max(par)
+            if spread > metric["bound"] and not separated:
+                verdict = "unresolved"
+            else:
+                verdict = "within_bound" if worse <= metric["bound"] else "beyond_bound"
             table[name] = {
                 "parent_q1_median_q3": _quartiles(par),
                 "change_q1_median_q3": _quartiles(chg),
                 "change_wins": f"{wins}/{len(paired)}",
                 "ties": ties,
                 "median_change": round(change, 4),
-                "parent_iqr": round(_quartiles(par)[2] - _quartiles(par)[0], 4),
+                "parent_iqr": round(q3 - q1, 4),
                 "within_bound": worse <= metric["bound"],
+                "verdict": verdict,
             }
         out[workload] = {"pairs": len(paired), "all_correct": all(r["correct"] for r in mine), **table}
     print(json.dumps(out, indent=1))
