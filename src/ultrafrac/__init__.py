@@ -5,6 +5,7 @@ from .errors import (
     DivergentIntegralError,
     DivergentSeriesError,
     ExactnessLost,
+    FloatZeroDivisionError,
     FunctionFileError,
     HypothesisBoundaryWarning,
     HypothesisViolationError,

@@ -17,6 +17,10 @@ class ExactnessLost(UltrafracError):
     """An exact-ring operation left the ring Q + Q*ln(q) + Q/ln(q)."""
 
 
+class FloatZeroDivisionError(UltrafracError, ZeroDivisionError):
+    """A float division met a divisor of 0.0, such as 1 - q**alpha rounded to zero at a tiny order."""
+
+
 class DivergentSeriesError(UltrafracError):
     """A geometric tail was requested with a non-contracting ratio."""
 

@@ -53,6 +53,11 @@ def _add_numerators(s: Numerators, t: Numerators) -> Numerators:
     return tuple(map(operator.add, s, t))
 
 
+def _state_without_routes(f) -> dict:
+    """A function's pickled state: its fields and held tables, without the per-point routes, which are closures."""
+    return {name: value for name, value in f.__dict__.items() if name != "_routes"}
+
+
 @dataclass(frozen=True, slots=True)
 class BallSum:
     """Exact-aware sum of table entries over a ball or sphere.
@@ -196,6 +201,13 @@ class TestFunction:
     def _ball_sums(self) -> list[list[BallSum]]:
         """Sums over every ball, run once per table; sums are only ever added, so each is exact iff all its entries are."""
         return self._ball_levels({d: BallSum.of(v) for d, v in self.values.items()}, operator.add)
+
+    @cached_property
+    def _routes(self) -> dict:
+        """Per-point operator routes built on this table, by (kind, params, nu); see ``operators._held_route``."""
+        return {}
+
+    __getstate__ = _state_without_routes
 
     @cached_property
     def _integer_view(self) -> IntegerView | None:
@@ -393,6 +405,13 @@ class ExtendedFunction:
     @classmethod
     def from_test_function(cls, f: TestFunction) -> "ExtendedFunction":
         return cls(f, ZERO_TAIL)
+
+    @cached_property
+    def _routes(self) -> dict:
+        """Per-point operator routes built on this function, by (kind, params, nu); see ``operators._held_route``."""
+        return {}
+
+    __getstate__ = _state_without_routes
 
     @property
     def fp(self) -> FieldParams:

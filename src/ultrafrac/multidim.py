@@ -26,7 +26,7 @@ from .field import (
     sphere_coset_reps,
 )
 from .errors import UltrafracError
-from .functions import ExtendedFunction, TestFunction
+from .functions import TestFunction
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
@@ -150,10 +150,13 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
 
 
 def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) -> ComplexValue:
-    """Same operator through the degree-n extension model at exponent alpha/n."""
+    """Same operator through the degree-n extension model at exponent alpha/n.
+
+    The extension route is held on f, so calls at many points of one table
+    build it once; ``taibleson_direct`` holds nothing and shares nothing with it.
+    """
     _check_field(bridge, f)
-    u = ExtendedFunction.from_test_function(f)
-    return vladimirov_hypersingular(bridge.ext_params, u, x)
+    return vladimirov_hypersingular(bridge.ext_params, f, x)
 
 
 def taibleson_on_window(bridge: DimensionBridge, f: TestFunction) -> list[tuple[Point, ComplexValue, ComplexValue]]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DivergentSeriesError, ExactnessLost
+from .errors import DivergentSeriesError, ExactnessLost, FloatZeroDivisionError
 from .field import FieldParams
 
 def as_fraction(x) -> Fraction:
@@ -264,7 +264,14 @@ class NumericValue:
                 return _numeric_value(op(x, y))
             except ExactnessLost:
                 pass
-        return _numeric_value(None, op(float(self), float(other)))
+        a, b = float(self), float(other)
+        try:
+            return _numeric_value(None, op(a, b))
+        except ZeroDivisionError:
+            raise FloatZeroDivisionError(
+                f"float division by zero: {a!r} / {b!r}; a divisor rounded to 0.0,"
+                " as 1 - q**alpha does at an order alpha below about 1e-16"
+            ) from None
 
     def __add__(self, other):
         try:

@@ -410,8 +410,12 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     return shell_sum_at
 
 
-def _vladimirov(params: OperatorParams, u, nu: int | None) -> Callable[[Point], ComplexValue]:
-    """x -> the difference integral at x, whole (nu None) or truncated to |z| >= q**(-nu)."""
+def _vladimirov(params: OperatorParams, nu: int | None, u) -> Callable[[Point], ComplexValue]:
+    """x -> the difference integral at x, whole (nu None) or truncated to |z| >= q**(-nu).
+
+    The per-point calls hold this route on u (``_held_route``);
+    ``vladimirov_on_window`` builds it once per call.
+    """
     if nu is not None:
         _check_truncation(nu)
     ue = _as_extended(u)
@@ -421,6 +425,29 @@ def _vladimirov(params: OperatorParams, u, nu: int | None) -> Callable[[Point], 
     return lambda x: diff(x) * c
 
 
+def _held_route(kind: str, build, params: OperatorParams, nu: int | None, f) -> Callable[[Point], ComplexValue]:
+    """``build(params, nu, f)``, held on the function f: a per-point caller builds each route once per function.
+
+    The key (kind, params, nu) holds no float: params is frozen with a
+    Fraction order and nu is an int or None.  Each kind has its own key, so
+    an averaging route never serves a truncated call.  The truncation check
+    runs on every call, before the lookup, and a build that raises holds
+    nothing, so every call raises again.  Window loops build their route
+    per call instead: held on a transient function, such as a Riesz
+    potential, the route would make a cycle f -> route -> f that only the
+    cyclic garbage collector frees.
+    """
+    if nu is not None:
+        _check_truncation(nu)
+    routes = getattr(f, "_routes", None)
+    if routes is None:  # not a function: the build raises its TypeError
+        return build(params, nu, f)
+    key = (kind, params, nu)
+    if key not in routes:
+        routes[key] = build(params, nu, f)
+    return routes[key]
+
+
 def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValue:
     """Fractional derivative as the hypersingular difference integral.
 
@@ -428,7 +455,7 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
     identically, so the principal-value limit equals the finite truncation
     at that scale; far shells use the exact tail algebra.
     """
-    return _vladimirov(params, u, None)(x)
+    return _held_route("vladimirov", _vladimirov, params, None, u)(x)
 
 
 def _check_truncation(nu: int) -> None:
@@ -438,7 +465,7 @@ def _check_truncation(nu: int) -> None:
 
 def truncated_vladimirov(params: OperatorParams, nu: int, u, x: Point) -> ComplexValue:
     """Difference integral truncated to |z| >= q**(-nu) (nu a positive integer)."""
-    return _vladimirov(params, u, nu)(x)
+    return _held_route("vladimirov", _vladimirov, params, nu, u)(x)
 
 
 def vladimirov_on_window(
@@ -450,7 +477,7 @@ def vladimirov_on_window(
     """Operator values at the cosets of the input window dilated by one level."""
     ue = _as_extended(u)
     w = (ue.window_level - 1) if window_level is None else window_level
-    value = _vladimirov(params, ue, nu)
+    value = _vladimirov(params, nu, ue)
     return [(x, value(x)) for _, x in coset_walk(ue.fp, w, ue.constancy_level)]
 
 
@@ -476,7 +503,9 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
 
     A sphere needing no tail is read from a rational core's prefix table,
     others walked; where every sphere of a point is read so, the point sums
-    on the ``mixed_sum`` lane.
+    on the ``mixed_sum`` lane.  ``averaging_apply`` holds this route on phi
+    (``_held_route``); ``inversion_residual`` builds it once per call.  The
+    zero-mean check runs in the build, so a refused input holds nothing.
     """
     _check_truncation(nu)
     pe = _as_extended(phi)
@@ -522,7 +551,7 @@ def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexVa
     need explicit coset sums, so exact recovery of phi(x) emerges whenever
     nu >= constancy_level - 1.
     """
-    return _averaging(params, nu, phi)(x)
+    return _held_route("averaging", _averaging, params, nu, phi)(x)
 
 
 def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:

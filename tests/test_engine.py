@@ -15,10 +15,12 @@ ball sums, are checked bit for bit against the coset walks they replaced.
 On rational tables these routes sum in integers (``numerics.integer_sum``,
 or ``numerics.mixed_sum`` against partly float weights);
 the encoding's round trip, the exactness gate's refusals and guards on which
-path runs are checked here too.
+path runs are checked here too, as is the holding of each per-point route
+on its function: one build per (function, params, nu), and none pickled.
 """
 
 import ast
+import pickle
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -95,6 +97,8 @@ from ultrafrac.operators import (
     kernel_r,
     minkowski_bound,
     riesz_potential,
+    truncated_vladimirov,
+    vladimirov_hypersingular,
     vladimirov_on_window,
 )
 
@@ -778,6 +782,99 @@ def test_each_level_weight_is_built_once_across_points(monkeypatch):
     for _, x in coset_walk(fp, 0, 6):
         averaging_apply(params, 1, f, x)
     assert sorted(j for _, j in calls) == [1, 2, 3, 4]
+
+
+# ---------------------------------------------------------------------------
+# per-point routes held on the caller's function
+
+
+def _held_route_case():
+    """An N = 64 rational table over FieldParams(2, 2), levels 0 .. 3, with a nonzero integral, and its 64 points."""
+    fp = FieldParams(2, 2)
+    f = _table(fp, 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
+    assert not f.integral().is_exact_zero()
+    return f, [x for _, x in coset_walk(fp, 0, 3)]
+
+
+def test_per_point_routes_are_built_once_per_function(monkeypatch):
+    f, points = _held_route_case()
+    g = _table(f.fp, 0, 3, [Fraction(i % 5 - 2, 3) for i in range(64)])
+    params, bridge = OperatorParams(f.fp, 1), DimensionBridge(2, 2, 1)
+    # the window loops build their route per call, so they are the reference
+    want = [(vladimirov_on_window(params, h, 0, 1), vladimirov_on_window(bridge.ext_params, h, 0)) for h in (f, g)]
+    averaging = _counting(monkeypatch, operators, "_averaging")
+    vladimirov = _counting(monkeypatch, operators, "_vladimirov")
+    for h, (truncated, whole) in zip((f, g), want):
+        for x, t, w in zip(points, truncated, whole, strict=True):
+            assert t[0] == w[0] == x
+            assert same_parts(averaging_apply(params, 1, h, x), averaging_oracle(params, 1, h, x)), x
+            assert same_parts(truncated_vladimirov(params, 1, h, x), t[1]), x
+            assert same_parts(taibleson_via_extension(bridge, h, x), w[1]), x
+    # 64 points of each table: one build per (function, params, nu)
+    assert [(a, nu) for a, nu, _ in averaging] == [(params, 1)] * 2
+    assert [(a, nu) for a, nu, _ in vladimirov] == [(params, 1), (bridge.ext_params, None)] * 2
+    assert [id(h) for *_, h in averaging] == [id(f), id(g)]
+    assert [id(h) for *_, h in vladimirov] == [id(f), id(f), id(g), id(g)]
+
+
+def test_held_averaging_routes_are_keyed_by_order_and_truncation():
+    f, points = _held_route_case()
+    for alpha in (1, 2):  # gamma = 1/2, then the log branch gamma = 1
+        params = OperatorParams(f.fp, alpha)
+        for nu in (1, 2):
+            for x in points[::8]:
+                assert same_parts(averaging_apply(params, nu, f, x), averaging_oracle(params, nu, f, x)), (alpha, nu, x)
+    assert len(f._routes) == 4
+    # an averaging route never serves a truncated call
+    params = OperatorParams(f.fp, 1)
+    for x in points[::8]:
+        assert same_parts(truncated_vladimirov(params, 1, f, x), operators._vladimirov(params, 1, f)(x)), x
+
+
+@pytest.mark.parametrize("nu", [0, True, 1.0], ids=repr)
+def test_truncation_is_checked_after_a_route_is_held(nu):
+    # True and 1.0 hash and compare equal to the held key nu = 1
+    f, points = _held_route_case()
+    params, x = OperatorParams(f.fp, 1), points[0]
+    averaging_apply(params, 1, f, x)
+    truncated_vladimirov(params, 1, f, x)
+    for route in (averaging_apply, truncated_vladimirov):
+        with pytest.raises(ValueError, match="positive integer"):
+            route(params, nu, f, x)
+
+
+def test_refused_input_raises_on_every_call():
+    f, points = _held_route_case()
+    params = OperatorParams(f.fp, 3)  # gamma = 3/2 needs a zero-mean input
+    for _ in range(2):
+        with pytest.raises(HypothesisViolationError, match="zero-mean"):
+            averaging_apply(params, 1, f, points[0])
+    assert f._routes == {}
+    # an argument that is no function has nowhere to hold a route, and is refused as before
+    for route in (averaging_apply, truncated_vladimirov):
+        with pytest.raises(TypeError, match="expected a function"):
+            route(params, 1, object(), points[0])
+
+
+def test_functions_pickle_after_per_point_calls():
+    f, points = _held_route_case()
+    params, bridge = OperatorParams(f.fp, 1), DimensionBridge(2, 2, 1)
+    u = ExtendedFunction(f, power_tail(Fraction(1, 3), -5))
+    cases = [
+        (f, lambda h, x: averaging_apply(params, 1, h, x)),
+        (f, lambda h, x: truncated_vladimirov(params, 2, h, x)),
+        (f, lambda h, x: taibleson_via_extension(bridge, h, x)),
+        (u, lambda h, x: averaging_apply(params, 1, h, x)),
+        (u, lambda h, x: vladimirov_hypersingular(params, h, x)),
+    ]
+    before = [[route(h, x) for x in points[::4]] for h, route in cases]
+    assert len(f._routes) == 3 and len(u._routes) == 2
+    copies = {id(h): pickle.loads(pickle.dumps(h)) for h in (f, u)}
+    for h, copy in ((f, copies[id(f)]), (u, copies[id(u)])):
+        assert copy == h and "_routes" not in copy.__dict__ and h._routes
+    for (h, route), values in zip(cases, before):
+        for x, want in zip(points[::4], values):
+            assert same_parts(route(copies[id(h)], x), want), x
 
 
 @settings(max_examples=60, deadline=None)

@@ -249,6 +249,29 @@ class TestCli:
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            "integrate --p 2 --alpha 1e-17 --levels 0",
+            "integrate --p 2 --alpha 1/1000000000000000000 --levels 0",
+            "integrate --p 2 --alpha 1e-300 --levels 0",
+            "kernel --p 2 --alpha 1e-17 --shells 1..2",
+            "apply --op riesz --p 2 --alpha 1e-17 --fn one_O.json",
+            "apply --op vladimirov --p 2 --alpha 1e-17 --fn one_O.json",
+            "invert --p 2 --alpha 1e-17 --lp 1 --fn one_O.json --nu-max 2",
+            "multidim-check --p 2 --deg 2 --alpha 1e-17 --fn one_OO.json",
+        ],
+    )
+    def test_tiny_order_exits_2(self, command, capsys):
+        # q**(+-alpha) rounds to 1.0, so a normalizer divides by a float 0.0
+        assert run(command.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: float division by zero") and err.count("\n") == 1
+
+    def test_smallest_order_that_rounds_away_from_one_still_runs(self, capsys):
+        assert run(["integrate", "--p", "2", "--alpha", "1e-15", "--levels", "0"]) == 0
+        assert ",pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["integrate", "--p", "2", "--alpha", "1/8", "--levels", "700"],

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac.errors import DivergentSeriesError, ExactnessLost
+from ultrafrac.errors import DivergentSeriesError, ExactnessLost, FloatZeroDivisionError, UltrafracError
 from ultrafrac.field import FieldParams
 from ultrafrac.numerics import (
     CV_ZERO,
@@ -73,6 +73,19 @@ class TestNumericValue:
         out = ln * ln
         assert not out.is_exact
         assert float(out) == pytest.approx(math.log(2) ** 2, rel=1e-15)
+
+    def test_float_zero_divisor_raises_a_package_error(self, fp2):
+        # at a tiny order q**alpha rounds to 1.0, so 1 - q**alpha is a float 0.0
+        zero = 1 - q_pow(fp2, Fraction(1, 10**17))
+        assert not zero.is_exact and float(zero) == 0.0
+        for numerator in (NumericValue.from_rational(Fraction(1, 2)), NumericValue.from_float(0.5)):
+            with pytest.raises(FloatZeroDivisionError, match="float division by zero") as info:
+                numerator / zero
+            assert isinstance(info.value, UltrafracError) and isinstance(info.value, ZeroDivisionError)
+        # an exact zero divisor keeps the plain exact error
+        with pytest.raises(ZeroDivisionError, match="exact division by zero") as info:
+            NumericValue.from_rational(1) / NumericValue.from_rational(0)
+        assert not isinstance(info.value, UltrafracError)
 
 
 class TestQPower:

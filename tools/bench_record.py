@@ -16,7 +16,11 @@ each side, how many pairs the change wins, the median change against the
 bound in ``BENCHMARK.json``, and a verdict: ``unresolved`` where the
 parent's interquartile range, relative to its median, exceeds the bound
 (unless every change run beats every parent run), else ``within_bound`` or
-``beyond_bound`` by the median change.
+``beyond_bound`` by the median change.  ``gain`` applies the rule for
+claiming an improvement: the change wins at least nine tenths of the pairs
+(ties count for neither side) and its median is better than the parent's
+by more than the parent's interquartile range.  A workload with fewer
+than two pairs has no quartiles and reads ``too few pairs``.
 
 ``sweep`` times ``operators.minkowski_bound`` in a fresh interpreter per
 side and size: p = 2, n = 1, alpha = 1, L^2, nu = 1, on a random exact table
@@ -78,6 +82,9 @@ def summary(args) -> None:
         for r in mine:
             by_seed.setdefault(r["seed"], {})[r["side"]] = r
         paired = [s for s in by_seed.values() if len(s) == 2]
+        if len(paired) < 2:
+            out[workload] = {"pairs": len(paired), "all_correct": all(r["correct"] for r in mine), "verdict": "too few pairs"}
+            continue
         table = {}
         for metric in spec["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
@@ -89,6 +96,7 @@ def summary(args) -> None:
             change = (mc - mp) / mp if mp else 0.0
             worse = change if lower else -change
             q1, _, q3 = statistics.quantiles(par, n=4, method="inclusive")
+            better_by = mp - mc if lower else mc - mp
             spread = (q3 - q1) / abs(mp) if mp else (0.0 if q3 == q1 else math.inf)
             separated = max(chg) < min(par) if lower else min(chg) > max(par)
             if spread > metric["bound"] and not separated:
@@ -104,6 +112,7 @@ def summary(args) -> None:
                 "parent_iqr": round(q3 - q1, 4),
                 "within_bound": worse <= metric["bound"],
                 "verdict": verdict,
+                "gain": 10 * wins >= 9 * len(paired) and better_by > q3 - q1,
             }
         out[workload] = {"pairs": len(paired), "all_correct": all(r["correct"] for r in mine), **table}
     print(json.dumps(out, indent=1))
