@@ -38,9 +38,11 @@ from .numerics import (
     NV_ZERO,
     ZERO_NUMERATORS,
     ComplexValue,
+    FloatView,
     IntegerView,
     Numerators,
     as_fraction,
+    float_view,
     geometric_tail,
     integer_view,
     radial_monomial,
@@ -215,14 +217,29 @@ class TestFunction:
         return integer_view(self.values)
 
     @cached_property
+    def _float_view(self) -> FloatView | None:
+        """The table as (re, im) float pairs; None unless every part is a float."""
+        return float_view(self.values)
+
+    @cached_property
     def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
-        """Numerators of ``sphere_sums(d)``, then of the entry at d, at every address d of a rational table."""
-        entries = self._integer_view.numerators
+        """Pairs of ``sphere_sums(d)``, then of the entry at d, at every address d.
+
+        The pairs are integer numerators on a rational table and floats on an
+        all-float one.  They come from the pass of ``_ball_sums``, so each
+        float sum is the one its ``BallSum`` makes, addition for addition.
+        """
+        view = self._integer_view
+        entries = view.numerators if view is not None else self._float_view.pairs
         levels = self._ball_levels(entries, _add_numerators)
         return {d: [*self._sibling_sums(levels, d, _add_numerators), v] for d, v in entries.items()}
 
     def _difference_spheres(self, d: Digits) -> list[Numerators]:
-        """Numerators of the sums of f(z) - f(x) over the spheres of ``sphere_sums(d)``: each sphere sum less its coset count times the entry."""
+        """Pairs of the sums of f(z) - f(x) over the spheres of ``sphere_sums(d)``: each sphere sum less its coset count times the entry.
+
+        On an all-float table each is s - count * x, an int times a float:
+        the ring's float operations on the ``BallSum`` values, in their order.
+        """
         *spheres, v = self._integer_spheres[d]
         q, k = self.fp.q, self.constancy_level
         return [

@@ -1,5 +1,5 @@
 """Exact scalar ring Q + Q*ln(q) (+ Q/ln(q)), tagged exact/float values,
-closed-form geometric tail sums, and the integer view of an exact table.
+closed-form geometric tail sums, and the integer and float views of a table.
 
 Every formula in the package is built from factors q**(a*k) and ln(q); the
 exact path keeps ln(q) symbolic so that identities whose ln(q) factors
@@ -19,6 +19,12 @@ ring's own rounding from there on, and becomes one ``ExactScalar`` per
 part only at the end (``integer_view``, then ``mixed_sum``: the one gate,
 accumulator and decode of every route; ``integer_sum`` is its case of
 exact rational weights).
+
+A table whose parts are all floats (the Riesz potential of an irrational
+order) has a float view instead: one (re, im) float pair per entry.  The
+ring's float arithmetic is ``op(float(a), float(b))`` with an absorbing
+exact zero, so ``mixed_sum`` over the float pairs, in the ring's order,
+gives the ring's bits; only a route that keeps that order hands one in.
 """
 
 from __future__ import annotations
@@ -545,6 +551,27 @@ def integer_view(values: Mapping) -> IntegerView | None:
     return IntegerView(den, dict(zip(values, zip(nums[::2], nums[1::2]))))
 
 
+class FloatView(NamedTuple):
+    """An all-float table as its (re, im) float pairs: the float twin of ``IntegerView``."""
+
+    pairs: dict
+
+
+def float_view(values: Mapping) -> FloatView | None:
+    """The float view of a table of ComplexValues, or None unless every part of every entry is a float.
+
+    An exact part, an exact zero included, refuses: the ring treats it
+    apart from every float.
+    """
+    pairs = {}
+    for key, v in values.items():
+        re, im = v.re.approx, v.im.approx
+        if re is None or im is None:
+            return None
+        pairs[key] = (re, im)
+    return FloatView(pairs)
+
+
 def mixed_weights(weights: Sequence[NumericValue]) -> tuple[int, int, list[tuple[int, int | float]]] | None:
     """The weight count, one denominator W, and each weight that is not an exact zero as (position, numerator over W or float).
 
@@ -590,41 +617,45 @@ def _cached_weights(weights_of: Callable, args: tuple, bits: tuple):
 
 
 def mixed_sum(
-    weights_of: Callable, args: tuple, view: IntegerView | None
-) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """The sum of a route's weights times a table's numerator pairs, in integers up to the first float term.
+    weights_of: Callable, args: tuple, view: IntegerView | FloatView | None
+) -> Callable[[Iterable[Sequence]], ComplexValue] | None:
+    """The sum of a route's weights times a table's pairs: integer numerators on a rational table, floats on an all-float one.
 
     ``weights_of(*args)`` lists the weights.  It is a route's module-level
     function of hashable constants (the frozen params and levels in
     ``args``), so ``mixed_weights`` runs once per process; a float in
     ``args`` also keys the cache by its bits.  None without a view or where
-    that gate refuses.  Otherwise the returned function takes one numerator
-    pair per weight, in weight order, and gives each part of sum w * v
-    exactly as the ring's sum of the products in that order: a term whose
-    numerator or weight is an exact zero is skipped (the exact zero
-    absorbs); exact terms add in integers until the first float term; from
-    there every term adds in order as a float, a float-weight term as
-    (n / L) * w and an exact one as the float of its exact product.  Int
-    true division rounds correctly, like ``float(Fraction)``, so the bits
-    are the ring's.
+    that gate refuses.  Otherwise the returned function takes one pair per
+    weight, in weight order, and gives each part of sum w * v exactly as
+    the ring's sum of the products in that order.  A term whose weight is
+    an exact zero is skipped (the exact zero absorbs), and so is one whose
+    numerator is; exact terms add in integers until the first float term;
+    from there every term adds in order as a float, a float-weight term as
+    (n / L) * w and an exact one as the float of its exact product.  On a
+    float view every term is the float n * w, an exact weight taken as its
+    float w / W, and every term adds in order, a float zero included: the
+    ring keeps a float zero, so a cancelling sum stays a float.  Int true
+    division rounds correctly, like ``float(Fraction)``, so the bits are
+    the ring's.
     """
     return _lane(weights_of, args, view, exact=False)
 
 
 def integer_sum(
-    weights_of: Callable, args: tuple, view: IntegerView | None
+    weights_of: Callable, args: tuple, view: IntegerView | FloatView | None
 ) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """``mixed_sum`` where every weight is an exact rational; None otherwise.
+    """``mixed_sum`` where every weight is an exact rational and the view is an integer one; None otherwise.
 
     Its sums are exact, and exact sums are the same in every order, so a
     route may fold a factor or a repeated term into its weights only where
-    this lane is given.
+    this lane is given.  Folding would reassociate the additions of a float
+    view, so it never takes one.
     """
     return _lane(weights_of, args, view, exact=True)
 
 
-def _lane(weights_of: Callable, args: tuple, view: IntegerView | None, exact: bool):
-    if view is None:
+def _lane(weights_of: Callable, args: tuple, view: IntegerView | FloatView | None, exact: bool):
+    if view is None or (exact and view.__class__ is FloatView):
         return None
     gated = _cached_weights(weights_of, args, _float_bits(args))
     if gated is None:
@@ -632,31 +663,43 @@ def _lane(weights_of: Callable, args: tuple, view: IntegerView | None, exact: bo
     count, w_den, terms = gated
     if exact and any(w.__class__ is float for _, w in terms):
         return None
-    den_v = view.denominator
-    den = w_den * den_v
 
-    def part_sum(nums: list[int]) -> NumericValue:
-        acc, total = 0, None
-        for i, w in terms:
-            n = nums[i]
-            if not n:
-                continue
-            if w.__class__ is float:
-                t = n / den_v * w
-            elif total is None:
-                acc += n * w
-                continue
-            else:
-                t = n * w / den
+    if view.__class__ is FloatView:
+        float_terms = [(i, w if w.__class__ is float else w / w_den) for i, w in terms]
+
+        def part_sum(values: list[float]) -> NumericValue:
+            total = None
+            for i, w in float_terms:
+                t = values[i] * w
+                total = t if total is None else total + t
+            return NV_ZERO if total is None else _numeric_value(None, total)
+
+    else:
+        den_v = view.denominator
+        den = w_den * den_v
+
+        def part_sum(nums: list[int]) -> NumericValue:
+            acc, total = 0, None
+            for i, w in terms:
+                n = nums[i]
+                if not n:
+                    continue
+                if w.__class__ is float:
+                    t = n / den_v * w
+                elif total is None:
+                    acc += n * w
+                    continue
+                else:
+                    t = n * w / den
+                if total is not None:
+                    total += t
+                else:
+                    total = acc / den + t if acc else t
             if total is not None:
-                total += t
-            else:
-                total = acc / den + t if acc else t
-        if total is not None:
-            return _numeric_value(None, total)
-        return _rational(acc, den)
+                return _numeric_value(None, total)
+            return _rational(acc, den)
 
-    def weighted_sum(vectors: Iterable[Sequence[int]]) -> ComplexValue:
+    def weighted_sum(vectors: Iterable[Sequence]) -> ComplexValue:
         vectors = list(vectors)
         if len(vectors) != count:
             raise ValueError(f"{len(vectors)} vectors for {count} weights")

@@ -368,7 +368,10 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     so that a float far sum sees the same float operations.  Against partly
     float weights, a rational core's shells take ``mixed_sum`` instead: a
     float term must see u(x)'s share of its own shell, so each shell comes
-    as its difference sum, and the far part is added as before.
+    as its difference sum, and the far part is added as before.  An
+    all-float core takes the same lane on its float view: the difference
+    sums are then float pairs, made by the float operations of the ring
+    loop below in its order, and the lane adds their terms in shell order.
     """
     fp = params.fp
     g = params.gamma
@@ -391,7 +394,8 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     far = None if core._integer_view is None else far_sum(j_far)
     fold_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
     weighted = integer_sum(_engine_weights, (params, k, window, j_hi, fold_far), core._integer_view)
-    mixed = None if weighted is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), core._integer_view)
+    view = core._integer_view if core._integer_view is not None else core._float_view
+    mixed = None if weighted is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
 
     def shell_sum_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)

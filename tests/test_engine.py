@@ -13,7 +13,9 @@ averaging closure for its window, is checked bit for bit against one
 which read each sphere of a rational table as a difference of two prefix
 ball sums, are checked bit for bit against the coset walks they replaced.
 On rational tables these routes sum in integers (``numerics.integer_sum``,
-or ``numerics.mixed_sum`` against partly float weights);
+or ``numerics.mixed_sum`` against partly float weights), and the
+hypersingular engine sums an all-float core on ``mixed_sum`` through its
+float view, bit for bit the ring loop;
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too, as is the holding of each per-point route
 on its function: one build per (function, params, nu), and none pickled.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
@@ -386,8 +388,9 @@ def tables(draw, kinds):
 
 
 @st.composite
-def extended(draw, kinds):
-    params, core = draw(tables(kinds))
+def extended(draw, kinds, cores=None):
+    """(params, u): a table drawn from ``cores`` (default ``tables(kinds)``) under a zero, power or log tail with coefficients of ``kinds``."""
+    params, core = draw(tables(kinds) if cores is None else cores)
     fp = params.fp
     tail_kind = draw(st.sampled_from(["zero", "power", "log"]))
     if tail_kind == "zero":
@@ -399,6 +402,26 @@ def extended(draw, kinds):
         return params, ExtendedFunction(core, power_tail(coeff, exponent))
     const = ComplexValue(draw(scalars(fp, kinds)), draw(scalars(fp, ["zero"] + kinds)))
     return params, ExtendedFunction(core, log_tail(const, coeff))
+
+
+# floats an all-float table draws often: signed zeros cancel and keep their sign
+FLOAT_POOL = [0.0, -0.0, 0.5, -1.25, 3.0, 1e-3]
+
+
+def float_parts():
+    return st.one_of(st.sampled_from(FLOAT_POOL), st.floats(allow_nan=False, allow_infinity=False)).map(NumericValue.from_float)
+
+
+@st.composite
+def float_tables(draw):
+    """(params, f) with every part of every entry of f a float; ``tables(ALL_KINDS)`` almost never draws one."""
+    p, n, max_depth = draw(st.sampled_from(FIELDS))
+    fp = FieldParams(p, n)
+    s = draw(st.integers(-1, 1))
+    k = s + draw(st.integers(0, max_depth))
+    values = {d: ComplexValue(draw(float_parts()), draw(float_parts())) for d in enumerate_digits(fp, s, k)}
+    alpha = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1, Fraction(3, 2), 2]))
+    return OperatorParams(fp, alpha), TestFunction(fp, s, k, values)
 
 
 def dilated_window(f: TestFunction, widen: int) -> int:
@@ -1059,7 +1082,15 @@ def test_routes_do_no_numerator_arithmetic(module):
     # and the table's own numerator tables: the routes import none of its parts
     tree = ast.parse(Path(module.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"add_weighted", "ZERO_NUMERATORS", "Numerators", "integer_view", "mixed_weights"}
+    assert not imported & {
+        "add_weighted",
+        "ZERO_NUMERATORS",
+        "Numerators",
+        "integer_view",
+        "mixed_weights",
+        "float_view",
+        "FloatView",
+    }
 
 
 def _counting_lanes(monkeypatch):
@@ -1103,6 +1134,78 @@ def test_float_weights_take_the_mixed_lane(monkeypatch):
         assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
     # without a tail every point of the averaging route takes the lane
     assert lanes == ["_averaging_weights"] * 32
+
+
+def _value_bits(rows):
+    """The points of a route's rows with each value's parts, a float by its bits; a raised package error as its type."""
+    if isinstance(rows, type):
+        return rows
+    return [(x, _part(v.re), _part(v.im)) for x, v in rows]
+
+
+def _zero_table_under_a_signed_zero_tail():
+    """A +0.0 table under a -0.0 power tail: the lane's float zero meets the far part's -0.0, where an exact zero would keep its sign."""
+    fp = FieldParams(2)
+    core = TestFunction(fp, 0, 2, {d: ComplexValue.from_complex(0j) for d in enumerate_digits(fp, 0, 2)})
+    return OperatorParams(fp, Fraction(1, 2)), ExtendedFunction(core, power_tail(complex(-0.0, -0.0), -1))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=extended(["zero", "rational", "float"], float_tables()))
+@example(case=_zero_table_under_a_signed_zero_tail())
+def test_float_tables_take_the_lane_bit_for_bit(case):
+    # an all-float core sums its window on the mixed lane, through its float
+    # view, and gives every bit the ring loop gives with the view masked
+    params, u = case
+    for nu in (None, 1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            lanes = _counting_lanes(mp)
+            got = outcome(vladimirov_on_window, params, u, u.window_level, nu)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TestFunction, "_float_view", property(lambda self: None))
+            want = outcome(vladimirov_on_window, params, u, u.window_level, nu)
+        assert _value_bits(got) == _value_bits(want)
+        # every point of the window is a point of the core
+        assert lanes == ["_shell_weights"] * len(u.core.values)
+
+
+def test_float_riesz_core_takes_the_lane(monkeypatch):
+    # the workload's float shape: the Riesz potential of a complex rational
+    # table at alpha = 1/2 is all floats, and its truncated operator sums
+    # every point of the window on the float view, no sphere from BallSums
+    fp = FieldParams(2)
+    phi = _table(fp, -2, 4, [ComplexValue.from_rational(Fraction(i % 7 - 3, 1 + i % 4), Fraction(i % 5 - 2, 1 + i % 3)) for i in range(64)])
+    params = OperatorParams(fp, Fraction(1, 2))
+    u = riesz_potential(params, phi)
+    assert u.core._float_view is not None
+    located = ExtendedFunction._sphere_sums_at
+    calls = []
+    monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
+    lanes = _counting_lanes(monkeypatch)
+    for nu in (1, 2):
+        assert len(vladimirov_on_window(params, u, -2, nu)) == 64
+    assert calls == []
+    assert lanes == ["_shell_weights"] * 128
+
+
+def test_float_tables_keep_the_ring_off_the_engine(monkeypatch):
+    # the averaging route reads no prefix sum of an all-float table, since
+    # a sphere as a ball minus a ball would reassociate float additions; the
+    # Riesz potential of one walks every point's spheres through BallSums,
+    # since scale_sum keeps a float zero where the lane would skip a term
+    fp = FieldParams(2)
+    f = _table(fp, -2, 4, [complex(0.25 * (i % 9) - 1.0, -0.0 if i % 5 else 0.0) for i in range(64)])
+    assert f._float_view is not None
+    params = OperatorParams(fp, Fraction(1, 2))
+    for _, x in coset_walk(fp, -2, 4):
+        assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
+    assert "_prefix_sums" not in f.__dict__
+    located = ExtendedFunction._sphere_sums_at
+    calls = []
+    monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
+    riesz_potential(params, f)
+    assert len(calls) == 64
+    assert "_integer_spheres" not in f.__dict__
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -15,8 +15,10 @@ from ultrafrac.numerics import (
     NV_ZERO,
     ComplexValue,
     ExactScalar,
+    FloatView,
     NumericValue,
     as_fraction,
+    float_view,
     geometric_tail,
     integer_sum,
     integer_view,
@@ -449,3 +451,63 @@ class TestMixedAccumulation:
         assert mixed_sum(tuple, ((half,),), with_log) is None
         assert mixed_sum(tuple, ((ln2,),), rational) is None
         assert mixed_sum(tuple, ((half,),), rational) is not None
+
+
+def _float_lane_terms():
+    """(entry re, entry im, weight) triples with float entries, signed zeros often, and weights of every kind."""
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0]), st.floats(-1e6, 1e6))
+    rationals = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 7)])
+    weights = st.one_of(
+        st.just(NV_ZERO),
+        rationals.map(NumericValue.from_rational),
+        st.one_of(st.sampled_from([0.0, -0.0, 2**0.5]), st.floats(-1e6, 1e6)).map(NumericValue.from_float),
+    )
+    return st.lists(st.tuples(entries, entries, weights), min_size=1, max_size=8)
+
+
+class TestFloatView:
+    def test_every_part_must_be_a_float(self):
+        # an exact part refuses the view, an exact zero included: the ring
+        # absorbs an exact zero where it keeps a float zero
+        floats = {0: ComplexValue.from_complex(complex(0.5, -0.0)), 1: ComplexValue.from_complex(3j)}
+        assert float_view(floats) == FloatView({0: (0.5, -0.0), 1: (0.0, 3.0)})
+        for exact in (NV_ZERO, NumericValue.from_rational(Fraction(1, 2))):
+            assert float_view({**floats, 2: ComplexValue(NumericValue.from_float(1.0), exact)}) is None
+            assert float_view({**floats, 2: ComplexValue(exact, NumericValue.from_float(1.0))}) is None
+        assert integer_view(floats) is None
+
+    def test_integer_sum_refuses_a_float_view(self):
+        # integer_sum folds terms into its weights, which would reassociate
+        # float additions: exact rational weights still refuse a float view
+        view = float_view({0: ComplexValue.from_complex(0.5 + 1j)})
+        half = NumericValue.from_rational(Fraction(1, 2))
+        assert integer_sum(tuple, ((half,),), view) is None
+        assert mixed_sum(tuple, ((half,),), view) is not None
+
+    @pytest.mark.parametrize("entry", [0.0, -0.0], ids=["+0.0", "-0.0"])
+    @pytest.mark.parametrize("weight", [NumericValue.from_float(0.75), NumericValue.from_rational(Fraction(-2, 3))], ids=["float", "exact"])
+    def test_a_float_zero_term_stays_a_float_zero(self, entry, weight):
+        # 0.0 and -0.0 are falsy, yet the ring keeps their products as floats
+        table = {0: ComplexValue.from_complex(complex(entry, entry))}
+        view = float_view(table)
+        got = mixed_sum(tuple, ((weight,),), view)([view.pairs[0]])
+        want = table[0] * weight
+        assert not got.re.is_exact and not got.im.is_exact
+        assert _parts(got) == _parts(want)
+        assert got.re.approx.hex() == (entry * float(weight)).hex()
+
+    @given(terms=_float_lane_terms())
+    @example(terms=[(1.0, 0.0, NV_ONE), (-1.0, -0.0, NV_ONE)])
+    @example(terms=[(1.5, -2.0, NV_ZERO)])  # no term: an exact zero, as the ring's
+    @example(terms=[(0.1, 0.2, NumericValue.from_rational(Fraction(1, 3))), (0.3, -0.0, NumericValue.from_float(2**0.5)), (1e-3, 0.0, NV_ZERO)])
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_sum_is_the_ring_sum_on_floats(self, terms):
+        """mixed_sum of w * v on a float view has the ring's exactness and bits in every part, added in weight order."""
+        table = {i: ComplexValue.from_complex(complex(re, im)) for i, (re, im, _) in enumerate(terms)}
+        weights = tuple(w for _, _, w in terms)
+        view = float_view(table)
+        lane = mixed_sum(tuple, (weights,), view)
+        want = CV_ZERO
+        for w, v in zip(weights, table.values()):
+            want = want + v * w
+        assert _parts(lane(list(view.pairs.values()))) == _parts(want)

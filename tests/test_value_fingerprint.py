@@ -17,7 +17,16 @@ from fractions import Fraction
 from conftest import random_test_function
 from ultrafrac.field import FieldParams, digits_to_point, enumerate_digits
 from ultrafrac.fourier import fourier_transform, multiplier_vladimirov
-from ultrafrac.functions import ExtendedFunction, LogTail, PowerTail, TestFunction, lizorkin_project
+from ultrafrac.functions import (
+    ExtendedFunction,
+    LogTail,
+    PowerTail,
+    TestFunction,
+    ZeroTail,
+    lizorkin_project,
+    log_tail,
+    power_tail,
+)
 from ultrafrac.integrate import (
     LogProfile,
     PowerProfile,
@@ -49,6 +58,10 @@ ALPHAS = (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2))
 # sha256 of _log_table_stream(), recorded before the integer view was narrowed
 # to rational tables: tables with ln or 1/ln parts now take the ring path.
 LOG_TABLE_FINGERPRINT = "9b8faf330ba0da5388d8192c39fc23fad571f2ebbd53a9948516ac7e8101d062"
+
+# sha256 of _float_table_stream(), recorded before the hypersingular engine
+# summed all-float cores on plain floats.
+FLOAT_TABLE_FINGERPRINT = "024b47c2ee53801c71b32a474efbff56b861ab1befc739d14d5bb23aa5976cf0"
 
 
 def _part(v) -> str:
@@ -235,3 +248,65 @@ def test_every_log_table_value_is_unchanged():
         stream = _log_table_stream()
     digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
     assert digest == LOG_TABLE_FINGERPRINT
+
+
+FLOAT_POOL = (0.0, -0.0, 0.5, -1.25, 3.0, 1e-3)
+
+
+def _float_tables():
+    """Tables whose every part is a float, some of them a signed zero, over q = 2, 3, 4."""
+    rng = random.Random(2207)
+    for fp, s in ((FieldParams(2), -1), (FieldParams(3), 0), (FieldParams(2, 2), 0)):
+        for i in range(2):
+
+            def part():
+                return rng.choice(FLOAT_POOL) if rng.random() < 0.4 else rng.uniform(-4.0, 4.0)
+
+            table = {
+                d: ComplexValue(NumericValue.from_float(part()), NumericValue.from_float(part()))
+                for d in enumerate_digits(fp, s, 2)
+            }
+            yield f"p={fp.p} n={fp.n} #{i}", TestFunction(fp, s, 2, table)
+
+
+def _float_table_stream() -> list[str]:
+    out: list[str] = []
+    tails = {
+        "zero": ZeroTail(),
+        "power": power_tail(ComplexValue.from_complex(complex(0.75, -2.5)), Fraction(-1, 2)),
+        "log": log_tail(ComplexValue.from_complex(complex(-0.0, 1.5)), ComplexValue.from_complex(complex(0.25, 0.0))),
+    }
+    for name, f in _float_tables():
+        fp = f.fp
+        window = [digits_to_point(fp, d, f.support_level) for d in enumerate_digits(fp, f.support_level, 2)]
+        out.append(f"{name}: {_ser(f)}")
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            pr = OperatorParams(fp, alpha)
+            tag = f"{name} alpha={alpha}"
+            _emit(out, f"{tag} riesz_potential", riesz_potential, pr, f)
+            try:
+                u = riesz_potential(pr, f)
+            except Exception:
+                u = None
+            for nu in (None, 1, 2):
+                if u is not None:
+                    _emit(out, f"{tag} vladimirov_on_window(u, nu={nu})", vladimirov_on_window, pr, u, f.support_level, nu)
+                for tail_name, tail in tails.items():
+                    g = ExtendedFunction(f, tail)
+                    for w in (None, f.support_level):
+                        _emit(out, f"{tag} {tail_name} vladimirov_on_window({w}, nu={nu})", vladimirov_on_window, pr, g, w, nu)
+            for nu in (1, 2):
+                for tail_name, tail in tails.items():
+                    g = ExtendedFunction(f, tail)
+                    _emit(out, f"{tag} {tail_name} averaging_apply(nu={nu})", lambda: [(x, averaging_apply(pr, nu, g, x)) for x in window])
+    return out
+
+
+def test_every_float_table_value_is_unchanged():
+    # all-float tables are the Riesz potentials of irrational orders; pin what
+    # the hypersingular, averaging and Riesz routes return on hand-built ones
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stream = _float_table_stream()
+    digest = hashlib.sha256("\n".join(stream).encode()).hexdigest()
+    assert digest == FLOAT_TABLE_FINGERPRINT
