@@ -71,6 +71,9 @@ class FieldParams:
     n: int = 1
 
     def __post_init__(self) -> None:
+        for name, value in (("p", self.p), ("extension degree", self.n)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.n < 1:

@@ -274,6 +274,16 @@ class TestFunction:
             yield self._sphere_around(d, e, level)
         yield self._ball_around(d, e, self.constancy_level)
 
+    def _prefix_differences(self, d: Digits | None, e: int | None, levels) -> Iterator[Numerators]:
+        """Numerators of the sums of f(z) - f(x) over the spheres at ``levels`` around x (each sphere sum less its coset count times f(x)), then of f(x)."""
+        q, k = self.fp.q, self.constancy_level
+        fx = re, im = self._ball_around(d, e, k)
+        for level in levels:
+            count = (q - 1) * q ** (k - level - 1)
+            s_re, s_im = self._sphere_around(d, e, level)
+            yield s_re - count * re, s_im - count * im
+        yield fx
+
     def ball_sum(self) -> BallSum:
         """Sum of the whole table (the support ball)."""
         return self._ball_sums[0][0]

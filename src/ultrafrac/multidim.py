@@ -3,21 +3,20 @@ the one-dimensional operator over an unramified degree-n extension.
 
 The coordinate model makes the two readings of the same operator literally
 comparable.  ``taibleson_direct`` sums shells in the max-norm geometry, in
-powers of the base prime, each as two ball sums of the table's own prefix
-table (a coset walk for a table with a float or log part).  On a rational
-table whose shell weights are exact, the shells are weighted and summed as
-integer numerators over one denominator, and the value becomes one
-``ExactScalar`` per part at the end.  The extension reading runs the
-engine at q**n and gamma = alpha/n.  The two routes share no formula code,
-only the integer encoding of a table; their agreement is a theorem and a
-test.  Both refuse a table over a field other than the extension model.
+powers of the base prime.  A rational table reads each shell's difference
+sum from its own prefix table and sums the shells on the ``mixed_sum``
+lane; any other table walks each shell coset by coset.  The extension
+reading runs the engine at q**n and gamma = alpha/n.  The two routes share
+no formula code, only the integer encoding of a table; their agreement is
+a theorem and a test.  Both refuse a table over a field other than the
+extension model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .field import (
     FieldParams,
@@ -29,13 +28,11 @@ from .errors import UltrafracError
 from .functions import TestFunction
 from .numerics import (
     CV_ZERO,
-    NV_ZERO,
     ComplexValue,
     NumericValue,
     as_fraction,
-    decode,
     geometric_tail,
-    integer_sum,
+    mixed_sum,
     q_pow,
 )
 from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_hypersingular, vladimirov_on_window
@@ -43,7 +40,7 @@ from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_
 
 @dataclass(frozen=True)
 class DimensionBridge:
-    """Base field, its degree-n unramified extension model, and the order alpha."""
+    """Base field, its degree-n unramified extension model, and the order alpha; base, ext and ext_params are built once, and eq and hash stay by field."""
 
     p: int
     n: int
@@ -54,15 +51,15 @@ class DimensionBridge:
         if self.alpha <= 0:
             raise ValueError(f"order must be positive, got {self.alpha}")
 
-    @property
+    @cached_property
     def base(self) -> FieldParams:
         return FieldParams(self.p, 1)
 
-    @property
+    @cached_property
     def ext(self) -> FieldParams:
         return FieldParams(self.p, self.n)
 
-    @property
+    @cached_property
     def ext_params(self) -> OperatorParams:
         return OperatorParams(self.ext, self.alpha)
 
@@ -91,16 +88,12 @@ def _direct_far(bridge: DimensionBridge, j_t: int) -> NumericValue:
 
 
 def _direct_weights(bridge: DimensionBridge, k: int, j_t: int, window: int) -> list[NumericValue]:
-    """The weights of taibleson_direct's finite shells, then that of f(x).
+    """The weights of taibleson_direct's finite shells, then that of f(x): minus the far measure.
 
-    f(x) enters shell j once per coset of the shell, with a minus sign, and
-    every far shell, where f vanishes, against the far measure.
+    Every far shell, where f vanishes, sees the difference -f(x).
     """
-    q = bridge.ext.q
     finite_js = [j_t] if j_t < window else range(window, k)
-    shells = [_direct_weight(bridge, k, j) for j in finite_js]
-    counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(finite_js, shells)), NV_ZERO)
-    return [*shells, -counted - _direct_far(bridge, j_t)]
+    return [*(_direct_weight(bridge, k, j) for j in finite_js), -_direct_far(bridge, j_t)]
 
 
 def _check_field(bridge: DimensionBridge, f: TestFunction) -> None:
@@ -114,33 +107,29 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     Shell decomposition of the difference integral against the kernel
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
     locally constant inputs kill every shell inside the constancy scale.
-    A rational table reads each sphere as two prefix ball sums, and sums
-    in integers where its weights are exact.
+    A rational table reads each shell's sum of f(z) - f(x) from two prefix
+    ball sums and sums the shells on the ``mixed_sum`` lane; any other
+    table walks each shell coset by coset.
     """
     _check_field(bridge, f)
-    ext, k, window = bridge.ext, f.constancy_level, f.support_level
+    k, window = f.constancy_level, f.support_level
     d, e = f._locate(x)
     j_t = window if d is not None else -e  # beyond the support, |x| = q**e > q**(-window)
     finite_js = [j_t] if j_t < window else range(window, k)
 
-    view = f._integer_view
-    weighted = integer_sum(_direct_weights, (bridge, k, j_t, window), view)
+    weighted = mixed_sum(_direct_weights, (bridge, k, j_t, window), f._integer_view)
     if weighted is not None:
-        return weighted(f._prefix_spheres(d, e, finite_js)) * _direct_constant(bridge)
+        return weighted(f._prefix_differences(d, e, finite_js)) * _direct_constant(bridge)
 
     fx = CV_ZERO if d is None else f.values[d]
     total = CV_ZERO
     for j in finite_js:
-        if view is not None:
-            sphere = decode(f._sphere_around(d, e, j), view.denominator)
-            shell_acc = sphere - fx * ((ext.q - 1) * ext.q ** (k - j - 1))
-        else:
-            shell_acc = CV_ZERO
-            for rep in sphere_coset_reps(ext, j, k):
-                dv = f.evaluate(x + rep) - fx
-                if dv.is_exact_zero():
-                    continue
-                shell_acc = shell_acc + dv
+        shell_acc = CV_ZERO
+        for rep in sphere_coset_reps(bridge.ext, j, k):
+            dv = f.evaluate(x + rep) - fx
+            if dv.is_exact_zero():
+                continue
+            shell_acc = shell_acc + dv
         if not shell_acc.is_exact_zero():
             total = total + shell_acc * _direct_weight(bridge, k, j)
     # far shells: f vanishes there, the difference is -f(x) on every shell

@@ -16,9 +16,9 @@ part either (the Riesz core's weights include its normalizer d, whose
 1/ln(q) meets the ln(q) of each log kernel), so a route's weighted sum of
 a view's entries adds in integers up to the first float term, with the
 ring's own rounding from there on, and becomes one ``ExactScalar`` per
-part only at the end (``integer_view``, then ``mixed_sum``: the one gate,
-accumulator and decode of every route; ``integer_sum`` is its case of
-exact rational weights).
+part only at the end (``integer_view``, then ``mixed_sum``: the one gate
+and accumulator of every route; ``integer_sum`` is its case of exact
+rational weights, for the engine routes that fold terms into them).
 
 A table whose parts are all floats (the Riesz potential of an irrational
 order) has a float view instead: one (re, im) float pair per entry.  The
@@ -712,7 +712,3 @@ def _rational(n: int, den: int) -> NumericValue:
     """n / den as an exact value."""
     return _numeric_value(_exact_scalar(Fraction(n, den) if n else _F0))
 
-
-def decode(nums: Sequence[int], den: int) -> ComplexValue:
-    """The value of a numerator pair over den: one rational per part."""
-    return ComplexValue(_rational(nums[0], den), _rational(nums[1], den))

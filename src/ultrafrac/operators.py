@@ -55,7 +55,6 @@ from .numerics import (
     ExactScalar,
     NumericValue,
     as_fraction,
-    decode,
     geometric_tail,
     integer_sum,
     mixed_sum,
@@ -505,9 +504,9 @@ def _averaging_weights(params: OperatorParams, nu: int, k: int) -> tuple[Numeric
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
     """x -> averaging_apply at x.
 
-    A sphere needing no tail is read from a rational core's prefix table,
-    others walked; where every sphere of a point is read so, the point sums
-    on the ``mixed_sum`` lane.  ``averaging_apply`` holds this route on phi
+    A point of a rational core that sees no tail sums its spheres, read
+    from the prefix table, on the ``mixed_sum`` lane; every other point
+    walks them.  ``averaging_apply`` holds this route on phi
     (``_held_route``); ``inversion_residual`` builds it once per call.  The
     zero-mean check runs in the build, so a refused input holds nothing.
     """
@@ -521,8 +520,7 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     core, window, k = pe.core, pe.window_level, pe.constancy_level
     j_star = max(1, k - nu)  # every shell below has nu + j < k
     weights = _averaging_weights(params, nu, k)
-    view = core._integer_view
-    weighted = mixed_sum(_averaging_weights, (params, nu, k), view)
+    weighted = mixed_sum(_averaging_weights, (params, nu, k), core._integer_view)
 
     def average_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)
@@ -530,15 +528,12 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
             return weighted(core._prefix_spheres(d, e, range(nu + 1, nu + j_star)))
         total = CV_ZERO
         for j in range(1, j_star):
-            if view is not None and (not pe.tail.terms or d is not None and nu + j >= window):
-                inner = decode(core._sphere_around(d, e, nu + j), view.denominator)
-            else:
-                inner = CV_ZERO
-                for rep in sphere_coset_reps(fp, nu + j, k):
-                    v = pe.evaluate(x - rep)
-                    if v.is_exact_zero():
-                        continue
-                    inner = inner + v
+            inner = CV_ZERO
+            for rep in sphere_coset_reps(fp, nu + j, k):
+                v = pe.evaluate(x - rep)
+                if v.is_exact_zero():
+                    continue
+                inner = inner + v
             if not inner.is_exact_zero():
                 total = total + inner * weights[j - 1]
         return total + (core.values[d] if d is not None else pe.tail_value_at_exponent(e)) * weights[-1]

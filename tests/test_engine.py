@@ -11,11 +11,12 @@ over (output, frequency) pairs.  ``inversion_residual``, which builds one
 averaging closure for its window, is checked bit for bit against one
 ``averaging_apply`` per point.  ``taibleson_direct`` and ``averaging_apply``,
 which read each sphere of a rational table as a difference of two prefix
-ball sums, are checked bit for bit against the coset walks they replaced.
-On rational tables these routes sum in integers (``numerics.integer_sum``,
-or ``numerics.mixed_sum`` against partly float weights), and the
-hypersingular engine sums an all-float core on ``mixed_sum`` through its
-float view, bit for bit the ring loop;
+ball sums and sum on ``numerics.mixed_sum``, are checked bit for bit
+against the coset walks they replaced.  On rational tables the engine
+routes sum in integers (``numerics.integer_sum``, or ``mixed_sum``
+against partly float weights), and the hypersingular engine sums an
+all-float core on ``mixed_sum`` through its float view, bit for bit the
+ring loop;
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too, as is the holding of each per-point route
 on its function: one build per (function, params, nu), and none pickled.
@@ -82,7 +83,6 @@ from ultrafrac.numerics import (
     ComplexValue,
     ExactScalar,
     NumericValue,
-    decode,
     geometric_tail,
     integer_sum,
     integer_view,
@@ -692,9 +692,9 @@ def direct_cases(draw):
     """(bridge, f, points): degree 1 or 2, alpha below, at and above n, points in and beyond the support.
 
     The table is exact (with ln q or a foreign ln 3), float-mixed, or
-    holds ln 2 and ln 3, so that the integer path, the decoded prefix
-    reading and the coset walk are all reached; above alpha = n the table is
-    projected to zero mean.
+    holds ln 2 and ln 3, so that the prefix lane, against exact and float
+    weights, and the coset walk are both reached; above alpha = n the table
+    is projected to zero mean.
     """
     kinds = draw(st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS, FOREIGN_LOG_KINDS]))
     params, f = draw(tables(kinds))
@@ -744,21 +744,30 @@ def _counting(monkeypatch, module, name, calls=None):
 
 
 def test_order_free_tables_walk_no_sphere(monkeypatch):
-    # every sphere of an order-free table without a tail is two prefix ball sums apart
+    # every sphere of an order-free table without a tail is two prefix ball
+    # sums apart, and every point sums on the lane, against exact weights
+    # (alpha = 1, 2) and against float ones (alpha = 1/2: cd and the odd
+    # direct shell weights are irrational over Q_2 squared)
     walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
     _counting(monkeypatch, operators, "sphere_coset_reps", walks)
+    lanes = _counting_lanes(monkeypatch, multidim)
+    _counting_lanes(monkeypatch, operators, lanes)
     fp = FieldParams(2, 2)
     f = _table(fp, 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
     zero_mean = lizorkin_project(f)
     points = [x for _, x in coset_walk(fp, -1, 3)]
-    for alpha in (1, 2):
+    alphas = (1, 2, Fraction(1, 2))
+    for alpha in alphas:
         bridge = DimensionBridge(2, 2, alpha)
         params = OperatorParams(fp, alpha)
+        phi = f if alpha == 1 else zero_mean
+        assert constants(params).cd.is_exact == (alpha != Fraction(1, 2))
         for x in points:
-            taibleson_direct(bridge, f, x)
+            assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x)), (alpha, x)
             for nu in (1, 2):
-                averaging_apply(params, nu, f if alpha == 1 else zero_mean, x)
+                assert same_parts(averaging_apply(params, nu, phi, x), averaging_oracle(params, nu, phi, x)), (alpha, nu, x)
     assert walks == []
+    assert sorted(lanes) == sorted(["_direct_weights", "_averaging_weights", "_averaging_weights"] * len(points) * len(alphas))
 
 
 @pytest.mark.parametrize("kind", ["float", "two log bases"])
@@ -780,19 +789,24 @@ def test_order_dependent_tables_walk_their_spheres(monkeypatch, kind):
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=str)
 def test_averaging_reads_prefix_spheres_under_a_tail(monkeypatch, alpha):
-    # a rational core with a tail sums point by point; a sphere inside the
-    # window is still decoded from the prefix table, bit for bit the walk
-    decoded = _counting(monkeypatch, operators, "decode")
+    # under a tail, a point of the window whose spheres stay inside it sums
+    # on the lane; every other point walks all its spheres, bit for bit the oracle
+    walks = _counting(monkeypatch, operators, "sphere_coset_reps")
+    lanes = _counting_lanes(monkeypatch)
     fp = FieldParams(2)
     core = _table(fp, 3, 6, [Fraction((5 * i) % 11 - 5, 1 + i % 3) for i in range(8)])
     phi = ExtendedFunction(core, power_tail(Fraction(1, 3), -2))
     params = OperatorParams(fp, alpha)
     points = [x for _, x in coset_walk(fp, 2, 6)]
     assert len(points) == 16
-    for x in points:
-        assert same_parts(averaging_apply(params, 1, phi, x), averaging_oracle(params, 1, phi, x)), x
-    # the 8 points of the support, each with its 3 spheres |z - x| = 2**-j, j = 3 .. 5, inside the window
-    assert len(decoded) == 24
+    for nu in (1, 2):
+        for x in points:
+            assert same_parts(averaging_apply(params, nu, phi, x), averaging_oracle(params, nu, phi, x)), (nu, x)
+    # nu = 1: the first sphere, at level 2, reaches past the window at level 3,
+    # so all 16 points walk their 4 spheres j = 1 .. 4.  nu = 2: the 8 points
+    # of the window take the lane, the 8 beyond it walk their 3 spheres
+    assert lanes == ["_averaging_weights"] * 8
+    assert len(walks) == 16 * 4 + 8 * 3
 
 
 def test_each_level_weight_is_built_once_across_points(monkeypatch):
@@ -911,8 +925,13 @@ def test_prefix_table_is_the_engine_ball_sums(case):
     for d in f.values:
         for t in range(depth + 1):
             want = f._ball_sums[t][f._ball_index(d) // q ** (depth - t)].value
-            got = decode(f._prefix_sums[tuple(ds[:t] for ds in d)], view.denominator)
-            assert same_parts(got, want)
+            got = f._prefix_sums[tuple(ds[:t] for ds in d)]
+            assert _over(got, view.denominator) == (want.re.exact, want.im.exact)
+
+
+def _over(nums, den) -> tuple[ExactScalar, ExactScalar]:
+    """A numerator pair over den as the exact rational of each part."""
+    return tuple(ExactScalar(Fraction(n, den)) for n in nums)
 
 
 def all_rational(f: TestFunction) -> bool:
@@ -924,8 +943,8 @@ def all_rational(f: TestFunction) -> bool:
 @given(case=st.sampled_from([EXACT_KINDS, ALL_KINDS, TWO_LOG_KINDS, FOREIGN_LOG_KINDS]).flatmap(tables))
 def test_integer_view_round_trips(case):
     # the view exists exactly when every part of every entry is an exact
-    # rational; each numerator pair decodes to its entry part for part, over
-    # the least common denominator of all parts
+    # rational; each numerator pair over the view's denominator is its entry,
+    # part for part, and that denominator is the least common one of all parts
     _, f = case
     view = integer_view(f.values)
     assert (view is None) == (not all_rational(f))
@@ -934,7 +953,7 @@ def test_integer_view_round_trips(case):
     assert set(view.numerators) == set(f.values)
     for d, v in f.values.items():
         assert len(view.numerators[d]) == 2
-        assert same_parts(decode(view.numerators[d], view.denominator), v)
+        assert _over(view.numerators[d], view.denominator) == (v.re.exact, v.im.exact)
     coeffs = [part.exact.a for v in f.values.values() for part in (v.re, v.im)]
     assert all((c * view.denominator).denominator == 1 for c in coeffs)
     for r in range(2, view.denominator + 1):
@@ -1093,24 +1112,24 @@ def test_routes_do_no_numerator_arithmetic(module):
     }
 
 
-def _counting_lanes(monkeypatch):
-    """Wrap operators.mixed_sum so that every call of a lane it hands out records its weights' function; return the record."""
-    calls = []
-    mixed_sum = operators.mixed_sum
+def _counting_lanes(monkeypatch, module=operators, calls=None):
+    """Wrap module.mixed_sum so that every call of a lane it hands out records its weights' function in ``calls`` (a new list by default); return the record."""
+    calls = [] if calls is None else calls
+    mixed_sum = module.mixed_sum
 
     def counted(weights_of, args, view):
         lane = mixed_sum(weights_of, args, view)
         return lane and (lambda vectors: calls.append(weights_of.__name__) or lane(vectors))
 
-    monkeypatch.setattr(operators, "mixed_sum", counted)
+    monkeypatch.setattr(module, "mixed_sum", counted)
     return calls
 
 
 def test_float_weights_take_the_mixed_lane(monkeypatch):
     # alpha = 1/2 over Q_2: q**(3j/2) is irrational at odd j, so the engine
     # weights fail the exactness check; the engine and the averaging route
-    # sum the rational table on the mixed lane instead, the Riesz core and
-    # taibleson_direct keep their paths, and every value is the oracle's
+    # sum the rational table on the mixed lane instead, the Riesz core keeps
+    # its path, and every value is the oracle's
     lanes = _counting_lanes(monkeypatch)
     fp = FieldParams(2)
     f = _table(fp, -1, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(16)])

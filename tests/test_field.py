@@ -240,6 +240,23 @@ class TestPrimality:
         with pytest.raises(ValueError, match="extension degree must be >= 1"):
             FieldParams(2, 0)
 
+    # 2.0 and 3.0 would pass the primality test (2.0 % 2 == 0), 2.0 as a
+    # degree would make q a float, and True would pass as degree 1
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.0,), "p must be an integer, got 2.0"),
+            ((3.0,), "p must be an integer, got 3.0"),
+            ((True,), "p must be an integer, got True"),
+            ((2, 2.0), "extension degree must be an integer, got 2.0"),
+            ((2, True), "extension degree must be an integer, got True"),
+        ],
+        ids=repr,
+    )
+    def test_non_integer_prime_or_degree_raises(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            FieldParams(*args)
+
     def test_mersenne_61_is_fast(self):
         start = perf_counter()
         fp = FieldParams(2**61 - 1)

@@ -116,6 +116,22 @@ class TestTaiblesonRoutes:
             assert (direct - via_ext).is_exact_zero()
 
 
+class TestDimensionBridge:
+    def test_derived_params_are_built_once(self):
+        br = DimensionBridge(2, 2, Fraction(1, 2))
+        for name in ("base", "ext", "ext_params"):
+            assert getattr(br, name) is getattr(br, name), name
+        assert (br.base, br.ext, br.ext_params.fp, br.ext_params.alpha) == (FieldParams(2), FieldParams(2, 2), br.ext, br.alpha)
+
+    def test_equal_bridges_hash_equal_whatever_they_hold(self):
+        # a bridge that has built its params and one that has not are one key
+        held, fresh = DimensionBridge(2, 2, 1), DimensionBridge(2, 2, Fraction(1))
+        held.ext_params
+        assert held == fresh and hash(held) == hash(fresh)
+        assert {held: 1}[fresh] == 1
+        assert held != DimensionBridge(2, 2, 2)
+
+
 class TestMultidimKernel:
     def test_shell_value(self):
         br = DimensionBridge(2, 2, 1)
