@@ -206,7 +206,7 @@ class TestFunction:
 
     @cached_property
     def _routes(self) -> dict:
-        """Per-point operator routes built on this table, by (kind, params, nu); see ``operators._held_route``."""
+        """Per-point routes built on this table, keyed by builder first; see ``operators._held_route``, ``multidim.taibleson_direct``."""
         return {}
 
     __getstate__ = _state_without_routes
@@ -435,7 +435,7 @@ class ExtendedFunction:
 
     @cached_property
     def _routes(self) -> dict:
-        """Per-point operator routes built on this function, by (kind, params, nu); see ``operators._held_route``."""
+        """Per-point operator routes built on this function, by (builder, params, nu); see ``operators._held_route``."""
         return {}
 
     __getstate__ = _state_without_routes

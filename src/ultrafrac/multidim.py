@@ -108,8 +108,9 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
     locally constant inputs kill every shell inside the constancy scale.
     A rational table reads each shell's sum of f(z) - f(x) from two prefix
-    ball sums and sums the shells on the ``mixed_sum`` lane; any other
-    table walks each shell coset by coset.
+    ball sums and sums the shells on the ``mixed_sum`` lane, held on f per
+    (bridge, j_t) under a key of this route's own; any other table walks
+    each shell coset by coset.
     """
     _check_field(bridge, f)
     k, window = f.constancy_level, f.support_level
@@ -117,7 +118,10 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     j_t = window if d is not None else -e  # beyond the support, |x| = q**e > q**(-window)
     finite_js = [j_t] if j_t < window else range(window, k)
 
-    weighted = mixed_sum(_direct_weights, (bridge, k, j_t, window), f._integer_view)
+    key = (_direct_weights, bridge, j_t)
+    if key not in f._routes:
+        f._routes[key] = mixed_sum(_direct_weights, (bridge, k, j_t, window), f._integer_view)
+    weighted = f._routes[key]
     if weighted is not None:
         return weighted(f._prefix_differences(d, e, finite_js)) * _direct_constant(bridge)
 
@@ -142,7 +146,7 @@ def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) 
     """Same operator through the degree-n extension model at exponent alpha/n.
 
     The extension route is held on f, so calls at many points of one table
-    build it once; ``taibleson_direct`` holds nothing and shares nothing with it.
+    build it once; ``taibleson_direct`` holds its own lanes and shares nothing with it.
     """
     _check_field(bridge, f)
     return vladimirov_hypersingular(bridge.ext_params, f, x)

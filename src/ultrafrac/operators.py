@@ -335,17 +335,17 @@ def _shell_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[Num
     return [_shell_weight(params, k, j) if j <= hi else NV_ZERO for j in range(lo, k)]
 
 
-def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int, far: bool) -> list[NumericValue]:
+def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[NumericValue]:
     """The weights of the spheres j = lo .. k - 1 (zero past the truncation hi), then that of u(x).
 
     u(x) enters shell j once per coset of the shell, (q - 1) * q**(k - j - 1)
-    times, with the minus sign of the difference u(x + z) - u(x); with
-    ``far`` it also enters the far shells j < lo, against their measure.
+    times, and the far shells j < lo against their measure, each with the
+    minus sign of the difference u(x + z) - u(x).
     """
     q = params.fp.q
     shells = _shell_weights(params, k, lo, hi)
     counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(range(lo, k), shells)), NV_ZERO)
-    return [*shells, -counted - _far_weight(params, min(lo - 1, hi)) if far else -counted]
+    return [*shells, -counted - _far_weight(params, min(lo - 1, hi))]
 
 
 def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: int) -> Callable[[Point], ComplexValue]:
@@ -361,16 +361,14 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     has j0 = l.  The weights are built once per process and looked up once
     per call, the far sums once per call.
 
-    At a point of the window of a rational core whose weights are exact,
-    the shells sum in integers.  The far shells' u(x) term joins
-    them when the far sum is rational; any other far sum is added as before,
-    so that a float far sum sees the same float operations.  Against partly
-    float weights, a rational core's shells take ``mixed_sum`` instead: a
-    float term must see u(x)'s share of its own shell, so each shell comes
-    as its difference sum, and the far part is added as before.  An
-    all-float core takes the same lane on its float view: the difference
-    sums are then float pairs, made by the float operations of the ring
-    loop below in its order, and the lane adds their terms in shell order.
+    At a point of the window of a rational core whose weights and far sum
+    are exact rationals, the shells sum in integers, u(x)'s share of every
+    shell, far shells included, folded into one weight.  Every other core
+    with a view sums each shell's difference on ``mixed_sum``, then adds
+    the far part, as the ring loop below does: a float term sees u(x)'s
+    share of its own shell.  On an all-float core's float view the
+    difference sums are float pairs, made by the ring loop's float
+    operations in its order, and the lane adds their terms in shell order.
     """
     fp = params.fp
     g = params.gamma
@@ -391,15 +389,15 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
 
     j_far = min(window - 1, j_hi)
     far = None if core._integer_view is None else far_sum(j_far)
-    fold_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
-    weighted = integer_sum(_engine_weights, (params, k, window, j_hi, fold_far), core._integer_view)
+    rational_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
+    weighted = integer_sum(_engine_weights, (params, k, window, j_hi), core._integer_view) if rational_far else None
     view = core._integer_view if core._integer_view is not None else core._float_view
     mixed = None if weighted is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
 
     def shell_sum_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)
         if weighted is not None and d is not None:
-            return weighted(core._integer_spheres[d]) + (far if fold_far else far_part(core.values[d], j_far))
+            return weighted(core._integer_spheres[d]) + far
         if mixed is not None and d is not None:
             return mixed(core._difference_spheres(d)) + far_part(core.values[d], j_far)
         j0, sums, ux = u._sphere_sums_at(d, e)
@@ -428,24 +426,24 @@ def _vladimirov(params: OperatorParams, nu: int | None, u) -> Callable[[Point], 
     return lambda x: diff(x) * c
 
 
-def _held_route(kind: str, build, params: OperatorParams, nu: int | None, f) -> Callable[[Point], ComplexValue]:
+def _held_route(build, params: OperatorParams, nu: int | None, f) -> Callable[[Point], ComplexValue]:
     """``build(params, nu, f)``, held on the function f: a per-point caller builds each route once per function.
 
-    The key (kind, params, nu) holds no float: params is frozen with a
-    Fraction order and nu is an int or None.  Each kind has its own key, so
-    an averaging route never serves a truncated call.  The truncation check
-    runs on every call, before the lookup, and a build that raises holds
-    nothing, so every call raises again.  Window loops build their route
-    per call instead: held on a transient function, such as a Riesz
-    potential, the route would make a cycle f -> route -> f that only the
-    cyclic garbage collector frees.
+    The key (build, params, nu) holds no float: params is frozen with a
+    Fraction order and nu is an int or None.  Each builder keys its own
+    routes, so an averaging route never serves a truncated call.  The
+    truncation check runs on every call, before the lookup, and a build
+    that raises holds nothing, so every call raises again.  Window loops
+    build their route per call instead: held on a transient function, such
+    as a Riesz potential, the route would make a cycle f -> route -> f that
+    only the cyclic garbage collector frees.
     """
     if nu is not None:
         _check_truncation(nu)
     routes = getattr(f, "_routes", None)
     if routes is None:  # not a function: the build raises its TypeError
         return build(params, nu, f)
-    key = (kind, params, nu)
+    key = (build, params, nu)
     if key not in routes:
         routes[key] = build(params, nu, f)
     return routes[key]
@@ -458,7 +456,7 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
     identically, so the principal-value limit equals the finite truncation
     at that scale; far shells use the exact tail algebra.
     """
-    return _held_route("vladimirov", _vladimirov, params, None, u)(x)
+    return _held_route(_vladimirov, params, None, u)(x)
 
 
 def _check_truncation(nu: int) -> None:
@@ -468,7 +466,7 @@ def _check_truncation(nu: int) -> None:
 
 def truncated_vladimirov(params: OperatorParams, nu: int, u, x: Point) -> ComplexValue:
     """Difference integral truncated to |z| >= q**(-nu) (nu a positive integer)."""
-    return _held_route("vladimirov", _vladimirov, params, nu, u)(x)
+    return _held_route(_vladimirov, params, nu, u)(x)
 
 
 def vladimirov_on_window(
@@ -550,7 +548,7 @@ def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexVa
     need explicit coset sums, so exact recovery of phi(x) emerges whenever
     nu >= constancy_level - 1.
     """
-    return _held_route("averaging", _averaging, params, nu, phi)(x)
+    return _held_route(_averaging, params, nu, phi)(x)
 
 
 def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:

@@ -14,7 +14,8 @@ which read each sphere of a rational table as a difference of two prefix
 ball sums and sum on ``numerics.mixed_sum``, are checked bit for bit
 against the coset walks they replaced.  On rational tables the engine
 routes sum in integers (``numerics.integer_sum``, or ``mixed_sum``
-against partly float weights), and the hypersingular engine sums an
+against partly float weights or a far sum that is not an exact
+rational), and the hypersingular engine sums an
 all-float core on ``mixed_sum`` through its float view, bit for bit the
 ring loop;
 the encoding's round trip, the exactness gate's refusals and guards on which
@@ -24,6 +25,7 @@ on its function: one build per (function, params, nu), and none pickled.
 
 import ast
 import pickle
+import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -809,6 +811,24 @@ def test_averaging_reads_prefix_spheres_under_a_tail(monkeypatch, alpha):
     assert len(walks) == 16 * 4 + 8 * 3
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=str)
+@pytest.mark.parametrize("p", [2, 3])
+def test_averaging_reads_spheres_beyond_the_support(monkeypatch, p, alpha):
+    # nu = 1 on a table at levels 4 .. 6: around a point of the support the
+    # spheres at levels 2 and 3 reach past it, level 2 below support_level - 1,
+    # so the lane reads them from balls coarser than the support; every
+    # point of the level-2 window sums on the lane, bit for bit the oracle
+    lanes = _counting_lanes(monkeypatch)
+    rng = random.Random(p)
+    fp = FieldParams(p)
+    f = _table(fp, 4, 6, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(p**2)])
+    params = OperatorParams(fp, alpha)
+    points = [x for _, x in coset_walk(fp, 2, 6)]
+    for x in points:
+        assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x)), x
+    assert lanes == ["_averaging_weights"] * len(points)
+
+
 def test_each_level_weight_is_built_once_across_points(monkeypatch):
     # 64 per-point calls at nu = 1 on a table down to level 6: levels j = 1 .. 4
     fp = FieldParams(2)
@@ -852,6 +872,27 @@ def test_per_point_routes_are_built_once_per_function(monkeypatch):
     assert [(a, nu) for a, nu, _ in vladimirov] == [(params, 1), (bridge.ext_params, None)] * 2
     assert [id(h) for *_, h in averaging] == [id(f), id(g)]
     assert [id(h) for *_, h in vladimirov] == [id(f), id(f), id(g), id(g)]
+
+
+def test_taibleson_direct_holds_one_lane_per_table(monkeypatch):
+    # the 64 support points of a table share one lane per bridge, held on
+    # the table under the direct route's own key, beside the extension
+    # route that it checks
+    f, points = _held_route_case()
+    builds = _counting(monkeypatch, multidim, "mixed_sum")
+    bridges = [DimensionBridge(2, 2, alpha) for alpha in (1, 2)]
+    for bridge in bridges:
+        for x in points:
+            assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x)), (bridge, x)
+            taibleson_via_extension(bridge, f, x)
+    assert [(weights_of, args) for weights_of, args, _ in builds] == [
+        (multidim._direct_weights, (bridge, 3, 0, 0)) for bridge in bridges
+    ]
+    assert set(f._routes) == {
+        *((multidim._direct_weights, bridge, 0) for bridge in bridges),
+        *((operators._vladimirov, bridge.ext_params, None) for bridge in bridges),
+    }
+    assert len({id(route) for route in f._routes.values()}) == 4
 
 
 def test_held_averaging_routes_are_keyed_by_order_and_truncation():
@@ -995,7 +1036,7 @@ def test_no_route_weight_has_an_inv_ln_part(monkeypatch, p, n, alpha):
     s, k = -1, 2
     weights = [
         *operators._riesz_weights(params, s - 1, k),
-        *(w for far in (False, True) for w in operators._engine_weights(params, k, s, k - 1, far)),
+        *operators._engine_weights(params, k, s, k - 1),
         *(w for nu in (1, 2) for w in operators._averaging_weights(params, nu, k + 1)),
         *(w for j_t in (s - 2, s) for w in multidim._direct_weights(bridge, k, j_t, s)),
     ]
@@ -1153,6 +1194,31 @@ def test_float_weights_take_the_mixed_lane(monkeypatch):
         assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
     # without a tail every point of the averaging route takes the lane
     assert lanes == ["_averaging_weights"] * 32
+
+
+@pytest.mark.parametrize("tail", ["ln", "float"])
+def test_far_sum_off_the_rationals_takes_the_shell_lane(monkeypatch, tail):
+    # exact weights (alpha = 1 over Q_2) against a rational core, under a tail
+    # whose far sum is not an exact rational: the engine folds no such far
+    # sum, so every window point sums its shell differences on mixed_sum and
+    # adds the far part after the lane, bit for bit the coset loop
+    folds = _counting(monkeypatch, operators, "integer_sum")
+    lanes = _counting_lanes(monkeypatch)
+    fp = FieldParams(2)
+    core = _table(fp, 0, 3, [Fraction((5 * i) % 11 - 5, 1 + i % 3) for i in range(8)])
+    t = log_tail(0, Fraction(1, 3)) if tail == "ln" else power_tail(Fraction(1, 3), Fraction(-1, 2))
+    u = ExtendedFunction(core, t)
+    params = OperatorParams(fp, 1)
+    assert all(w.exact is not None and w.exact.is_rational for w in operators._shell_weights(params, 3, 0, 2))
+    far = _closed_far_sum(fp, PowerProfile(-2), u, -1)
+    assert far.re.exact is None or not far.re.exact.is_rational
+    c = constants(params).c
+    for nu in (None, 1, 2):
+        j_hi = 2 if nu is None else nu
+        for x, value in vladimirov_on_window(params, u, window_level=0, nu=nu):
+            assert same_parts(value, difference_shell_sum_oracle(params, u, x, j_hi) * c), (nu, x)
+    assert folds == []
+    assert lanes == ["_shell_weights"] * 8 * 3
 
 
 def _value_bits(rows):
