@@ -23,7 +23,16 @@ from .field import (
     coset_walk,
 )
 from .functions import TestFunction
-from .numerics import CV_ZERO, NV_ZERO, ComplexValue, NumericValue, as_fraction, geometric_tail, q_pow
+from .numerics import (
+    CV_ZERO,
+    NV_ZERO,
+    ComplexValue,
+    NumericValue,
+    as_fraction,
+    geometric_tail,
+    q_pow,
+    quarter_turn_sum,
+)
 
 _EXACT_PHASES = {
     Fraction(0): ComplexValue.from_rational(1, 0),
@@ -122,6 +131,12 @@ def _float_transform(f: TestFunction, vectors, sign: int, size: int) -> dict:
     return {d: z[i] for d, i in place.items()}
 
 
+def _turns(terms, b: tuple[int, ...], sign: int, size: int):
+    """Each term's item with the quarter count of its phase at output b, every phase being 1, i, -1 or -i."""
+    for a, item in terms:
+        yield item, sign * _dot(a, b) % size * 4 // size
+
+
 def _quarter_turn_sum(terms, b: tuple[int, ...], sign: int, size: int) -> tuple[NumericValue, NumericValue]:
     """Direct sum of v * phase over the terms at output b, every phase being 1, i, -1 or -i.
 
@@ -130,8 +145,7 @@ def _quarter_turn_sum(terms, b: tuple[int, ...], sign: int, size: int) -> tuple[
     stops once both parts are floats.
     """
     re = im = NV_ZERO
-    for a, v in terms:
-        quarter = sign * _dot(a, b) % size * 4 // size
+    for v, quarter in _turns(terms, b, sign, size):
         # v * i**quarter: (re, im), (-im, re), (-re, -im), (im, -re)
         x, y = (v.im, v.re) if quarter & 1 else (v.re, v.im)
         re = re + (-x if quarter in (1, 2) else x)
@@ -157,8 +171,12 @@ def fourier_transform(f: TestFunction, inverse: bool = False) -> TestFunction:
     phase is exact (1, i, -1 or -i) iff 4*t = 0 mod p**D; any other phase
     makes both parts of a term with a nonzero value floats.  An exact phase
     carries each part of the value into one part of the term, so an output
-    part is exact iff none of its terms is a float.  Those parts are summed
-    exactly, in input order; every other part is the FFT's float.
+    part is exact iff none of its terms is a float.  On a rational table
+    (every part an exact rational) each such part is one integer sum of
+    numerators over the table's one denominator, the phase only permuting
+    and negating each (re, im) numerator pair; every other table keeps the
+    term-by-term ring sum, in input order.  A part that is not exact is the
+    FFT's float.
     """
     fp = f.fp
     p = fp.p
@@ -169,14 +187,19 @@ def fourier_transform(f: TestFunction, inverse: bool = False) -> TestFunction:
     # outputs have the same digit depth as inputs, so the same addresses
     index = {ds: sum(a * p**j for j, a in enumerate(ds)) for ds in product(range(p), repeat=depth)}
     vectors = {d: tuple(index[ds] for ds in d) for d in f.addresses()}
-    terms = [(a, f.values[d]) for d, a in vectors.items() if not f.values[d].is_exact_zero()]
+    nonzero = [(a, d) for d, a in vectors.items() if not f.values[d].is_exact_zero()]
 
     # outputs whose every phase is exact: A.B = 0 mod size / gcd(size, 4) for each input A
     modulus = size // math.gcd(size, 4)
     quarter_turns = list(vectors.items())
-    for a in {tuple(x % modulus for x in a) for a, _ in terms}:
+    for a in {tuple(x % modulus for x in a) for a, _ in nonzero}:
         quarter_turns = [(d, b) for d, b in quarter_turns if _dot(a, b) % modulus == 0]
-    direct = {d: _quarter_turn_sum(terms, b, sign, size) for d, b in quarter_turns}
+    view = f._integer_view
+    if view is not None:
+        direct = {d: quarter_turn_sum(view, _turns(nonzero, b, sign, size)) for d, b in quarter_turns}
+    else:
+        terms = [(a, f.values[d]) for a, d in nonzero]
+        direct = {d: _quarter_turn_sum(terms, b, sign, size) for d, b in quarter_turns}
 
     z = fscale = None
     if len(direct) < len(vectors) or not all(re.is_exact and im.is_exact for re, im in direct.values()):

@@ -18,7 +18,10 @@ a view's entries adds in integers up to the first float term, with the
 ring's own rounding from there on, and becomes one ``ExactScalar`` per
 part only at the end (``integer_view``, then ``mixed_sum``: the one gate
 and accumulator of every route; ``integer_sum`` is its case of exact
-rational weights, for the engine routes that fold terms into them).
+rational weights, for the engine routes that fold terms into them).  A
+Fourier phase of 1, i, -1 or -i only permutes and negates a numerator
+pair, so the transform's exact outputs take ``quarter_turn_sum``, the
+lane's signed-permutation form.
 
 A table whose parts are all floats (the Riesz potential of an irrational
 order) has a float view instead: one (re, im) float pair per entry.  The
@@ -40,7 +43,9 @@ from .errors import DivergentSeriesError, ExactnessLost, FloatZeroDivisionError
 from .field import FieldParams
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion to Fraction; floats convert via their binary expansion."""
+    """Exact conversion to Fraction; floats convert via their binary expansion, and a bool is refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"cannot convert the bool {x} to a rational")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -706,6 +711,25 @@ def _lane(weights_of: Callable, args: tuple, view: IntegerView | FloatView | Non
         return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[1] for v in vectors]))
 
     return weighted_sum
+
+
+def quarter_turn_sum(view: IntegerView, turns: Iterable[tuple[object, int]]) -> tuple[NumericValue, NumericValue]:
+    """The (re, im) parts of the sum over (key, quarter) of the view's entry at key times i**quarter: the signed-permutation form of the lane.
+
+    i**quarter permutes and negates an entry's (x, y) numerator pair: (x, y),
+    (-y, x), (-x, -y) or (y, -x) for quarter 0, 1, 2 or 3.  So each part is
+    one integer sum over the view's denominator, built as one exact rational;
+    exact sums are the same in every order, so this is the ring's
+    term-by-term sum of value * phase.
+    """
+    nums = view.numerators
+    xs, ys = [0, 0, 0, 0], [0, 0, 0, 0]  # the numerator sums of each quarter count
+    for key, quarter in turns:
+        x, y = nums[key]
+        xs[quarter] += x
+        ys[quarter] += y
+    den = view.denominator
+    return _rational(xs[0] - ys[1] - xs[2] + ys[3], den), _rational(ys[0] + xs[1] - ys[2] - xs[3], den)
 
 
 def _rational(n: int, den: int) -> NumericValue:

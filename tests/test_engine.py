@@ -35,7 +35,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac import field, integrate, multidim, operators
+from ultrafrac import field, fourier, integrate, multidim, operators
 from ultrafrac.errors import (
     HypothesisBoundaryWarning,
     HypothesisViolationError,
@@ -1136,10 +1136,11 @@ def test_minkowski_bound_translates_on_addresses(monkeypatch, order_free):
     assert all(n == 0 for n in per_translation) == order_free
 
 
-@pytest.mark.parametrize("module", [operators, multidim], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [operators, multidim, fourier], ids=lambda m: m.__name__)
 def test_routes_do_no_numerator_arithmetic(module):
-    # the integer encoding stays behind numerics.integer_sum, numerics.mixed_sum
-    # and the table's own numerator tables: the routes import none of its parts
+    # the integer encoding stays behind numerics.integer_sum, numerics.mixed_sum,
+    # numerics.quarter_turn_sum and the table's own numerator tables: the
+    # routes import none of its parts
     tree = ast.parse(Path(module.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {
@@ -1312,12 +1313,12 @@ FOURIER_FIELDS = [(2, 1, 4), (3, 1, 4), (5, 1, 3), (2, 2, 3), (3, 2, 2), (5, 2, 
 
 
 @st.composite
-def transform_tables(draw):
+def transform_tables(draw, kind_lists=(ALL_KINDS, EXACT_KINDS, ["zero"] * 6 + ALL_KINDS, ["float"])):
     p, n, max_depth = draw(st.sampled_from(FOURIER_FIELDS))
     fp = FieldParams(p, n)
     s = draw(st.integers(-2, 1))
     k = s + draw(st.integers(0, max_depth))
-    kinds = draw(st.sampled_from([ALL_KINDS, EXACT_KINDS, ["zero"] * 6 + ALL_KINDS, ["float"]]))
+    kinds = draw(st.sampled_from(kind_lists))
     # nonzero entries only where the lowest `sparse` digits vanish: every phase
     # is then exact at more frequencies
     sparse = draw(st.integers(0, k - s))
@@ -1347,6 +1348,14 @@ def assert_same_transform(got: TestFunction, want: TestFunction) -> None:
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(f=transform_tables(), inverse=st.booleans())
 def test_fft_matches_direct_character_sum(f, inverse):
+    assert_same_transform(fourier_transform(f, inverse), fourier_transform_oracle(f, inverse))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(f=transform_tables([["zero", "rational", "rational"], ["zero"] * 4 + ["rational"]]), inverse=st.booleans())
+def test_rational_transform_matches_direct_character_sum(f, inverse):
+    # every part exact and rational: the quarter-turn outputs are integer sums on the table's integer view
+    assert f._integer_view is not None
     assert_same_transform(fourier_transform(f, inverse), fourier_transform_oracle(f, inverse))
 
 
@@ -1456,3 +1465,34 @@ def test_second_log_base_in_a_quarter_turn_sum_demotes(order):
     for inverse in (False, True):
         assert_same_transform(fourier_transform(f, inverse), fourier_transform_oracle(f, inverse))
     assert fourier_transform(f).values[((0, 0),)].re.is_exact == (order == (0, 1, 2))
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_cancelling_quarter_turn_sum_stays_an_exact_zero(inverse):
+    # at p = 2, D = 2 every phase is a quarter turn; the entries cancel at B = 0
+    # (their sum) and at B = 2 (the phase (-1)**A), part by part
+    fp = FieldParams(2)
+    third = Fraction(1, 3)
+    values = [ComplexValue.from_rational(re, im) for re, im in ((1, -2), (-1, 2), (third, 1), (-third, -1))]
+    f = _table(fp, 0, 2, values)
+    hat = fourier_transform(f, inverse)
+    assert hat.values[((0, 0),)].is_exact_zero() and hat.values[((0, 1),)].is_exact_zero()
+    assert_same_transform(hat, fourier_transform_oracle(f, inverse))
+
+
+@pytest.mark.parametrize("entry", ["rational", "float", "log"])
+def test_rational_quarter_turns_skip_the_ring_loop(monkeypatch, entry):
+    # a rational N = 64 table sums its exact outputs on the integer view; one
+    # float entry, or one ln(2) entry, sends every exact output through the ring
+    calls = []
+    ring = fourier._quarter_turn_sum
+    monkeypatch.setattr(fourier, "_quarter_turn_sum", lambda *args: calls.append(args[1]) or ring(*args))
+    fp = FieldParams(2)
+    values = [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)]
+    values[5] = {"rational": values[5], "float": 0.25, "log": NumericValue.from_exact(ExactScalar.ln_q(fp))}[entry]
+    f = _table(fp, -2, 4, values)
+    hat = fourier_transform(f)
+    # D = 6: every phase is exact only at the outputs B = 0, 16, 32, 48
+    exact_outputs = [d for d, v in hat.values.items() if v.is_exact]
+    assert len(exact_outputs) == (0 if entry == "float" else 4)
+    assert len(calls) == (0 if entry == "rational" else 4)

@@ -50,6 +50,8 @@ class TestExactScalar:
         assert as_fraction("1/3") == Fraction(1, 3)
         with pytest.raises(TypeError, match="cannot convert object"):
             as_fraction(object())
+        with pytest.raises(TypeError, match="cannot convert the bool True"):
+            as_fraction(True)
         with pytest.raises(ValueError, match="logbase >= 2"):
             ExactScalar(Fraction(0), Fraction(1))
 

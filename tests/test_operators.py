@@ -27,7 +27,8 @@ from ultrafrac.functions import (
     power_tail,
 )
 from ultrafrac import functions, operators
-from ultrafrac.numerics import ComplexValue, ExactScalar, NumericValue
+from ultrafrac.fourier import multiplier_vladimirov
+from ultrafrac.numerics import ComplexValue, ExactScalar, NumericValue, q_pow
 from ultrafrac.operators import (
     OperatorParams,
     averaging_apply,
@@ -477,3 +478,14 @@ class TestOperatorParams:
         for q, n in ((2, 1), (3, 2)):
             pr = OperatorParams(FieldParams(q, n), 1)
             assert abs_exponent(pr.fp, pr.sigma) == -1
+
+    @pytest.mark.parametrize("alpha", [True, False])
+    def test_bool_order_rejected(self, alpha):
+        # True is an int, so without the check it would silently become alpha = 1
+        fp = FieldParams(2)
+        with pytest.raises(TypeError, match="bool"):
+            OperatorParams(fp, alpha)
+        with pytest.raises(TypeError, match="bool"):
+            q_pow(fp, alpha)
+        with pytest.raises(TypeError, match="bool"):
+            multiplier_vladimirov(fp, alpha, indicator_ball(fp, 0))
