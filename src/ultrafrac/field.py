@@ -279,6 +279,33 @@ def _coordinate_integers(p: int, depth: int) -> tuple[tuple[int, ...], tuple[tup
     return tuple(ints), tuple(by_int)
 
 
+@lru_cache(maxsize=64)
+def _window_locations(
+    fp: FieldParams, ambient_level: int, support_level: int, resolution: int
+) -> tuple[tuple[Digits, Digits | None, int | None], ...]:
+    """(address, d, e) for each resolution-level coset of the ambient ball, in ``enumerate_digits`` order.
+
+    (d, e) is where a table on the ball at ``support_level`` locates the
+    coset's canonical point, read from its digits with no Point: d its
+    address in that ball, or None with |x| = q**e beyond it.  A point is in
+    the ball iff its digits below support_level all vanish; beyond it, the
+    first digit that does not vanish, at position m, gives |x| = q**(-m).
+    """
+    lead = support_level - ambient_level
+    pad = (0,) * -lead
+    out = []
+    for d in enumerate_digits(fp, ambient_level, resolution):
+        if lead <= 0:
+            out.append((d, tuple(pad + ds for ds in d), None))
+            continue
+        first = min(next((j for j, a in enumerate(ds[:lead]) if a), lead) for ds in d)
+        if first == lead:
+            out.append((d, tuple(ds[lead:] for ds in d), None))
+        else:
+            out.append((d, None, -(ambient_level + first)))
+    return tuple(out)
+
+
 def coset_walk(fp: FieldParams, ambient_level: int, resolution: int) -> Iterator[tuple[Digits, Point]]:
     """(digit address, canonical representative) of each resolution-level coset of the ambient ball.
 

@@ -19,6 +19,7 @@ from itertools import product
 from .field import (
     FieldParams,
     Point,
+    _coordinate_integers,
     abs_exponent,
     coset_walk,
 )
@@ -184,9 +185,10 @@ def fourier_transform(f: TestFunction, inverse: bool = False) -> TestFunction:
     size = p**depth
     sign = -1 if inverse else 1
     scale = Fraction(fp.q) ** (-f.constancy_level)
-    # outputs have the same digit depth as inputs, so the same addresses
-    index = {ds: sum(a * p**j for j, a in enumerate(ds)) for ds in product(range(p), repeat=depth)}
-    vectors = {d: tuple(index[ds] for ds in d) for d in f.addresses()}
+    # outputs have the same digit depth as inputs, so the same addresses; in
+    # enumerate_digits order each address's integers are the product of one coordinate's
+    ints, _ = _coordinate_integers(p, depth)
+    vectors = dict(zip(f.addresses(), product(ints, repeat=fp.n)))
     nonzero = [(a, d) for d, a in vectors.items() if not f.values[d].is_exact_zero()]
 
     # outputs whose every phase is exact: A.B = 0 mod size / gcd(size, 4) for each input A

@@ -598,6 +598,17 @@ def lp_window_sum(fp: FieldParams, window: int, k: int, p: float, diff) -> float
     return _power_sum(fp, k, p, map(abs, diffs))
 
 
+def lp_numerator_sum(fp: FieldParams, k: int, p: float, den: int, diffs: list[Numerators]) -> float:
+    """``lp_window_sum`` of differences given as (re, im) numerator pairs over den, one per coset in ``coset_walk`` order.
+
+    Each part is the float of n / den: int true division rounds correctly,
+    like float(Fraction), so the bits are the ring's.
+    """
+    if not any(map(any, diffs)):
+        return 0.0
+    return _power_sum(fp, k, p, (abs(complex(re / den, im / den)) for re, im in diffs))
+
+
 def _power_sum(fp: FieldParams, k: int, p: float, magnitudes) -> float:
     """Sum of m**p over the magnitudes, added left to right, times the level-k coset measure."""
     total = 0.0
@@ -651,15 +662,11 @@ def modulus_of_continuity(f: TestFunction, h: Point, p) -> float:
     sources = None if view is None else f._shifted_addresses(h)
     if sources is None:
         return lp_distance(f, f.translated(h), p)
-    # a rational table, h in its support: lp_distance on the integer numerators,
-    # each part of f(x) - f(x - h) as the float of (n(x) - n(x - h)) / L;
-    # int true division rounds correctly, like float(Fraction), so the bits are the ring's
-    nums, den = view.numerators, view.denominator
+    # a rational table, h in its support: lp_distance on the integer numerators of f(x) - f(x - h)
+    nums = view.numerators
     pairs = zip(map(nums.__getitem__, f.addresses()), map(nums.__getitem__, sources))
     diffs = [(x[0] - y[0], x[1] - y[1]) for x, y in pairs]
-    if not any(map(any, diffs)):
-        return 0.0
-    return _power_sum(f.fp, f.constancy_level, p, (abs(complex(re / den, im / den)) for re, im in diffs)) ** (1.0 / p)
+    return lp_numerator_sum(f.fp, f.constancy_level, p, view.denominator, diffs) ** (1.0 / p)
 
 
 def lizorkin_project(f: TestFunction, window_level: int | None = None) -> TestFunction:

@@ -18,7 +18,9 @@ a view's entries adds in integers up to the first float term, with the
 ring's own rounding from there on, and becomes one ``ExactScalar`` per
 part only at the end (``integer_view``, then ``mixed_sum``: the one gate
 and accumulator of every route; ``integer_sum`` is its case of exact
-rational weights, for the engine routes that fold terms into them).  A
+rational weights, for the engine routes that fold terms into them, and
+its ``IntegerSum.folded`` folds an exact factor and an exact constant
+too, so that a route's whole value is one numerator pair).  A
 Fourier phase of 1, i, -1 or -i only permutes and negates a numerator
 pair, so the transform's exact outputs take ``quarter_turn_sum``, the
 lane's signed-permutation form.
@@ -643,31 +645,12 @@ def mixed_sum(
     division rounds correctly, like ``float(Fraction)``, so the bits are
     the ring's.
     """
-    return _lane(weights_of, args, view, exact=False)
-
-
-def integer_sum(
-    weights_of: Callable, args: tuple, view: IntegerView | FloatView | None
-) -> Callable[[Iterable[Sequence[int]]], ComplexValue] | None:
-    """``mixed_sum`` where every weight is an exact rational and the view is an integer one; None otherwise.
-
-    Its sums are exact, and exact sums are the same in every order, so a
-    route may fold a factor or a repeated term into its weights only where
-    this lane is given.  Folding would reassociate the additions of a float
-    view, so it never takes one.
-    """
-    return _lane(weights_of, args, view, exact=True)
-
-
-def _lane(weights_of: Callable, args: tuple, view: IntegerView | FloatView | None, exact: bool):
-    if view is None or (exact and view.__class__ is FloatView):
+    if view is None:
         return None
     gated = _cached_weights(weights_of, args, _float_bits(args))
     if gated is None:
         return None
     count, w_den, terms = gated
-    if exact and any(w.__class__ is float for _, w in terms):
-        return None
 
     if view.__class__ is FloatView:
         float_terms = [(i, w if w.__class__ is float else w / w_den) for i, w in terms]
@@ -711,6 +694,75 @@ def _lane(weights_of: Callable, args: tuple, view: IntegerView | FloatView | Non
         return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[1] for v in vectors]))
 
     return weighted_sum
+
+
+class IntegerSum(NamedTuple):
+    """The exact lane: sum w * v of a route's rational weights against a rational table's numerator pairs, plus a constant.
+
+    Each weight is an integer over ``denominator`` / L, with L the view's
+    denominator, so each part of the sum, ``constant`` included, is one
+    integer over ``denominator``; its ``ExactScalar`` is built only when
+    the sum is called as a value.
+    """
+
+    count: int
+    terms: tuple[tuple[int, int], ...]  # (position, weight numerator), exact zeros left out
+    constant: Numerators
+    denominator: int
+
+    def numerators(self, vectors: Iterable[Sequence[int]]) -> Numerators:
+        """The (re, im) numerators of the sum over ``denominator``, for one pair per weight in weight order."""
+        vectors = list(vectors)
+        if len(vectors) != self.count:
+            raise ValueError(f"{len(vectors)} vectors for {self.count} weights")
+        re, im = self.constant
+        for i, w in self.terms:
+            x, y = vectors[i]
+            re += w * x
+            im += w * y
+        return re, im
+
+    def __call__(self, vectors: Iterable[Sequence[int]]) -> ComplexValue:
+        re, im = self.numerators(vectors)
+        return ComplexValue(_rational(re, self.denominator), _rational(im, self.denominator))
+
+    def folded(self, factor: NumericValue, constant: ComplexValue) -> IntegerSum | None:
+        """The lane of factor * (this sum + constant), or None unless factor and both parts of constant are exact rationals.
+
+        factor multiplies every weight and the old constant, and factor *
+        constant joins it, all over one new denominator: the same exact
+        value as the ring's factor * (sum + constant), with no ring
+        operation per sum.
+        """
+        parts = [v.exact for v in (factor, constant.re, constant.im)]
+        if any(e is None or e.logbase is not None for e in parts):
+            return None
+        f, c_re, c_im = (e.a for e in parts)
+        k_re, k_im = (f * (Fraction(n, self.denominator) + c) for n, c in zip(self.constant, (c_re, c_im)))
+        den = math.lcm(self.denominator * f.denominator, k_re.denominator, k_im.denominator)
+        scale = f.numerator * (den // (self.denominator * f.denominator))
+        terms = tuple((i, w * scale) for i, w in self.terms)
+        k_nums = (k_re.numerator * (den // k_re.denominator), k_im.numerator * (den // k_im.denominator))
+        return IntegerSum(self.count, terms, k_nums, den)
+
+
+def integer_sum(weights_of: Callable, args: tuple, view: IntegerView | FloatView | None) -> IntegerSum | None:
+    """``mixed_sum`` where every weight is an exact rational and the view is an integer one; None otherwise.
+
+    Its sums are exact, and exact sums are the same in every order, so a
+    route may fold a factor or a repeated term into its weights only where
+    this lane is given (``IntegerSum.folded``).  Folding would reassociate
+    the additions of a float view, so it never takes one.
+    """
+    if view is None or view.__class__ is not IntegerView:
+        return None
+    gated = _cached_weights(weights_of, args, _float_bits(args))
+    if gated is None:
+        return None
+    count, w_den, terms = gated
+    if any(w.__class__ is float for _, w in terms):
+        return None
+    return IntegerSum(count, tuple(terms), ZERO_NUMERATORS, w_den * view.denominator)
 
 
 def quarter_turn_sum(view: IntegerView, turns: Iterable[tuple[object, int]]) -> tuple[NumericValue, NumericValue]:

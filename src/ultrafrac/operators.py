@@ -28,8 +28,10 @@ from .errors import (
     HypothesisViolationError,
 )
 from .field import (
+    Digits,
     FieldParams,
     Point,
+    _window_locations,
     abs_exponent,
     coset_walk,
     point,
@@ -42,6 +44,7 @@ from .functions import (
     _as_extended,
     _lp_exponent,
     log_tail,
+    lp_numerator_sum,
     lp_window_sum,
     modulus_of_continuity,
     power_tail,
@@ -280,9 +283,11 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 
     The kernel is constant on each sphere |c - x| = q**(-j), so a core value
     is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
-    ball integral times phi(x).  At a point of phi's support, a rational
-    phi whose kernels times d are exact rationals sums in integers against
-    them; elsewhere d multiplies the ring's sum.
+    ball integral times phi(x).  Each window coset is located from its
+    address, with no Point.  At a point of phi's support, a rational phi
+    whose kernels times d are exact rationals sums its address's integer
+    spheres against them, so on the default window the core is built from
+    ``_integer_spheres`` alone; elsewhere d multiplies the ring's sum.
     """
     fp = params.fp
     g = params.gamma
@@ -297,15 +302,14 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     fe = ExtendedFunction(phi)
     weighted = integer_sum(_riesz_weights, (params, s, k), phi._integer_view)
 
-    def core_value(x: Point) -> ComplexValue:
-        addr, e = phi._locate(x)
+    def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
         if weighted is not None and addr is not None:
             return weighted(phi._integer_spheres[addr])
         j0, sums, value = fe._sphere_sums_at(addr, e)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
 
-    core = TestFunction.tabulate(fp, w, k, core_value)
+    core = TestFunction(fp, w, k, {x: core_value(addr, e) for x, addr, e in _window_locations(fp, w, s, k)})
     total = phi.integral()
     if g == 1:
         tail = log_tail(CV_ZERO, total * d)
@@ -348,9 +352,12 @@ def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[Nu
     return [*shells, -counted - _far_weight(params, min(lo - 1, hi))]
 
 
-def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: int) -> Callable[[Point], ComplexValue]:
-    """x -> shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
+def _difference_shell_sums(
+    params: OperatorParams, u: ExtendedFunction, j_hi: int, c: NumericValue
+) -> Callable[[Digits | None, int | None], ComplexValue]:
+    """(d, e) -> c times the shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
 
+    x is the point that u's core located at (d, e), as ``_locate`` gives it.
     A finite shell is a sum over its q**(k-j) - q**(k-j-1) constancy-level
     cosets, taken as (sum of u over them) - (their count) * u(x).  The shells
     before the first sphere sum, j0, see u's tail and sum in closed form; a
@@ -359,16 +366,21 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
     The shell weights depend on j alone and the far terms on j0 alone: every
     point of u's window has j0 = window, a point beyond it at |x| = q**(-l)
     has j0 = l.  The weights are built once per process and looked up once
-    per call, the far sums once per call.
+    per call, the far sums once per call.  Beyond the window the value
+    depends on e alone (the whole core's ball sum and u's tail at e), so it
+    is summed once per exponent.
 
-    At a point of the window of a rational core whose weights and far sum
-    are exact rationals, the shells sum in integers, u(x)'s share of every
-    shell, far shells included, folded into one weight.  Every other core
-    with a view sums each shell's difference on ``mixed_sum``, then adds
-    the far part, as the ring loop below does: a float term sees u(x)'s
-    share of its own shell.  On an all-float core's float view the
-    difference sums are float pairs, made by the ring loop's float
-    operations in its order, and the lane adds their terms in shell order.
+    At a point of the window of a rational core whose weights, far sum and
+    c are exact rationals, the shells sum in integers, u(x)'s share of every
+    shell, far shells included, folded into one weight, with c folded into
+    every weight and c times the far sum added (``IntegerSum.folded``): one
+    numerator pair per point, read by address, and one exact rational per
+    part.  Every other core with a view sums each shell's difference on
+    ``mixed_sum``, then adds the far part, as the ring loop below does: a
+    float term sees u(x)'s share of its own shell.  On an all-float core's
+    float view the difference sums are float pairs, made by the ring loop's
+    float operations in its order, and the lane adds their terms in shell
+    order.  Off the integer lane, c multiplies the sum last.
     """
     fp = params.fp
     g = params.gamma
@@ -387,43 +399,57 @@ def _difference_shell_sums(params: OperatorParams, u: ExtendedFunction, j_hi: in
         far = far_sum(j_far)
         return far if ux.is_exact_zero() else far - ux * far_weight(j_far)
 
-    j_far = min(window - 1, j_hi)
-    far = None if core._integer_view is None else far_sum(j_far)
-    rational_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
-    weighted = integer_sum(_engine_weights, (params, k, window, j_hi), core._integer_view) if rational_far else None
-    view = core._integer_view if core._integer_view is not None else core._float_view
-    mixed = None if weighted is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
-
-    def shell_sum_at(x: Point) -> ComplexValue:
-        d, e = core._locate(x)
-        if weighted is not None and d is not None:
-            return weighted(core._integer_spheres[d]) + far
-        if mixed is not None and d is not None:
-            return mixed(core._difference_spheres(d)) + far_part(core.values[d], j_far)
+    def ring_sum(d: Digits | None, e: int | None) -> ComplexValue:
         j0, sums, ux = u._sphere_sums_at(d, e)
         total = CV_ZERO
         for j, shell_sum in zip(range(j0, j_hi + 1), sums):
             shell_acc = shell_sum.value - ux * ((q - 1) * q ** (k - j - 1))
             if not shell_acc.is_exact_zero():
                 total = total + shell_acc * shell_weight(j)
-        return total + far_part(ux, min(j0 - 1, j_hi))
+        return (total + far_part(ux, min(j0 - 1, j_hi))) * c
+
+    @cache
+    def beyond(e: int) -> ComplexValue:
+        return ring_sum(None, e)
+
+    j_far = min(window - 1, j_hi)
+    far = None if core._integer_view is None else far_sum(j_far)
+    rational_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
+    lane = integer_sum(_engine_weights, (params, k, window, j_hi), core._integer_view) if rational_far else None
+    folded = None if lane is None else lane.folded(c, far)
+    view = core._integer_view if core._integer_view is not None else core._float_view
+    mixed = None if folded is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
+
+    def shell_sum_at(d: Digits | None, e: int | None) -> ComplexValue:
+        if d is None:
+            return beyond(e)
+        if folded is not None:
+            return folded(core._integer_spheres[d])
+        if mixed is not None:
+            return (mixed(core._difference_spheres(d)) + far_part(core.values[d], j_far)) * c
+        return ring_sum(d, e)
 
     return shell_sum_at
+
+
+def _vladimirov_at(params: OperatorParams, nu: int | None, u) -> Callable[[Digits | None, int | None], ComplexValue]:
+    """(d, e) -> the difference integral, whole (nu None) or truncated to |z| >= q**(-nu), at the point u's core located at (d, e)."""
+    if nu is not None:
+        _check_truncation(nu)
+    ue = _as_extended(u)
+    k = ue.constancy_level
+    return _difference_shell_sums(params, ue, k - 1 if nu is None else min(nu, k - 1), constants(params).c)
 
 
 def _vladimirov(params: OperatorParams, nu: int | None, u) -> Callable[[Point], ComplexValue]:
     """x -> the difference integral at x, whole (nu None) or truncated to |z| >= q**(-nu).
 
     The per-point calls hold this route on u (``_held_route``);
-    ``vladimirov_on_window`` builds it once per call.
+    ``vladimirov_on_window`` builds its located form once per call.
     """
-    if nu is not None:
-        _check_truncation(nu)
-    ue = _as_extended(u)
-    k = ue.constancy_level
-    diff = _difference_shell_sums(params, ue, k - 1 if nu is None else min(nu, k - 1))
-    c = constants(params).c
-    return lambda x: diff(x) * c
+    at = _vladimirov_at(params, nu, u)
+    locate = _as_extended(u).core._locate
+    return lambda x: at(*locate(x))
 
 
 def _held_route(build, params: OperatorParams, nu: int | None, f) -> Callable[[Point], ComplexValue]:
@@ -475,11 +501,19 @@ def vladimirov_on_window(
     window_level: int | None = None,
     nu: int | None = None,
 ) -> list[tuple[Point, ComplexValue]]:
-    """Operator values at the cosets of the input window dilated by one level."""
+    """Operator values at the cosets of the input window dilated by one level.
+
+    Each coset is located from its address; the only Points built are the
+    ones returned.  On a rational core under exact weights, c and far sum,
+    each coset of the core is one integer sum by address, and the cosets
+    beyond it share one value per |x| (see ``_difference_shell_sums``).
+    """
     ue = _as_extended(u)
+    fp, k = ue.fp, ue.constancy_level
     w = (ue.window_level - 1) if window_level is None else window_level
-    value = _vladimirov(params, nu, ue)
-    return [(x, value(x)) for _, x in coset_walk(ue.fp, w, ue.constancy_level)]
+    at = _vladimirov_at(params, nu, ue)
+    located = _window_locations(fp, w, ue.window_level, k)
+    return [(x, at(d, e)) for (_, x), (_, d, e) in zip(coset_walk(fp, w, k), located)]
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +533,17 @@ def _averaging_weights(params: OperatorParams, nu: int, k: int) -> tuple[Numeric
     return (*spheres, kernel_normalization_tail(params, j_star))
 
 
+def _inversion_weights(params: OperatorParams, nu: int, k: int) -> tuple[NumericValue, ...]:
+    """The averaging weights with f(x)'s less one: average - f(x) at a point as one weighted sum."""
+    *spheres, own = _averaging_weights(params, nu, k)
+    return (*spheres, own - 1)
+
+
+def _averaging_levels(nu: int, k: int) -> range:
+    """The levels nu + j of the averaging spheres j = 1 .. j_star - 1 that need an explicit sum; every shell below has nu + j < k."""
+    return range(nu + 1, nu + max(1, k - nu))
+
+
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
     """x -> averaging_apply at x.
 
@@ -516,24 +561,24 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
         )
     fp = params.fp
     core, window, k = pe.core, pe.window_level, pe.constancy_level
-    j_star = max(1, k - nu)  # every shell below has nu + j < k
+    levels = _averaging_levels(nu, k)
     weights = _averaging_weights(params, nu, k)
     weighted = mixed_sum(_averaging_weights, (params, nu, k), core._integer_view)
 
     def average_at(x: Point) -> ComplexValue:
         d, e = core._locate(x)
         if weighted is not None and (not pe.tail.terms or d is not None and nu + 1 >= window):
-            return weighted(core._prefix_spheres(d, e, range(nu + 1, nu + j_star)))
+            return weighted(core._prefix_spheres(d, e, levels))
         total = CV_ZERO
-        for j in range(1, j_star):
+        for level, weight in zip(levels, weights):
             inner = CV_ZERO
-            for rep in sphere_coset_reps(fp, nu + j, k):
+            for rep in sphere_coset_reps(fp, level, k):
                 v = pe.evaluate(x - rep)
                 if v.is_exact_zero():
                     continue
                 inner = inner + v
             if not inner.is_exact_zero():
-                total = total + inner * weights[j - 1]
+                total = total + inner * weight
         return total + (core.values[d] if d is not None else pe.tail_value_at_exponent(e)) * weights[-1]
 
     return average_at
@@ -557,6 +602,11 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     The residual is supported in the support of phi enlarged to the scale
     q**(-nu-1) (the averaging kernel is compactly supported), so the norm is
     a finite coset sum.  It is exactly zero once nu >= constancy_level - 1.
+
+    A rational phi without a tail, under exact averaging weights, sums
+    average - phi at each coset as one integer sum by address, with -1
+    folded into the weight of phi(x): no Point and no locate.  The powers
+    add in ``coset_walk`` order, as on every other input.
     """
     p = _lp_exponent(p)
     average = _averaging(params, nu, phi)
@@ -578,8 +628,16 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
             HypothesisBoundaryWarning,
             stacklevel=2,
         )
+    fp, core, k = params.fp, pe.core, pe.constancy_level
     w = min(pe.window_level, nu + 1)
-    residual = lp_window_sum(params.fp, w, pe.constancy_level, p, lambda x: average(x) - pe.evaluate(x))
+    lane = None if pe.tail.terms else integer_sum(_inversion_weights, (params, nu, k), core._integer_view)
+    if lane is None:
+        residual = lp_window_sum(fp, w, k, p, lambda x: average(x) - pe.evaluate(x))
+    else:
+        levels = _averaging_levels(nu, k)
+        located = _window_locations(fp, w, core.support_level, k)
+        diffs = [lane.numerators(core._prefix_spheres(d, e, levels)) for _, d, e in located]
+        residual = lp_numerator_sum(fp, k, p, lane.denominator, diffs)
     return residual ** (1.0 / p)
 
 

@@ -17,7 +17,10 @@ routes sum in integers (``numerics.integer_sum``, or ``mixed_sum``
 against partly float weights or a far sum that is not an exact
 rational), and the hypersingular engine sums an
 all-float core on ``mixed_sum`` through its float view, bit for bit the
-ring loop;
+ring loop.  A rational window sums by address: the hypersingular window
+with c and the far sum folded into its integer lane, the Riesz core and
+the inversion residual are checked against the coset walks, and build no
+Point but the ones they return;
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too, as is the holding of each per-point route
 on its function: one build per (function, params, nu), and none pickled.
@@ -454,7 +457,7 @@ def shell_case(params, u, widen, cut):
         x = digits_to_point(fp, d, w)
         for j_hi in sorted({k - 1, k - 1 - cut}):
             want = difference_shell_sum_oracle(params, u, x, j_hi)
-            assert_same(_difference_shell_sums(params, u, j_hi)(x), want, slack)
+            assert_same(_difference_shell_sums(params, u, j_hi, NV_ONE)(*u.core._locate(x)), want, slack)
 
 
 PROFILES = [LogProfile()] + [
@@ -675,6 +678,139 @@ def test_residual_equals_its_per_point_formula_on_exact_inputs(case):
 @given(case=residual_cases(ALL_KINDS))
 def test_residual_equals_its_per_point_formula_on_float_inputs(case):
     residual_case(*case)
+
+
+# (p, n, largest depth): rational tables of at most 64 cosets
+RATIONAL_FIELDS = [(2, 1, 6), (3, 1, 3), (2, 2, 3), (3, 2, 1)]
+
+
+@st.composite
+def rational_windows(draw):
+    """(params, u, widen): a rational table over p in {2, 3}, n in {1, 2}, N <= 64, constant at level k >= 2, under a tail.
+
+    gamma runs over 1/2, 1, 3/2 and 2, so that the weights are exact
+    rationals (q**gamma rational) or not.  The tail is none, a power with a
+    rational far sum, one off the rationals, or a log tail, whose far sum
+    has a ln q part.
+    """
+    p, n, max_depth = draw(st.sampled_from(RATIONAL_FIELDS))
+    fp = FieldParams(p, n)
+    depth = draw(st.integers(1, max_depth))
+    s = draw(st.integers(max(0, 2 - depth), 1))
+    values = {
+        d: ComplexValue(draw(scalars(fp, ["zero", "rational", "rational"])), draw(scalars(fp, ["zero", "zero", "rational"])))
+        for d in enumerate_digits(fp, s, s + depth)
+    }
+    params = OperatorParams(fp, n * draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])))
+    core = TestFunction(fp, s, s + depth, values)
+    tail = draw(st.sampled_from(["zero", "power", "power", "log"]))
+    coeff = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, 2, 3])))
+    if tail == "power":
+        u = ExtendedFunction(core, power_tail(coeff, draw(st.sampled_from([Fraction(-2), Fraction(-1, 2), Fraction(0)]))))
+    elif tail == "log":
+        u = ExtendedFunction(core, log_tail(Fraction(1, 2), coeff))
+    else:
+        u = ExtendedFunction(core)
+    return params, u, draw(st.integers(-1, 2))
+
+
+def residual_oracle(params, p, phi, nu):
+    """The residual as an lp sum of the coset walk's averages less phi."""
+    total = lp_window_sum(
+        params.fp, min(phi.support_level, nu + 1), phi.constancy_level, p, lambda x: averaging_oracle(params, nu, phi, x) - phi.evaluate(x)
+    )
+    return total ** (1 / p)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=rational_windows(), lp=st.sampled_from([1.0, 1.5, 3.0]))
+def test_rational_windows_by_address_match_the_coset_walks(case, lp):
+    # the hypersingular window, dilated, at its own window or one level finer,
+    # is the coset walk times c, exactly where it is exact; a log tail's far
+    # sum is not rational, so it never reaches the integer lane.  The Riesz
+    # core is the pair loop, and the residual of the core the lp sum of the
+    # averaging walk less phi, to the bit
+    params, u, widen = case
+    fp, core, k = params.fp, u.core, u.constancy_level
+    c = constants(params).c
+    slack = 1e-12 * l1_scale(core)
+    w = dilated_window(core, widen)
+    for nu in (None, 1, k - 1):
+        j_hi = k - 1 if nu is None else min(nu, k - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            folds = _counting(mp, operators, "integer_sum")
+            rows = vladimirov_on_window(params, u, w, nu)
+        assert [x for x, _ in rows] == [x for _, x in coset_walk(fp, w, k)]
+        for x, value in rows:
+            assert_same(value, difference_shell_sum_oracle(params, u, x, j_hi) * c, slack)
+        if isinstance(u.tail, LogTail):
+            assert folds == []
+    riesz_case(params, core, max(widen, 0))  # a Riesz window must hold the support
+    phi = lizorkin_project(core) if params.gamma > 1 else core
+    for nu in (1, k - 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", HypothesisBoundaryWarning)
+            got, want = inversion_residual(params, lp, phi, nu), residual_oracle(params, lp, phi, nu)
+        if all(weight.exact is not None for weight in operators._averaging_weights(params, nu, k)):
+            assert got.hex() == want.hex(), nu
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tables(["zero"]), shift=st.integers(-2, 3))
+def test_window_locations_are_the_located_points(case, shift):
+    # from the digits alone: the core's address, or the size of a point beyond it
+    _, f = case
+    fp, s, k = f.fp, f.support_level, f.constancy_level
+    level = min(s - shift, k)
+    assume(fp.q ** (k - level) <= 1024)
+    want = [(d, *f._locate(x)) for d, x in coset_walk(fp, level, k)]
+    assert list(field._window_locations(fp, level, s, k)) == want
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_rational_windows_build_no_point_but_their_rows(monkeypatch, alpha):
+    # an order-free N = 64 table at exact weights: the Riesz core and both
+    # residuals locate nothing and build no Point, and the truncated window
+    # on the potential builds only the 64 Points it returns, with a bounded
+    # number of ring additions and products for its far sum, none per coset
+    events = []
+    locate, to_point = TestFunction._locate, field.digits_to_point
+    add, mul = ComplexValue.__add__, ComplexValue.__mul__
+    monkeypatch.setattr(TestFunction, "_locate", lambda self, x: events.append("locate") or locate(self, x))
+    monkeypatch.setattr(field, "digits_to_point", lambda *args: events.append("point") or to_point(*args))
+    monkeypatch.setattr(ComplexValue, "__add__", lambda a, b: events.append("ring") or add(a, b))
+    monkeypatch.setattr(ComplexValue, "__mul__", lambda a, b: events.append("ring") or mul(a, b))
+    f = _table(FieldParams(2, 2), 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
+    params = OperatorParams(f.fp, alpha)
+    u = riesz_potential(params, f)
+    for nu in (1, 2):
+        assert inversion_residual(params, 1, f, nu) >= 0.0
+    assert "locate" not in events and "point" not in events
+    for nu in (1, 2):
+        events.clear()
+        assert len(vladimirov_on_window(params, u, 0, nu)) == 64
+        assert events.count("point") == 64
+        assert "locate" not in events
+        assert events.count("ring") < 16
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 3])
+def test_residual_of_a_shuffled_table_is_the_canonical_one(p):
+    # the powers add in coset_walk order, whatever the order of the values dict
+    fp = FieldParams(2, 2)
+    rng = random.Random(26)
+    f = _table(fp, 0, 3, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(64)])
+    items = list(f.values.items())
+    rng.shuffle(items)
+    g = TestFunction(fp, 0, 3, dict(items))
+    assert list(g.values) != list(f.values)
+    params = OperatorParams(fp, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisBoundaryWarning)
+        got, want = inversion_residual(params, p, g, 1), inversion_residual(params, p, f, 1)
+        assert got.hex() == want.hex() == residual_oracle(params, p, f, 1).hex()
 
 
 def same_parts(got, want) -> bool:
@@ -1089,20 +1225,26 @@ def test_exact_engine_routes_sum_no_sphere_values(monkeypatch, alpha):
 
 
 @pytest.mark.parametrize("alpha", [1, Fraction(1, 2)], ids=str)
-def test_engine_locates_each_point_once(monkeypatch, alpha):
-    # the default window of an order-free N = 64 table over Q_2 squared is
-    # dilated by one level: 256 points, 64 summed in integers (at alpha = 1/2
-    # on the mixed lane) and 192 beyond the core, whose sphere sums take the
-    # address the engine already found
+def test_engine_window_locates_no_point(monkeypatch, alpha):
+    # the window of an order-free N = 64 table over Q_2 squared dilated by
+    # two levels: 1024 cosets, each located from its address.  The 64 of the
+    # core sum in integers (at alpha = 1/2 on the mixed lane); the 960 beyond
+    # it lie at |x| = q or q**2, and each exponent is summed once per call
     calls = []
     locate = TestFunction._locate
     monkeypatch.setattr(TestFunction, "_locate", lambda self, x: calls.append(x) or locate(self, x))
+    located = ExtendedFunction._sphere_sums_at
+    spheres = []
+    monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: spheres.append((d, e)) or located(self, d, e))
     lanes = _counting_lanes(monkeypatch)
     f = _table(FieldParams(2, 2), 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
-    rows = vladimirov_on_window(OperatorParams(f.fp, alpha), f)
-    assert len(rows) == 256
-    assert len(calls) == 256
-    assert len(lanes) == (0 if alpha == 1 else 64)
+    params = OperatorParams(f.fp, alpha)
+    for nu in (None, 1):
+        rows = vladimirov_on_window(params, f, -2, nu)
+        assert len(rows) == 1024
+    assert calls == []
+    assert sorted(spheres) == [(None, 1), (None, 1), (None, 2), (None, 2)]
+    assert len(lanes) == (0 if alpha == 1 else 128)
 
 
 @pytest.mark.parametrize("order_free", [True, False], ids=["rational", "float entry"])
@@ -1406,7 +1548,7 @@ def test_point_outside_window_sees_root_sum_and_tail(tail):
     assert isinstance(u.tail, PowerTail if tail == "power" else LogTail)
     x = point(fp, Fraction(1, 9))
     for j_hi in range(-3, 1):
-        assert_same(_difference_shell_sums(params, u, j_hi)(x), difference_shell_sum_oracle(params, u, x, j_hi), 1e-12)
+        assert_same(_difference_shell_sums(params, u, j_hi, NV_ONE)(*core._locate(x)), difference_shell_sum_oracle(params, u, x, j_hi), 1e-12)
 
 
 def test_sphere_sums_are_sibling_ball_sums():

@@ -380,6 +380,33 @@ class TestIntegerAccumulation:
         ln2 = NumericValue.from_exact(ExactScalar.ln_q(FieldParams(2)))
         assert integer_sum(tuple, ((*weights[:-1], weights[-1] + ln2),), view) is None
 
+    @given(
+        triples=st.lists(st.tuples(_rationals(), _rationals(), _rationals()), min_size=1, max_size=5),
+        factors=st.lists(_rationals(), min_size=2, max_size=2),
+        constants=st.lists(st.tuples(_rationals(), _rationals()), min_size=2, max_size=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_folded_sum_is_the_ring_sum_times_the_factor(self, triples, factors, constants):
+        """folded(c, k) is c * (sum + k), exact zeros included, folded twice over; a float or ln factor or constant refuses."""
+        table = {i: ComplexValue.from_rational(re, im) for i, (_, re, im) in enumerate(triples)}
+        view = integer_view(table)
+        weights = tuple(NumericValue.from_rational(w) for w, _, _ in triples)
+        vectors = list(view.numerators.values())
+        lane, want = integer_sum(tuple, (weights,), view), CV_ZERO
+        for w, i in zip(weights, table):
+            want = want + table[i] * w
+        for c, k in zip(factors, constants):
+            c, k = NumericValue.from_rational(c), ComplexValue.from_rational(*k)
+            lane, want = lane.folded(c, k), (want + k) * c
+            assert _parts(lane(vectors)) == _parts(want)
+            assert lane.numerators(vectors) == tuple(
+                (part.exact.a * lane.denominator).numerator for part in (want.re, want.im)
+            )
+        half = NumericValue.from_rational(Fraction(1, 2))
+        ln2 = NumericValue.from_exact(ExactScalar.ln_q(FieldParams(2)))
+        for c, k in ((NumericValue.from_float(0.5), CV_ZERO), (ln2, CV_ZERO), (half, ComplexValue(NV_ONE, ln2)), (half, ComplexValue.from_complex(1j))):
+            assert lane.folded(c, k) is None
+
     def test_each_product_that_leaves_the_ring_refuses_the_weights(self, fp2, fp3):
         # the one gate of every lane: against a rational table a weight with a
         # ln or 1/ln part would leave the rationals, and no route hands one in;

@@ -304,8 +304,8 @@ class TestOperatorWindow:
             assert len(calls) == len(first_levels) == 2
 
     def test_window_points_never_ask_for_their_size(self, monkeypatch):
-        # inside the window the core's address alone finds a point; beyond it
-        # the size is asked for once per point
+        # inside the window the core's address alone finds a point, and beyond
+        # it the window address gives the size: no point asks for it
         pr = params(2, Fraction(1, 2))
         u = riesz_potential(pr, random_test_function(FieldParams(2), 0, 5, random.Random(43)))
         calls = []
@@ -316,7 +316,7 @@ class TestOperatorWindow:
             u.evaluate(x)
         assert len(rows) == 32 and calls == []
         assert len(vladimirov_on_window(pr, u, window_level=u.window_level - 1, nu=1)) == 64
-        assert len(calls) == 32
+        assert calls == []
 
     def test_weights_are_built_only_for_nonzero_shells(self):
         # at level 700 the shell weight 2**(3/2 * 699) is beyond float range; the
