@@ -280,6 +280,21 @@ def _coordinate_integers(p: int, depth: int) -> tuple[tuple[int, ...], tuple[tup
 
 
 @lru_cache(maxsize=64)
+def _ball_indices(fp: FieldParams, depth: int) -> dict[Digits, int]:
+    """Position of each depth-digit address in the ball-sum layout, in ``enumerate_digits`` order.
+
+    Digit t of coordinate i adds p**i to the base-q digit at position t, and
+    position 0 leads, so the ball t positions down that holds the coset at
+    index i has index ``i // q**(depth - t)``.
+    """
+    p, q = fp.p, fp.q
+    return {
+        d: sum(a * p**i * q ** (depth - 1 - t) for i, ds in enumerate(d) for t, a in enumerate(ds))
+        for d in enumerate_digits(fp, 0, depth)
+    }
+
+
+@lru_cache(maxsize=64)
 def _window_locations(
     fp: FieldParams, ambient_level: int, support_level: int, resolution: int
 ) -> tuple[tuple[Digits, Digits | None, int | None], ...]:

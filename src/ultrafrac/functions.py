@@ -25,6 +25,7 @@ from .field import (
     FieldParams,
     Point,
     _ball_digits,
+    _ball_indices,
     _ball_integers,
     _coordinate_integers,
     abs_exponent,
@@ -158,18 +159,9 @@ class TestFunction:
             return None
         return list(product(*([by_int[(a - s) % modulus] for a in ints] for s in shifts)))
 
-    def _ball_index(self, d: Digits) -> int:
-        """Position of a constancy-level coset in the ball-sum layout.
-
-        The base-q digit at each position packs the n coordinate digits, and
-        the support-level position leads, so the ball at level l holding the
-        coset has index ``_ball_index(d) // q**(constancy_level - l)``.
-        """
-        p, q = self.fp.p, self.fp.q
-        idx = 0
-        for t in range(self.constancy_level - self.support_level):
-            idx = idx * q + sum(di[t] * p**i for i, di in enumerate(d))
-        return idx
+    def _ball_index(self, d: Digits | None) -> int | None:
+        """Position of the coset at address d in the ball-sum layout (``field._ball_indices``); None for d None."""
+        return None if d is None else _ball_indices(self.fp, self.constancy_level - self.support_level)[d]
 
     def _ball_levels(self, leaves: Mapping[Digits, object], add) -> list[list]:
         """Sums of ``leaves`` over every ball, as ``[level - support_level][ball index]``.
@@ -178,9 +170,10 @@ class TestFunction:
         balls q*b .. q*b + q - 1 one level down.
         """
         q = self.fp.q
+        index = _ball_indices(self.fp, self.constancy_level - self.support_level)
         bottom: list = [None] * len(leaves)
         for d, v in leaves.items():
-            bottom[self._ball_index(d)] = v
+            bottom[index[d]] = v
         levels = [bottom]
         while len(levels[-1]) > 1:
             below = levels[-1]
@@ -188,13 +181,12 @@ class TestFunction:
         levels.reverse()
         return levels
 
-    def _sibling_sums(self, levels: list[list], d: Digits, add) -> list:
-        """Sums over the spheres around the coset d, from ``_ball_levels``: the q - 1 siblings of its ball at each level."""
+    def _sibling_sums(self, levels: list[list], i: int, add) -> list:
+        """Sums over the spheres around the coset at ball index i, from ``_ball_levels``: the q - 1 siblings of its ball at each level."""
         q = self.fp.q
-        idx = self._ball_index(d)
         out = []
         for t in range(1, len(levels)):
-            own = idx // q ** (len(levels) - 1 - t)
+            own = i // q ** (len(levels) - 1 - t)
             first = own - own % q
             out.append(reduce(add, (levels[t][b] for b in range(first, first + q) if b != own)))
         return out
@@ -222,17 +214,22 @@ class TestFunction:
         return float_view(self.values)
 
     @cached_property
-    def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
-        """Pairs of ``sphere_sums(d)``, then of the entry at d, at every address d.
+    def _pair_levels(self) -> list[list[Numerators]]:
+        """The table's one ball pyramid: ``_ball_levels`` of its integer numerator pairs, or float pairs on an all-float table.
 
-        The pairs are integer numerators on a rational table and floats on an
-        all-float one.  They come from the pass of ``_ball_sums``, so each
-        float sum is the one its ``BallSum`` makes, addition for addition.
+        The engine reads sphere sums from it and, on a rational table, the
+        prefix routes read ball sums.  A float sum is the one its ``BallSum``
+        makes, addition for addition.
         """
         view = self._integer_view
-        entries = view.numerators if view is not None else self._float_view.pairs
-        levels = self._ball_levels(entries, _add_numerators)
-        return {d: [*self._sibling_sums(levels, d, _add_numerators), v] for d, v in entries.items()}
+        return self._ball_levels(view.numerators if view is not None else self._float_view.pairs, _add_numerators)
+
+    @cached_property
+    def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
+        """Pairs of ``sphere_sums(d)``, then of the entry at d, at every address d, read from ``_pair_levels``."""
+        levels = self._pair_levels
+        index = _ball_indices(self.fp, self.constancy_level - self.support_level)
+        return {d: [*self._sibling_sums(levels, i, _add_numerators), levels[-1][i]] for d, i in index.items()}
 
     def _difference_spheres(self, d: Digits) -> list[Numerators]:
         """Pairs of the sums of f(z) - f(x) over the spheres of ``sphere_sums(d)``: each sphere sum less its coset count times the entry.
@@ -247,41 +244,27 @@ class TestFunction:
             for j, sphere in zip(range(self.support_level, k), spheres)
         ]
 
-    @cached_property
-    def _prefix_sums(self) -> dict[Digits, Numerators]:
-        """Numerators of the sum over each ball of a rational table, keyed ``tuple(ds[:t] for ds in d)`` at level support_level + t."""
-        sums: dict[Digits, Numerators] = {}
-        for d, v in self._integer_view.numerators.items():
-            for t in range(self.constancy_level - self.support_level + 1):
-                key = tuple(ds[:t] for ds in d)
-                sums[key] = _add_numerators(sums[key], v) if key in sums else v
-        return sums
-
-    def _ball_around(self, d: Digits | None, e: int | None, level: int) -> Numerators:
-        """Numerators of the table sum over {|z - x| <= q**(-level)}, for x at address d, or (d None) beyond the support at |x| = q**e."""
+    def _ball_around(self, i: int | None, e: int | None, level: int) -> Numerators:
+        """Numerators of the table sum over {|z - x| <= q**(-level)}, for x at ball index i, or (i None) beyond the support at |x| = q**e."""
         t = level - self.support_level
         if t >= 0:
-            return ZERO_NUMERATORS if d is None else self._prefix_sums[tuple(ds[:t] for ds in d)]
-        return self._prefix_sums[((),) * self.fp.n] if d is not None or e <= -level else ZERO_NUMERATORS
-
-    def _sphere_around(self, d: Digits | None, e: int | None, level: int) -> Numerators:
-        """Numerators of the table sum over {|z - x| = q**(-level)}: the ball at level less the ball one level down."""
-        return tuple(map(operator.sub, self._ball_around(d, e, level), self._ball_around(d, e, level + 1)))
+            return ZERO_NUMERATORS if i is None else self._pair_levels[t][i // self.fp.q ** (self.constancy_level - level)]
+        return self._pair_levels[0][0] if i is not None or e <= -level else ZERO_NUMERATORS
 
     def _prefix_spheres(self, d: Digits | None, e: int | None, levels) -> Iterator[Numerators]:
-        """Numerators of the sums over the spheres at ``levels`` around x, as in ``_sphere_around``, then of f(x): its own coset."""
+        """Numerators of the sums over the spheres at ``levels`` around x, each the ball at the level less the ball one level down, then of f(x): its own coset."""
+        i = self._ball_index(d)
         for level in levels:
-            yield self._sphere_around(d, e, level)
-        yield self._ball_around(d, e, self.constancy_level)
+            yield tuple(map(operator.sub, self._ball_around(i, e, level), self._ball_around(i, e, level + 1)))
+        yield self._ball_around(i, e, self.constancy_level)
 
     def _prefix_differences(self, d: Digits | None, e: int | None, levels) -> Iterator[Numerators]:
         """Numerators of the sums of f(z) - f(x) over the spheres at ``levels`` around x (each sphere sum less its coset count times f(x)), then of f(x)."""
         q, k = self.fp.q, self.constancy_level
-        fx = re, im = self._ball_around(d, e, k)
-        for level in levels:
+        *spheres, fx = self._prefix_spheres(d, e, levels)
+        for level, sphere in zip(levels, spheres):
             count = (q - 1) * q ** (k - level - 1)
-            s_re, s_im = self._sphere_around(d, e, level)
-            yield s_re - count * re, s_im - count * im
+            yield tuple(s - count * x for s, x in zip(sphere, fx))
         yield fx
 
     def ball_sum(self) -> BallSum:
@@ -295,7 +278,7 @@ class TestFunction:
         the sphere at level j is the q - 1 sibling balls of x's own ball at
         level j + 1, so a point costs O(q * depth) once the table is summed.
         """
-        return self._sibling_sums(self._ball_sums, d, operator.add)
+        return self._sibling_sums(self._ball_sums, self._ball_index(d), operator.add)
 
     def integral(self) -> ComplexValue:
         """Exact Haar integral: the sum of the table times the coset measure."""

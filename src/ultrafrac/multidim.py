@@ -4,11 +4,11 @@ the one-dimensional operator over an unramified degree-n extension.
 The coordinate model makes the two readings of the same operator literally
 comparable.  ``taibleson_direct`` sums shells in the max-norm geometry, in
 powers of the base prime.  A rational table reads each shell's difference
-sum from its own prefix table and sums the shells on the ``mixed_sum``
-lane; any other table walks each shell coset by coset.  The extension
-reading runs the engine at q**n and gamma = alpha/n.  The two routes share
-no formula code, only the integer encoding of a table; their agreement is
-a theorem and a test.  Both refuse a table over a field other than the
+sum as two ball sums of the table's one pyramid and sums the shells on the
+``mixed_sum`` lane; any other table walks each shell coset by coset.  The
+extension reading runs the engine at q**n and gamma = alpha/n.  The two
+routes share no formula code, only the table's ball sums; their agreement
+is a theorem and a test.  Both refuse a table over a field other than the
 extension model.
 """
 
@@ -107,10 +107,10 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     Shell decomposition of the difference integral against the kernel
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
     locally constant inputs kill every shell inside the constancy scale.
-    A rational table reads each shell's sum of f(z) - f(x) from two prefix
-    ball sums and sums the shells on the ``mixed_sum`` lane, held on f per
-    (bridge, j_t) under a key of this route's own; any other table walks
-    each shell coset by coset.
+    A rational table reads each shell's sum of f(z) - f(x) from two ball
+    sums of ``TestFunction._pair_levels`` and sums the shells on the
+    ``mixed_sum`` lane, held on f per (bridge, j_t) under a key of this
+    route's own; any other table walks each shell coset by coset.
     """
     _check_field(bridge, f)
     k, window = f.constancy_level, f.support_level

@@ -243,14 +243,13 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
     value = collapsed
 
     if j <= 0:
-        sphere_val = _critical_sphere_integral(params, tau, j, depth)
+        # the floats first: a far-out j overflows here, not after a refinement whose cost grows with j**2
         sphere_meas = (1 - 1 / q) * q ** (-j)
         if log_branch:
-            const_part = (-j) * math.log(fp.q) * sphere_meas
-            value += q ** (2 * j) * (sphere_val - const_part)
+            scale, const_part = q ** (2 * j), (-j) * math.log(fp.q) * sphere_meas
         else:
-            const_part = q ** (-j * (gf - 1)) * sphere_meas
-            value += q ** (j * (gf + 1)) * (sphere_val - const_part)
+            scale, const_part = q ** (j * (gf + 1)), q ** (-j * (gf - 1)) * sphere_meas
+        value += scale * (_critical_sphere_integral(params, tau, j, depth) - const_part)
     return value
 
 
@@ -547,11 +546,12 @@ def _averaging_levels(nu: int, k: int) -> range:
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
     """x -> averaging_apply at x.
 
-    A point of a rational core that sees no tail sums its spheres, read
-    from the prefix table, on the ``mixed_sum`` lane; every other point
-    walks them.  ``averaging_apply`` holds this route on phi
-    (``_held_route``); ``inversion_residual`` builds it once per call.  The
-    zero-mean check runs in the build, so a refused input holds nothing.
+    A point of a rational core that sees no tail sums its spheres, each a
+    ball less a ball of ``TestFunction._pair_levels``, on the ``mixed_sum``
+    lane; every other point walks them.  ``averaging_apply`` holds this
+    route on phi (``_held_route``); ``inversion_residual`` builds it once
+    per call.  The zero-mean check runs in the build, so a refused input
+    holds nothing.
     """
     _check_truncation(nu)
     pe = _as_extended(phi)

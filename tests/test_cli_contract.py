@@ -91,3 +91,15 @@ def test_cli_import_does_not_load_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = "import sys, ultrafrac.cli; sys.exit(int('numpy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("alpha", ["1/2", "1"])
+def test_far_out_kernel_shell_fails_fast(alpha):
+    # |tau| = q**100000 puts the sphere measure beyond float range: the run
+    # must say so before the refinement around -tau, whose cost grows with j**2
+    src = Path(ultrafrac.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    args = ["kernel", "--p", "2", "--alpha", alpha, "--shells", "-100000"]
+    done = subprocess.run([sys.executable, "-m", "ultrafrac.cli", *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

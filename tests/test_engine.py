@@ -1094,16 +1094,25 @@ def test_functions_pickle_after_per_point_calls():
 @settings(max_examples=60, deadline=None)
 @given(case=tables(["zero", "rational"]))
 def test_prefix_table_is_the_engine_ball_sums(case):
-    # the two independent tables of ball sums agree at every level and ball;
-    # the prefix table holds numerators over the table's one denominator
+    # the one ball pyramid agrees, at every level and ball, with the entries
+    # grouped here by their per-coordinate digit prefixes: numerators over the
+    # table's one denominator in _pair_levels, BallSums in _ball_sums
     _, f = case
     view = f._integer_view
     q, depth = f.fp.q, f.constancy_level - f.support_level
-    for d in f.values:
-        for t in range(depth + 1):
-            want = f._ball_sums[t][f._ball_index(d) // q ** (depth - t)].value
-            got = f._prefix_sums[tuple(ds[:t] for ds in d)]
-            assert _over(got, view.denominator) == (want.re.exact, want.im.exact)
+    index = field._ball_indices(f.fp, depth)
+    for t in range(depth + 1):
+        prefix_sums = {}
+        for d, (re, im) in view.numerators.items():
+            key = tuple(ds[:t] for ds in d)
+            s_re, s_im = prefix_sums.get(key, (0, 0))
+            prefix_sums[key] = (s_re + re, s_im + im)
+        assert len(f._pair_levels[t]) == len(f._ball_sums[t]) == len(prefix_sums) == q**t
+        for d in f.values:
+            ball, want = index[d] // q ** (depth - t), prefix_sums[tuple(ds[:t] for ds in d)]
+            assert f._pair_levels[t][ball] == want
+            s = f._ball_sums[t][ball].value
+            assert _over(want, view.denominator) == (s.re.exact, s.im.exact)
 
 
 def _over(nums, den) -> tuple[ExactScalar, ExactScalar]:
@@ -1417,7 +1426,7 @@ def test_float_riesz_core_takes_the_lane(monkeypatch):
 
 
 def test_float_tables_keep_the_ring_off_the_engine(monkeypatch):
-    # the averaging route reads no prefix sum of an all-float table, since
+    # the averaging route reads no ball sum of an all-float table, since
     # a sphere as a ball minus a ball would reassociate float additions; the
     # Riesz potential of one walks every point's spheres through BallSums,
     # since scale_sum keeps a float zero where the lane would skip a term
@@ -1427,13 +1436,13 @@ def test_float_tables_keep_the_ring_off_the_engine(monkeypatch):
     params = OperatorParams(fp, Fraction(1, 2))
     for _, x in coset_walk(fp, -2, 4):
         assert same_parts(averaging_apply(params, 1, f, x), averaging_oracle(params, 1, f, x))
-    assert "_prefix_sums" not in f.__dict__
+    assert "_pair_levels" not in f.__dict__
     located = ExtendedFunction._sphere_sums_at
     calls = []
     monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
     riesz_potential(params, f)
     assert len(calls) == 64
-    assert "_integer_spheres" not in f.__dict__
+    assert "_integer_spheres" not in f.__dict__ and "_pair_levels" not in f.__dict__
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

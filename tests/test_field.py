@@ -12,6 +12,7 @@ from ultrafrac.field import (
     FieldParams,
     Point,
     SphereSpec,
+    _ball_indices,
     _is_prime,
     abs_exponent,
     abs_value,
@@ -219,6 +220,26 @@ class TestIntegerAddresses:
             u.evaluate(x)
         with pytest.raises(InvalidPointError, match="expected 2"):
             u.sphere_sums(x)
+
+
+class TestBallIndices:
+    @given(p=st.sampled_from([2, 3]), n=st.sampled_from([1, 2]), depth=st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_balls_are_the_digit_prefixes(self, p, n, depth):
+        # a bijection onto range(q**depth) keyed in enumerate_digits order; at
+        # every t, index // q**(depth - t) tells balls apart exactly as the
+        # per-coordinate length-t prefixes of the addresses do
+        fp = FieldParams(p, n)
+        index = _ball_indices(fp, depth)
+        assert list(index) == list(enumerate_digits(fp, 0, depth))
+        assert sorted(index.values()) == list(range(fp.q**depth))
+        for t in range(depth + 1):
+            ball_of_prefix = {}
+            for d, i in index.items():
+                ball_of_prefix.setdefault(tuple(ds[:t] for ds in d), set()).add(i // fp.q ** (depth - t))
+            balls = [ball for group in ball_of_prefix.values() for ball in group]
+            assert all(len(group) == 1 for group in ball_of_prefix.values())
+            assert len(set(balls)) == len(balls) == fp.q**t
 
 
 class TestPrimality:
