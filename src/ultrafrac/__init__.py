@@ -13,6 +13,7 @@ from .errors import (
     RegionMismatchError,
     UltrafracError,
     UnsupportedIntegrandError,
+    WorkSizeError,
 )
 from .field import (
     BallSpec,

@@ -13,6 +13,10 @@ class CosetResolutionError(UltrafracError):
     """Requested coset resolution is coarser than the ambient ball."""
 
 
+class WorkSizeError(UltrafracError):
+    """A coset walk would enumerate more cosets than the fixed work limit."""
+
+
 class ExactnessLost(UltrafracError):
     """An exact-ring operation left the ring Q + Q*ln(q) + Q/ln(q)."""
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Iterator
 
-from .errors import CosetResolutionError, InvalidPointError
+from .errors import CosetResolutionError, InvalidPointError, WorkSizeError
 
 
 @lru_cache(maxsize=4096)
@@ -27,6 +27,10 @@ def _prime_power(p: int, k: int) -> Fraction:
     return Fraction(p) ** k
 
 Digits = tuple[tuple[int, ...], ...]
+
+# enumerate_digits refuses a walk of more than 2**_MAX_WALK_BITS cosets; the
+# test suite's largest walk is 3**12 = 531 441, the CLI examples' a few hundred
+_MAX_WALK_BITS = 20
 
 
 # Miller-Rabin with the first 13 prime bases decides primality below this bound
@@ -257,12 +261,22 @@ def digits_to_point(fp: FieldParams, digits: Digits, ambient_level: int) -> Poin
 
 
 def enumerate_digits(fp: FieldParams, ambient_level: int, resolution: int) -> Iterator[Digits]:
-    """All digit addresses at the given resolution, in lexicographic order."""
+    """All digit addresses at the given resolution, in lexicographic order.
+
+    A walk of more than 2**_MAX_WALK_BITS cosets raises ``WorkSizeError``
+    before any list is built.  The count p**(n * depth) is decided from its
+    exponent first (p >= 2), so a far-out depth never builds q**depth.
+    """
     if resolution < ambient_level:
         raise CosetResolutionError(
             f"resolution {resolution} coarser than ambient level {ambient_level}"
         )
     depth = resolution - ambient_level
+    exponent = fp.n * depth
+    if exponent > _MAX_WALK_BITS or fp.p**exponent > 2**_MAX_WALK_BITS:
+        raise WorkSizeError(
+            f"a walk of {fp.p}**{exponent} cosets (levels {ambient_level} to {resolution}) exceeds the limit of 2**{_MAX_WALK_BITS}"
+        )
     per_coord = list(_cartesian(range(fp.p), repeat=depth))
     for combo in _cartesian(per_coord, repeat=fp.n):
         yield combo

@@ -601,7 +601,9 @@ def _power_sum(fp: FieldParams, k: int, p: float, magnitudes) -> float:
 
 
 def _lp_exponent(p) -> float:
-    """The exponent of an L^p norm as a float; a finite p >= 1, else ValueError."""
+    """The exponent of an L^p norm as a float; a finite p >= 1, else ValueError, and a bool is refused."""
+    if isinstance(p, bool):
+        raise TypeError(f"an L^p exponent cannot be the bool {p}")
     p = float(p)
     if not 1 <= p < math.inf:
         raise ValueError(f"L^p norms need a finite p >= 1, got {p}")

@@ -17,13 +17,12 @@ part either (the Riesz core's weights include its normalizer d, whose
 a view's entries adds in integers up to the first float term, with the
 ring's own rounding from there on, and becomes one ``ExactScalar`` per
 part only at the end (``integer_view``, then ``mixed_sum``: the one gate
-and accumulator of every route; ``integer_sum`` is its case of exact
-rational weights, for the engine routes that fold terms into them, and
-its ``IntegerSum.folded`` folds an exact factor and an exact constant
-too, so that a route's whole value is one numerator pair).  A
-Fourier phase of 1, i, -1 or -i only permutes and negates a numerator
-pair, so the transform's exact outputs take ``quarter_turn_sum``, the
-lane's signed-permutation form.
+and lane builder of every route; on exact rational weights the lane it
+hands out is an ``IntegerSum``, whose ``folded`` folds an exact factor
+and an exact constant into the weights, so that a route's whole value is
+one numerator pair).  A Fourier phase of 1, i, -1 or -i only permutes and
+negates a numerator pair, so the transform's exact outputs take
+``quarter_turn_sum``, the lane's signed-permutation form.
 
 A table whose parts are all floats (the Riesz potential of an irrational
 order) has a float view instead: one (re, im) float pair per entry.  The
@@ -634,16 +633,24 @@ def mixed_sum(
     ``args`` also keys the cache by its bits.  None without a view or where
     that gate refuses.  Otherwise the returned function takes one pair per
     weight, in weight order, and gives each part of sum w * v exactly as
-    the ring's sum of the products in that order.  A term whose weight is
-    an exact zero is skipped (the exact zero absorbs), and so is one whose
-    numerator is; exact terms add in integers until the first float term;
-    from there every term adds in order as a float, a float-weight term as
-    (n / L) * w and an exact one as the float of its exact product.  On a
-    float view every term is the float n * w, an exact weight taken as its
-    float w / W, and every term adds in order, a float zero included: the
-    ring keeps a float zero, so a cancelling sum stays a float.  Int true
-    division rounds correctly, like ``float(Fraction)``, so the bits are
-    the ring's.
+    the ring's sum of the products in that order.
+
+    Where every weight is an exact rational and the view is an integer one,
+    the function is an ``IntegerSum``, the exact lane.  Its sums are exact,
+    and exact sums are the same in every order, so a route may fold a
+    factor or a repeated term into its weights only on this lane
+    (``IntegerSum.folded``).  Folding would reassociate the additions of a
+    float view, so a float view never gets one.
+
+    Elsewhere a term whose weight is an exact zero is skipped (the exact
+    zero absorbs), and so is one whose numerator is; exact terms add in
+    integers until the first float term; from there every term adds in
+    order as a float, a float-weight term as (n / L) * w and an exact one
+    as the float of its exact product.  On a float view every term is the
+    float n * w, an exact weight taken as its float w / W, and every term
+    adds in order, a float zero included: the ring keeps a float zero, so a
+    cancelling sum stays a float.  Int true division rounds correctly, like
+    ``float(Fraction)``, so the bits are the ring's.
     """
     if view is None:
         return None
@@ -651,6 +658,8 @@ def mixed_sum(
     if gated is None:
         return None
     count, w_den, terms = gated
+    if view.__class__ is IntegerView and not any(w.__class__ is float for _, w in terms):
+        return IntegerSum(count, tuple(terms), ZERO_NUMERATORS, w_den * view.denominator)
 
     if view.__class__ is FloatView:
         float_terms = [(i, w if w.__class__ is float else w / w_den) for i, w in terms]
@@ -699,10 +708,11 @@ def mixed_sum(
 class IntegerSum(NamedTuple):
     """The exact lane: sum w * v of a route's rational weights against a rational table's numerator pairs, plus a constant.
 
-    Each weight is an integer over ``denominator`` / L, with L the view's
-    denominator, so each part of the sum, ``constant`` included, is one
-    integer over ``denominator``; its ``ExactScalar`` is built only when
-    the sum is called as a value.
+    ``mixed_sum`` hands it out with a zero constant.  Each weight is an
+    integer over ``denominator`` / L, with L the view's denominator, so
+    each part of the sum, ``constant`` included, is one integer over
+    ``denominator``; its ``ExactScalar`` is built only when the sum is
+    called as a value.
     """
 
     count: int
@@ -744,25 +754,6 @@ class IntegerSum(NamedTuple):
         terms = tuple((i, w * scale) for i, w in self.terms)
         k_nums = (k_re.numerator * (den // k_re.denominator), k_im.numerator * (den // k_im.denominator))
         return IntegerSum(self.count, terms, k_nums, den)
-
-
-def integer_sum(weights_of: Callable, args: tuple, view: IntegerView | FloatView | None) -> IntegerSum | None:
-    """``mixed_sum`` where every weight is an exact rational and the view is an integer one; None otherwise.
-
-    Its sums are exact, and exact sums are the same in every order, so a
-    route may fold a factor or a repeated term into its weights only where
-    this lane is given (``IntegerSum.folded``).  Folding would reassociate
-    the additions of a float view, so it never takes one.
-    """
-    if view is None or view.__class__ is not IntegerView:
-        return None
-    gated = _cached_weights(weights_of, args, _float_bits(args))
-    if gated is None:
-        return None
-    count, w_den, terms = gated
-    if any(w.__class__ is float for _, w in terms):
-        return None
-    return IntegerSum(count, tuple(terms), ZERO_NUMERATORS, w_den * view.denominator)
 
 
 def quarter_turn_sum(view: IntegerView, turns: Iterable[tuple[object, int]]) -> tuple[NumericValue, NumericValue]:

@@ -56,10 +56,10 @@ from .numerics import (
     NV_ZERO,
     ComplexValue,
     ExactScalar,
+    IntegerSum,
     NumericValue,
     as_fraction,
     geometric_tail,
-    integer_sum,
     mixed_sum,
     q_pow,
     weighted_geometric_tail,
@@ -285,8 +285,10 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     ball integral times phi(x).  Each window coset is located from its
     address, with no Point.  At a point of phi's support, a rational phi
     whose kernels times d are exact rationals sums its address's integer
-    spheres against them, so on the default window the core is built from
-    ``_integer_spheres`` alone; elsewhere d multiplies the ring's sum.
+    spheres against them on ``mixed_sum``'s exact lane, so on the default
+    window the core is built from ``_integer_spheres`` alone; elsewhere d
+    multiplies the ring's sum, which keeps the float 0.0 of a cancelled
+    sphere that a mixed lane would skip.
     """
     fp = params.fp
     g = params.gamma
@@ -299,7 +301,8 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     *shell_kernels, inner_kernel = _riesz_kernels(params, w, k)
 
     fe = ExtendedFunction(phi)
-    weighted = integer_sum(_riesz_weights, (params, s, k), phi._integer_view)
+    lane = mixed_sum(_riesz_weights, (params, s, k), phi._integer_view)
+    weighted = lane if isinstance(lane, IntegerSum) else None
 
     def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
         if weighted is not None and addr is not None:
@@ -370,16 +373,17 @@ def _difference_shell_sums(
     is summed once per exponent.
 
     At a point of the window of a rational core whose weights, far sum and
-    c are exact rationals, the shells sum in integers, u(x)'s share of every
-    shell, far shells included, folded into one weight, with c folded into
-    every weight and c times the far sum added (``IntegerSum.folded``): one
-    numerator pair per point, read by address, and one exact rational per
-    part.  Every other core with a view sums each shell's difference on
-    ``mixed_sum``, then adds the far part, as the ring loop below does: a
-    float term sees u(x)'s share of its own shell.  On an all-float core's
-    float view the difference sums are float pairs, made by the ring loop's
-    float operations in its order, and the lane adds their terms in shell
-    order.  Off the integer lane, c multiplies the sum last.
+    c are exact rationals, the shells sum in integers on ``mixed_sum``'s
+    ``IntegerSum``, u(x)'s share of every shell, far shells included, folded
+    into one weight, with c folded into every weight and c times the far sum
+    added (``IntegerSum.folded``): one numerator pair per point, read by
+    address, and one exact rational per part.  Every other core with a view
+    sums each shell's difference on ``mixed_sum``, then adds the far part,
+    as the ring loop below does: a float term sees u(x)'s share of its own
+    shell.  On an all-float core's float view the difference sums are float
+    pairs, made by the ring loop's float operations in its order, and the
+    lane adds their terms in shell order.  Off the integer lane, c
+    multiplies the sum last.
     """
     fp = params.fp
     g = params.gamma
@@ -414,8 +418,8 @@ def _difference_shell_sums(
     j_far = min(window - 1, j_hi)
     far = None if core._integer_view is None else far_sum(j_far)
     rational_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
-    lane = integer_sum(_engine_weights, (params, k, window, j_hi), core._integer_view) if rational_far else None
-    folded = None if lane is None else lane.folded(c, far)
+    lane = mixed_sum(_engine_weights, (params, k, window, j_hi), core._integer_view) if rational_far else None
+    folded = lane.folded(c, far) if isinstance(lane, IntegerSum) else None
     view = core._integer_view if core._integer_view is not None else core._float_view
     mixed = None if folded is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
 
@@ -630,8 +634,8 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
         )
     fp, core, k = params.fp, pe.core, pe.constancy_level
     w = min(pe.window_level, nu + 1)
-    lane = None if pe.tail.terms else integer_sum(_inversion_weights, (params, nu, k), core._integer_view)
-    if lane is None:
+    lane = None if pe.tail.terms else mixed_sum(_inversion_weights, (params, nu, k), core._integer_view)
+    if not isinstance(lane, IntegerSum):
         residual = lp_window_sum(fp, w, k, p, lambda x: average(x) - pe.evaluate(x))
     else:
         levels = _averaging_levels(nu, k)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -93,13 +94,41 @@ def test_cli_import_does_not_load_numpy():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def _cli_child(args: list[str], preexec_fn=None) -> subprocess.CompletedProcess:
+    """``python -m ultrafrac.cli args`` in a child process on this checkout, with its output captured."""
+    src = Path(ultrafrac.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "ultrafrac.cli", *args], env=env, capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn
+    )
+
+
 @pytest.mark.parametrize("alpha", ["1/2", "1"])
 def test_far_out_kernel_shell_fails_fast(alpha):
     # |tau| = q**100000 puts the sphere measure beyond float range: the run
     # must say so before the refinement around -tau, whose cost grows with j**2
-    src = Path(ultrafrac.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    args = ["kernel", "--p", "2", "--alpha", alpha, "--shells", "-100000"]
-    done = subprocess.run([sys.executable, "-m", "ultrafrac.cli", *args], env=env, capture_output=True, text=True, timeout=60)
+    done = _cli_child(["kernel", "--p", "2", "--alpha", alpha, "--shells", "-100000"])
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _one_gigabyte_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "apply --p 2 --fn one_O.json --op riesz --alpha 1/2 --window -40",
+        "apply --p 2 --fn one_O.json --op vladimirov --alpha 1/2 --window -30",
+        "kernel --p 2305843009213693951 --alpha 1/2 --shells 0..0",
+    ],
+)
+def test_oversized_walks_exit_2_before_enumerating(command):
+    # 2**40 and 2**30 window cosets, and the p - 1 cosets of a sphere over
+    # p = 2**61 - 1: each walk is refused from its size before any digit list
+    # is built, so a 1 GB address space (set in the child only) is no MemoryError
+    done = _cli_child(command.split(), preexec_fn=_one_gigabyte_address_space)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr and "walk of" in done.stderr

@@ -13,9 +13,9 @@ averaging closure for its window, is checked bit for bit against one
 which read each sphere of a rational table as a difference of two prefix
 ball sums and sum on ``numerics.mixed_sum``, are checked bit for bit
 against the coset walks they replaced.  On rational tables the engine
-routes sum in integers (``numerics.integer_sum``, or ``mixed_sum``
-against partly float weights or a far sum that is not an exact
-rational), and the hypersingular engine sums an
+routes sum in integers (``numerics.mixed_sum``'s exact lane, an
+``IntegerSum``, or its mixed lane against partly float weights or a far
+sum that is not an exact rational), and the hypersingular engine sums an
 all-float core on ``mixed_sum`` through its float view, bit for bit the
 ring loop.  A rational window sums by address: the hypersingular window
 with c and the far sum folded into its integer lane, the Riesz core and
@@ -87,10 +87,11 @@ from ultrafrac.numerics import (
     NV_ONE,
     ComplexValue,
     ExactScalar,
+    IntegerSum,
     NumericValue,
     geometric_tail,
-    integer_sum,
     integer_view,
+    mixed_sum,
     mixed_weights,
     q_pow,
 )
@@ -738,7 +739,7 @@ def test_rational_windows_by_address_match_the_coset_walks(case, lp):
     for nu in (None, 1, k - 1):
         j_hi = k - 1 if nu is None else min(nu, k - 1)
         with pytest.MonkeyPatch.context() as mp:
-            folds = _counting(mp, operators, "integer_sum")
+            folds = _counting(mp, IntegerSum, "folded")
             rows = vladimirov_on_window(params, u, w, nu)
         assert [x for x, _ in rows] == [x for _, x in coset_walk(fp, w, k)]
         for x, value in rows:
@@ -1206,7 +1207,7 @@ def test_no_route_weight_has_an_inv_ln_part(monkeypatch, p, n, alpha):
     for log_part in (ExactScalar.inv_ln_q(fp), ExactScalar.ln_q(fp)):
         weight = NumericValue.from_exact(log_part)
         assert mixed_weights([NV_ONE, weight]) is None
-        assert integer_sum(tuple, ((NV_ONE, weight),), view) is None
+        assert mixed_sum(tuple, ((NV_ONE, weight),), view) is None
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
@@ -1289,7 +1290,7 @@ def test_minkowski_bound_translates_on_addresses(monkeypatch, order_free):
 
 @pytest.mark.parametrize("module", [operators, multidim, fourier], ids=lambda m: m.__name__)
 def test_routes_do_no_numerator_arithmetic(module):
-    # the integer encoding stays behind numerics.integer_sum, numerics.mixed_sum,
+    # the integer encoding stays behind numerics.mixed_sum and its IntegerSum,
     # numerics.quarter_turn_sum and the table's own numerator tables: the
     # routes import none of its parts
     tree = ast.parse(Path(module.__file__).read_text())
@@ -1306,12 +1307,25 @@ def test_routes_do_no_numerator_arithmetic(module):
 
 
 def _counting_lanes(monkeypatch, module=operators, calls=None):
-    """Wrap module.mixed_sum so that every call of a lane it hands out records its weights' function in ``calls`` (a new list by default); return the record."""
+    """Wrap module.mixed_sum so that every call of a lane it hands out records its weights' function in ``calls`` (a new list by default); return the record.
+
+    An ``IntegerSum`` stays one, so the routes that fold or read numerators
+    still take it; only its own calls are recorded, not those of a lane
+    folded from it.
+    """
     calls = [] if calls is None else calls
     mixed_sum = module.mixed_sum
 
     def counted(weights_of, args, view):
         lane = mixed_sum(weights_of, args, view)
+        if isinstance(lane, IntegerSum):
+
+            class CountedSum(IntegerSum):
+                def __call__(self, vectors):
+                    calls.append(weights_of.__name__)
+                    return IntegerSum.__call__(self, vectors)
+
+            return CountedSum(*lane)
         return lane and (lambda vectors: calls.append(weights_of.__name__) or lane(vectors))
 
     monkeypatch.setattr(module, "mixed_sum", counted)
@@ -1354,7 +1368,7 @@ def test_far_sum_off_the_rationals_takes_the_shell_lane(monkeypatch, tail):
     # whose far sum is not an exact rational: the engine folds no such far
     # sum, so every window point sums its shell differences on mixed_sum and
     # adds the far part after the lane, bit for bit the coset loop
-    folds = _counting(monkeypatch, operators, "integer_sum")
+    folds = _counting(monkeypatch, IntegerSum, "folded")
     lanes = _counting_lanes(monkeypatch)
     fp = FieldParams(2)
     core = _table(fp, 0, 3, [Fraction((5 * i) % 11 - 5, 1 + i % 3) for i in range(8)])

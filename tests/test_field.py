@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ultrafrac.errors import CosetResolutionError, InvalidPointError
+from ultrafrac.errors import CosetResolutionError, InvalidPointError, WorkSizeError
 from ultrafrac.field import (
     BallSpec,
     FieldParams,
@@ -106,6 +106,21 @@ class TestEnumerateCosets:
         # a sphere's cosets need a level finer than the sphere
         with pytest.raises(CosetResolutionError, match=r"level \+ 1"):
             sphere_coset_reps(fp2, 1, 1)
+
+    def test_walks_beyond_the_work_limit_raise(self):
+        # q**depth is at most 2**20: 4**10 passes, 2**21 and 4**11 raise, and
+        # so do the p - 1 cosets of a sphere over p = 2**61 - 1
+        assert next(enumerate_digits(FieldParams(2, 2), 0, 10)) == ((0,) * 10, (0,) * 10)
+        for fp, depth in ((FieldParams(2), 21), (FieldParams(2, 2), 11), (FieldParams(2**61 - 1), 1)):
+            with pytest.raises(WorkSizeError, match=r"exceeds the limit of 2\*\*20"):
+                next(enumerate_digits(fp, 0, depth))
+        with pytest.raises(WorkSizeError):
+            sphere_coset_reps(FieldParams(2**61 - 1), 0, 1)
+        # a far-out depth is refused from its exponent, without building 3**(10**9)
+        start = perf_counter()
+        with pytest.raises(WorkSizeError):
+            list(coset_walk(FieldParams(3), -10**9, 0))
+        assert perf_counter() - start < 1.0
 
     def test_partition_measures_sum_to_ambient(self):
         fp = FieldParams(3, 2)

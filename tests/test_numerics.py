@@ -16,11 +16,11 @@ from ultrafrac.numerics import (
     ComplexValue,
     ExactScalar,
     FloatView,
+    IntegerSum,
     NumericValue,
     as_fraction,
     float_view,
     geometric_tail,
-    integer_sum,
     integer_view,
     mixed_sum,
     mixed_weights,
@@ -362,11 +362,12 @@ class TestIntegerAccumulation:
     )
     @settings(max_examples=100, deadline=None)
     def test_weighted_sum_is_the_exact_sum_of_products(self, triples):
-        """integer_sum of rational w * v on a rational table is the ring's own sum; other counts raise, and a ln weight refuses."""
+        """mixed_sum of rational w * v on a rational table is an IntegerSum and the ring's own sum; other counts raise, and a ln weight refuses."""
         table = {i: ComplexValue.from_rational(re, im) for i, (_, re, im) in enumerate(triples)}
         view = integer_view(table)
         weights = tuple(NumericValue.from_rational(w) for w, _, _ in triples)
-        weighted = integer_sum(tuple, (weights,), view)
+        weighted = mixed_sum(tuple, (weights,), view)
+        assert weighted.__class__ is IntegerSum
         want = CV_ZERO
         for w, i in zip(weights, table):
             want = want + table[i] * w
@@ -378,7 +379,7 @@ class TestIntegerAccumulation:
             with pytest.raises(ValueError):
                 weighted(wrong)
         ln2 = NumericValue.from_exact(ExactScalar.ln_q(FieldParams(2)))
-        assert integer_sum(tuple, ((*weights[:-1], weights[-1] + ln2),), view) is None
+        assert mixed_sum(tuple, ((*weights[:-1], weights[-1] + ln2),), view) is None
 
     @given(
         triples=st.lists(st.tuples(_rationals(), _rationals(), _rationals()), min_size=1, max_size=5),
@@ -392,7 +393,7 @@ class TestIntegerAccumulation:
         view = integer_view(table)
         weights = tuple(NumericValue.from_rational(w) for w, _, _ in triples)
         vectors = list(view.numerators.values())
-        lane, want = integer_sum(tuple, (weights,), view), CV_ZERO
+        lane, want = mixed_sum(tuple, (weights,), view), CV_ZERO
         for w, i in zip(weights, table):
             want = want + table[i] * w
         for c, k in zip(factors, constants):
@@ -410,8 +411,8 @@ class TestIntegerAccumulation:
     def test_each_product_that_leaves_the_ring_refuses_the_weights(self, fp2, fp3):
         # the one gate of every lane: against a rational table a weight with a
         # ln or 1/ln part would leave the rationals, and no route hands one in;
-        # a float passes as a float and an exact zero drops out.  integer_sum
-        # takes only weights that are all exact rationals
+        # a float passes as a float and an exact zero drops out.  The lane is
+        # an IntegerSum only where the weights are all exact rationals
         ln2, inv2 = NumericValue.from_exact(ExactScalar.ln_q(fp2)), NumericValue.from_exact(ExactScalar.inv_ln_q(fp2))
         half, third = NumericValue.from_rational(Fraction(1, 2)), NumericValue.from_rational(Fraction(1, 3))
         ln3 = NumericValue.from_exact(ExactScalar.ln_q(fp3))
@@ -421,9 +422,9 @@ class TestIntegerAccumulation:
         assert mixed_weights([half]) == (1, 2, [(0, 1)])
         view = integer_view({0: ComplexValue.from_rational(1), 1: ComplexValue.from_rational(2)})
         partly_float = ((half, NumericValue.from_float(0.5)),)
-        assert integer_sum(tuple, partly_float, view) is None
+        assert mixed_sum(tuple, partly_float, view).__class__ is not IntegerSum
         assert mixed_sum(tuple, partly_float, view) is not None
-        assert integer_sum(tuple, ((half, third),), view) is not None
+        assert mixed_sum(tuple, ((half, third),), view).__class__ is IntegerSum
 
 
 def _lane_terms():
@@ -505,12 +506,13 @@ class TestFloatView:
             assert float_view({**floats, 2: ComplexValue(exact, NumericValue.from_float(1.0))}) is None
         assert integer_view(floats) is None
 
-    def test_integer_sum_refuses_a_float_view(self):
-        # integer_sum folds terms into its weights, which would reassociate
-        # float additions: exact rational weights still refuse a float view
+    def test_a_float_view_gets_no_folding_lane(self):
+        # an IntegerSum folds terms into its weights, which would reassociate
+        # float additions: exact rational weights on a float view get the
+        # float lane
         view = float_view({0: ComplexValue.from_complex(0.5 + 1j)})
         half = NumericValue.from_rational(Fraction(1, 2))
-        assert integer_sum(tuple, ((half,),), view) is None
+        assert mixed_sum(tuple, ((half,),), view).__class__ is not IntegerSum
         assert mixed_sum(tuple, ((half,),), view) is not None
 
     @pytest.mark.parametrize("entry", [0.0, -0.0], ids=["+0.0", "-0.0"])
@@ -540,3 +542,44 @@ class TestFloatView:
         for w, v in zip(weights, table.values()):
             want = want + v * w
         assert _parts(lane(list(view.pairs.values()))) == _parts(want)
+
+
+class TestOneLaneBuilder:
+    @given(
+        kind=st.sampled_from(["integer", "float", "none"]),
+        terms=st.lists(
+            st.tuples(
+                st.tuples(_rationals(), _rationals()),
+                st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                st.one_of(
+                    st.just(NV_ZERO),
+                    _rationals().map(NumericValue.from_rational),
+                    st.one_of(st.sampled_from([0.0, -0.0, 2**0.5]), st.floats(-1e6, 1e6)).map(NumericValue.from_float),
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exact_weights_on_an_integer_view_and_only_there_get_the_exact_lane(self, kind, terms):
+        """mixed_sum hands out an IntegerSum iff the view is an integer one and every weight is exact; either lane is the ring's sum, part for part."""
+        weights = tuple(w for _, _, w in terms)
+        if kind == "integer":
+            table = {i: ComplexValue.from_rational(*pair) for i, (pair, _, _) in enumerate(terms)}
+            view = integer_view(table)
+            vectors = list(view.numerators.values())
+        else:
+            table = {i: ComplexValue.from_complex(complex(*pair)) for i, (_, pair, _) in enumerate(terms)}
+            view = float_view(table) if kind == "float" else None
+            vectors = None if view is None else list(view.pairs.values())
+        assert (view is None) == (kind == "none")
+        lane = mixed_sum(tuple, (weights,), view)
+        if view is None:
+            assert lane is None
+            return
+        assert isinstance(lane, IntegerSum) == (kind == "integer" and all(w.is_exact for w in weights))
+        want = CV_ZERO
+        for w, v in zip(weights, table.values()):
+            want = want + v * w
+        assert _parts(lane(vectors)) == _parts(want)

@@ -24,6 +24,7 @@ from ultrafrac.functions import (
     indicator_ball,
     lizorkin_project,
     lp_norm,
+    modulus_of_continuity,
     power_tail,
 )
 from ultrafrac import functions, operators
@@ -255,6 +256,20 @@ class TestTruncated:
         phi = lizorkin_project(indicator_ball(fp2, 0), -1)
         with pytest.raises(ValueError, match="truncation index must be a positive integer"):
             route(params(2, Fraction(1, 2)), phi, nu)
+
+    @pytest.mark.parametrize("lp", [True, False])
+    def test_rejects_a_bool_exponent(self, fp2, lp):
+        # True would run as L^1, as a bool order once ran at alpha = 1
+        phi = lizorkin_project(indicator_ball(fp2, 0), -1)
+        pr = params(2, Fraction(1, 2))
+        for route in (
+            lambda: lp_norm(phi, lp),
+            lambda: inversion_residual(pr, lp, phi, 1),
+            lambda: minkowski_bound(pr, lp, phi, 1),
+            lambda: modulus_of_continuity(phi, point(fp2, Fraction(1, 2)), lp),
+        ):
+            with pytest.raises(TypeError, match="bool"):
+                route()
 
 
 def _riesz_of(kind: str, alpha):

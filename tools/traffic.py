@@ -12,8 +12,9 @@ only the counts of ``src/ultrafrac`` are kept:
   or from its small smoke tables with ``--smoke``;
 * ``cli``: the 15 golden CLI commands of that file, through
   ``ultrafrac.cli.run``, with their output discarded;
-* ``fingerprint``: the value stream ``_stream()`` of
-  ``tests/test_value_fingerprint.py``.
+* ``fingerprint``: the three digested value streams of
+  ``tests/test_value_fingerprint.py``: ``_stream()``,
+  ``_log_table_stream()`` and ``_float_table_stream()``.
 
 With FILE:LINE arguments (FILE relative to ``src/ultrafrac``, for example
 ``numerics.py:620``) it prints how often each source ran each of those
@@ -91,6 +92,8 @@ def _fingerprint():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             test_value_fingerprint._stream()
+            test_value_fingerprint._log_table_stream()
+            test_value_fingerprint._float_table_stream()
 
     return work
 
