@@ -134,20 +134,27 @@ def zero_point(fp: FieldParams) -> Point:
     return Point((Fraction(0),) * fp.n)
 
 
+def _int_valuation(m: int, p: int) -> int:
+    """Exponent of p in the nonzero integer m.
+
+    p**(2**i) is divided out while it divides, from p again once it does
+    not, so an exponent v takes O(log(v)**2) divisions instead of v.
+    """
+    v = 0
+    while m % p == 0:
+        pk, k = p, 1
+        while m % pk == 0:
+            m //= pk
+            v += k
+            pk, k = pk * pk, 2 * k
+    return v
+
+
 def valuation(fr: Fraction, p: int) -> int | None:
     """p-adic valuation of a rational; None for zero."""
     if fr == 0:
         return None
-    v = 0
-    num = abs(fr.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = fr.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(abs(fr.numerator), p) - _int_valuation(fr.denominator, p)
 
 
 def abs_exponent(fp: FieldParams, x: Point) -> int | None:

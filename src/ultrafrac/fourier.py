@@ -20,10 +20,10 @@ from .field import (
     FieldParams,
     Point,
     _coordinate_integers,
-    abs_exponent,
+    _window_locations,
     coset_walk,
 )
-from .functions import TestFunction
+from .functions import TestFunction, _check_field
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
@@ -234,11 +234,13 @@ def multiplier_vladimirov(
     zeroed; the shells accumulating at zero integrate against the character
     in closed form, so every value is a finite sum.  Both the multiplier and
     the closed form depend on the point only through its level, so each is
-    computed once per level.
+    computed once per level.  Every coset is located from its digits: |xi|
+    (None for the zero coset), |x| and each output's address in ``away``.
     """
     exponent = as_fraction(exponent)
     if exponent <= 0:
         raise ValueError(f"multiplier exponent must be positive, got {exponent}")
+    _check_field(fp, f, "the multiplier")
     ft = fourier_transform(f)
     k_hat = ft.constancy_level
     window = (f.support_level - 1) if window_level is None else window_level
@@ -262,12 +264,14 @@ def multiplier_vladimirov(
         return hat_at_zero * s
 
     weighted = {
-        d: CV_ZERO if d == zero_addr else v * multiplier(abs_exponent(fp, pt))
-        for d, pt, v in ft.items()
+        d: CV_ZERO if e_xi is None else ft.values[d] * multiplier(e_xi)
+        for d, _, e_xi in _window_locations(fp, ft.support_level, k_hat, k_hat)
     }
     away = fourier_transform(TestFunction(fp, ft.support_level, k_hat, weighted), inverse=True)
 
+    k = f.constancy_level
+    outputs = zip(coset_walk(fp, window, k), _window_locations(fp, window, f.support_level, k), _window_locations(fp, window, k, k))
     return [
-        (x, (away.evaluate(x) + zero_coset_part(abs_exponent(fp, x))).to_complex())
-        for _, x in coset_walk(fp, window, f.constancy_level)
+        (x, ((CV_ZERO if d is None else away.values[d]) + zero_coset_part(e_x)).to_complex())
+        for (_, x), (_, d, _), (_, _, e_x) in outputs
     ]

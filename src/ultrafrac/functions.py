@@ -496,6 +496,12 @@ class ExtendedFunction:
         return ExtendedFunction(core, self.tail)
 
 
+def _check_field(fp: FieldParams, f, operator: str) -> None:
+    """Refuse a function over a field other than fp, before an operator does any work on it."""
+    if f.fp != fp:
+        raise UltrafracError(f"{operator} needs a table over {fp}, got {f.fp}")
+
+
 def _as_extended(f) -> ExtendedFunction:
     if isinstance(f, ExtendedFunction):
         return f
@@ -567,15 +573,14 @@ def _tail_lp_contribution(fp: FieldParams, terms, p: float, outer_level: int) ->
     raise error
 
 
-def lp_window_sum(fp: FieldParams, window: int, k: int, p: float, diff) -> float:
-    """Sum of |diff(x)|**p times the coset measure over the level-k cosets of the window ball.
+def lp_window_sum(fp: FieldParams, k: int, p: float, diffs: list[ComplexValue]) -> float:
+    """Sum of |d|**p times the level-k coset measure over the differences d, one per coset of a window in ``coset_walk`` order.
 
     Left unrooted so that a caller can add a tail integral before taking the
     p-th root; 0.0 when every difference is an exact zero.  The powers are
     added left to right, as ``sum()`` is compensated from Python 3.12 on and
     would move the last bit between versions.
     """
-    diffs = [diff(x) for _, x in coset_walk(fp, window, k)]
     if all(dv.is_exact_zero() for dv in diffs):
         return 0.0
     return _power_sum(fp, k, p, map(abs, diffs))
@@ -626,7 +631,7 @@ def lp_distance(f, g, p) -> float:
     terms = _combined_tail_terms(fe, ge)
     if any(m for _, m in terms):
         raise DivergentIntegralError("L^p norm of a log-growth tail diverges")
-    window_part = lp_window_sum(fp, window, k, p, lambda x: fe.evaluate(x) - ge.evaluate(x))
+    window_part = lp_window_sum(fp, k, p, [fe.evaluate(x) - ge.evaluate(x) for _, x in coset_walk(fp, window, k)])
     tail_part = _tail_lp_contribution(fp, {s: c for (s, _), c in terms.items()}, p, window)
     return (window_part + tail_part) ** (1.0 / p)
 

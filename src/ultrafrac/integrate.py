@@ -8,6 +8,7 @@ and they always report their analytic tail bound separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -16,6 +17,7 @@ from .errors import (
     DivergentIntegralError,
     RegionMismatchError,
     UnsupportedIntegrandError,
+    WorkSizeError,
 )
 from .field import (
     FieldParams,
@@ -335,52 +337,78 @@ def _shifted_sphere_setup(fp: FieldParams, radius_exp: int) -> list[Point]:
     ]
 
 
+# an oracle refuses exact work predicted above this many bits.  Over Q_2 on a
+# shared 2-vCPU VM the power series runs at alpha = 10000 (0.75 s) and is
+# refused at 30000 (11.8 s unbounded); the slowest series it lets run, near
+# alpha = 19000, takes 2.6 s, and the kernel refinement runs to depth about
+# 4000 (0.5 s)
+_MAX_ORACLE_BITS = 2**25
+
+
+def _check_oracle_work(bits: float, what: str) -> None:
+    """Raise ``WorkSizeError`` before an oracle starts when its predicted exact work exceeds ``_MAX_ORACLE_BITS``."""
+    if bits > _MAX_ORACLE_BITS:
+        raise WorkSizeError(f"{what} would take about {bits:.3g} bits of exact work, beyond the limit of {_MAX_ORACLE_BITS}")
+
+
+def _check_series(fp: FieldParams, a: Fraction, first: int, last: int, what: str) -> None:
+    """Refuse a series over the shells lev = first .. last and its closed tail, before its first term, when its exact work is beyond the limit.
+
+    Each term q**(-a * lev) that is rational has about |a * lev| * log2(q)
+    bits; a term that is a float costs nothing here, so a series of float
+    terms is never refused.
+    """
+    exact = sum(q_pow(fp, Fraction(1, (a * lev).denominator)).is_exact for lev in range(first, last + 2))
+    _check_oracle_work(exact * abs(a) * max(abs(first), abs(last + 1)) * math.log2(fp.q), what)
+
+
+def _power_shells(fp: FieldParams, a: Fraction, first: int, last: int, total: NumericValue) -> NumericValue:
+    """total plus q**(-a*lev) * (1 - 1/q) over the shells lev = first .. last, added in order, then the closed tail."""
+    _check_series(fp, a, first, last, f"the power series at alpha = {a} over levels {first} .. {last}")
+    one_minus = 1 - Fraction(1, fp.q)
+    for lev in range(first, last + 1):
+        total = total + q_pow(fp, -a * lev) * one_minus
+    return total + geometric_tail(fp, a, last + 1) * one_minus
+
+
+def _log_shells(fp: FieldParams, first: int, last: int) -> NumericValue:
+    """The sum of (-lev) * q**(-lev) * (1 - 1/q) * ln(q) over the shells lev = first .. last, then the closed tail."""
+    _check_series(fp, Fraction(1), first, last, f"the log series over levels {first} .. {last}")
+    one_minus = 1 - Fraction(1, fp.q)
+    partial = Fraction(0)
+    for lev in range(first, last + 1):
+        partial += (-lev) * Fraction(fp.q) ** (-lev)
+    tail = weighted_geometric_tail(fp, 1, last + 1)
+    return (NumericValue.from_rational(partial) - tail) * one_minus * NumericValue.from_exact(ExactScalar.ln_q(fp))
+
+
 def oracle_power_over_ball(fp: FieldParams, alpha, radius_exp: int, depth: int = 40) -> NumericValue:
     """Shell-by-shell series for the power-over-ball integral, closed tail only."""
     a = as_fraction(alpha)
     if a <= 0:
         raise DivergentIntegralError(f"needs alpha > 0, got {a}")
-    one_minus = 1 - Fraction(1, fp.q)
-    total = NV_ZERO
-    for lev in range(-radius_exp, -radius_exp + depth + 1):
-        total = total + q_pow(fp, -a * lev) * one_minus
-    return total + geometric_tail(fp, a, -radius_exp + depth + 1) * one_minus
+    return _power_shells(fp, a, -radius_exp, -radius_exp + depth, NV_ZERO)
 
 
 def oracle_shifted_power_over_sphere(fp: FieldParams, alpha, radius_exp: int, depth: int = 40) -> NumericValue:
-    """Series-plus-enumeration evaluation of the shifted power integral."""
+    """Series-plus-enumeration evaluation of the shifted power integral: the critical shell first, then the series."""
     a = as_fraction(alpha)
     if a <= 0:
         raise DivergentIntegralError(f"needs alpha > 0, got {a}")
     kept = _shifted_sphere_setup(fp, radius_exp)
     coset_meas = Fraction(fp.q) ** (radius_exp - 1)
-    total = q_pow(fp, (a - 1) * radius_exp) * (len(kept) * coset_meas)
-    one_minus = 1 - Fraction(1, fp.q)
-    for lev in range(-radius_exp + 1, -radius_exp + depth + 1):
-        total = total + q_pow(fp, -a * lev) * one_minus
-    return total + geometric_tail(fp, a, -radius_exp + depth + 1) * one_minus
+    critical = q_pow(fp, (a - 1) * radius_exp) * (len(kept) * coset_meas)
+    return _power_shells(fp, a, -radius_exp + 1, -radius_exp + depth, critical)
 
 
 def oracle_log_over_ball(fp: FieldParams, radius_exp: int, depth: int = 40) -> NumericValue:
     """Shell series for the log-over-ball integral; exact ln(q) coefficient."""
-    one_minus = 1 - Fraction(1, fp.q)
-    partial = Fraction(0)
-    for lev in range(-radius_exp, -radius_exp + depth + 1):
-        partial += (-lev) * Fraction(fp.q) ** (-lev)
-    tail = weighted_geometric_tail(fp, 1, -radius_exp + depth + 1)
-    ln_q = NumericValue.from_exact(ExactScalar.ln_q(fp))
-    return (NumericValue.from_rational(partial) - tail) * one_minus * ln_q
+    return _log_shells(fp, -radius_exp, -radius_exp + depth)
 
 
 def oracle_shifted_log_over_sphere(fp: FieldParams, radius_exp: int, depth: int = 40) -> NumericValue:
     """Series-plus-enumeration evaluation of the shifted log integral."""
     kept = _shifted_sphere_setup(fp, radius_exp)
     coset_meas = Fraction(fp.q) ** (radius_exp - 1)
-    ln_q = NumericValue.from_exact(ExactScalar.ln_q(fp))
-    total = ln_q * (radius_exp * len(kept) * coset_meas)
-    one_minus = 1 - Fraction(1, fp.q)
-    partial = Fraction(0)
-    for lev in range(-radius_exp + 1, -radius_exp + depth + 1):
-        partial += (-lev) * Fraction(fp.q) ** (-lev)
-    tail = weighted_geometric_tail(fp, 1, -radius_exp + depth + 1)
-    return total + (NumericValue.from_rational(partial) - tail) * one_minus * ln_q
+    total = NumericValue.from_exact(ExactScalar.ln_q(fp)) * (radius_exp * len(kept) * coset_meas)
+    return total + _log_shells(fp, -radius_exp + 1, -radius_exp + depth)

@@ -7,9 +7,9 @@ powers of the base prime.  A rational table reads each shell's difference
 sum as two ball sums of the table's one pyramid and sums the shells on the
 ``mixed_sum`` lane; any other table walks each shell coset by coset.  The
 extension reading runs the engine at q**n and gamma = alpha/n.  The two
-routes share no formula code, only the table's ball sums; their agreement
-is a theorem and a test.  Both refuse a table over a field other than the
-extension model.
+routes share no formula code, only the table's ball sums and each window
+coset's location; their agreement is a theorem and a test.  Both refuse a
+table over a field other than the extension model.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .field import (
+    Digits,
     FieldParams,
     Point,
+    _window_locations,
     abs_exponent,
+    coset_walk,
     sphere_coset_reps,
 )
-from .errors import UltrafracError
-from .functions import TestFunction
+from .functions import TestFunction, _check_field
 from .numerics import (
     CV_ZERO,
     ComplexValue,
@@ -35,7 +37,7 @@ from .numerics import (
     mixed_sum,
     q_pow,
 )
-from .operators import OperatorParams, inversion_residual, kernel_r, vladimirov_hypersingular, vladimirov_on_window
+from .operators import OperatorParams, _vladimirov_at, inversion_residual, kernel_r, vladimirov_hypersingular
 
 
 @dataclass(frozen=True)
@@ -96,13 +98,14 @@ def _direct_weights(bridge: DimensionBridge, k: int, j_t: int, window: int) -> l
     return [*(_direct_weight(bridge, k, j) for j in finite_js), -_direct_far(bridge, j_t)]
 
 
-def _check_field(bridge: DimensionBridge, f: TestFunction) -> None:
-    if f.fp != bridge.ext:
-        raise UltrafracError(f"a degree-{bridge.n} operator over p = {bridge.p} needs a table over {bridge.ext}, got {f.fp}")
-
-
 def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> ComplexValue:
-    """Max-norm hypersingular derivative on K^n, summed in base-prime powers.
+    """Max-norm hypersingular derivative on K^n, summed in base-prime powers: ``_direct_at`` at x, located once."""
+    _check_field(bridge.ext, f, "the max-norm operator")
+    return _direct_at(bridge, f, x, *f._locate(x))
+
+
+def _direct_at(bridge: DimensionBridge, f: TestFunction, x: Point, d: Digits | None, e: int | None) -> ComplexValue:
+    """``taibleson_direct`` at x, which f located at (d, e).
 
     Shell decomposition of the difference integral against the kernel
     ||z - x||**(-(n+alpha)) with the n-dimensional normalizing constant;
@@ -110,11 +113,9 @@ def taibleson_direct(bridge: DimensionBridge, f: TestFunction, x: Point) -> Comp
     A rational table reads each shell's sum of f(z) - f(x) from two ball
     sums of ``TestFunction._pair_levels`` and sums the shells on the
     ``mixed_sum`` lane, held on f per (bridge, j_t) under a key of this
-    route's own; any other table walks each shell coset by coset.
+    route's own; any other table walks each shell coset by coset around x.
     """
-    _check_field(bridge, f)
     k, window = f.constancy_level, f.support_level
-    d, e = f._locate(x)
     j_t = window if d is not None else -e  # beyond the support, |x| = q**e > q**(-window)
     finite_js = [j_t] if j_t < window else range(window, k)
 
@@ -148,15 +149,17 @@ def taibleson_via_extension(bridge: DimensionBridge, f: TestFunction, x: Point) 
     The extension route is held on f, so calls at many points of one table
     build it once; ``taibleson_direct`` holds its own lanes and shares nothing with it.
     """
-    _check_field(bridge, f)
+    _check_field(bridge.ext, f, "the max-norm operator")
     return vladimirov_hypersingular(bridge.ext_params, f, x)
 
 
 def taibleson_on_window(bridge: DimensionBridge, f: TestFunction) -> list[tuple[Point, ComplexValue, ComplexValue]]:
-    """(point, direct value, via-extension value) on the cosets of f's window dilated by one level."""
-    _check_field(bridge, f)
-    via_ext = vladimirov_on_window(bridge.ext_params, f)
-    return [(pt, taibleson_direct(bridge, f, pt), value) for pt, value in via_ext]
+    """(point, direct value, via-extension value) on the cosets of f's window dilated by one level, each located once from its digits."""
+    _check_field(bridge.ext, f, "the max-norm operator")
+    fp, w, k = f.fp, f.support_level - 1, f.constancy_level
+    via_ext = _vladimirov_at(bridge.ext_params, None, f)
+    located = _window_locations(fp, w, f.support_level, k)
+    return [(x, _direct_at(bridge, f, x, d, e), via_ext(x, d, e)) for (_, x), (_, d, e) in zip(coset_walk(fp, w, k), located)]
 
 
 def kernel_r_multidim(bridge: DimensionBridge, j: int) -> NumericValue:

@@ -42,6 +42,7 @@ from .functions import (
     ExtendedFunction,
     TestFunction,
     _as_extended,
+    _check_field,
     _lp_exponent,
     log_tail,
     lp_numerator_sum,
@@ -50,7 +51,7 @@ from .functions import (
     power_tail,
     radial_sum,
 )
-from .integrate import LogProfile, PowerProfile, _closed_far_sum, profile_coset_integral
+from .integrate import LogProfile, PowerProfile, _check_oracle_work, _closed_far_sum, profile_coset_integral
 from .numerics import (
     CV_ZERO,
     NV_ZERO,
@@ -217,7 +218,10 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
 
     Shells where the ultrametric inequality collapses |xi + tau| are summed
     in closed form; the sphere |xi| = |tau| (present for j <= 0) is
-    enumerated by recursive refinement around -tau.
+    enumerated by recursive refinement around -tau.  The refinement visits
+    q nodes per level, each with coordinates of up to (|j| + depth) * log2(q)
+    bits; that work is predicted, and refused above the oracle limit, before
+    the refinement starts.
     """
     fp = params.fp
     g = params.gamma
@@ -249,6 +253,7 @@ def kernel_r_oracle(params: OperatorParams, j: int, depth: int | None = None) ->
             scale, const_part = q ** (2 * j), (-j) * math.log(fp.q) * sphere_meas
         else:
             scale, const_part = q ** (j * (gf + 1)), q ** (-j * (gf - 1)) * sphere_meas
+        _check_oracle_work(fp.q * depth * (depth - j) * math.log2(fp.q), f"the kernel oracle's refinement to depth {depth}")
         value += scale * (_critical_sphere_integral(params, tau, j, depth) - const_part)
     return value
 
@@ -292,6 +297,7 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     """
     fp = params.fp
     g = params.gamma
+    _check_field(fp, phi, "the operator")
     if window_level is not None and window_level > phi.support_level:
         raise ValueError("window must contain the support of the input")
     s = phi.support_level
@@ -356,10 +362,10 @@ def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[Nu
 
 def _difference_shell_sums(
     params: OperatorParams, u: ExtendedFunction, j_hi: int, c: NumericValue
-) -> Callable[[Digits | None, int | None], ComplexValue]:
-    """(d, e) -> c times the shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
+) -> Callable[[Point, Digits | None, int | None], ComplexValue]:
+    """(x, d, e) -> c times the shell sum of |z|**(-gamma-1) * (u(x+z) - u(x)) over shells j <= j_hi (j_hi < constancy_level).
 
-    x is the point that u's core located at (d, e), as ``_locate`` gives it.
+    (d, e) is where u's core located x, and the engine reads it alone.
     A finite shell is a sum over its q**(k-j) - q**(k-j-1) constancy-level
     cosets, taken as (sum of u over them) - (their count) * u(x).  The shells
     before the first sphere sum, j0, see u's tail and sum in closed form; a
@@ -423,7 +429,7 @@ def _difference_shell_sums(
     view = core._integer_view if core._integer_view is not None else core._float_view
     mixed = None if folded is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
 
-    def shell_sum_at(d: Digits | None, e: int | None) -> ComplexValue:
+    def shell_sum_at(x: Point, d: Digits | None, e: int | None) -> ComplexValue:
         if d is None:
             return beyond(e)
         if folded is not None:
@@ -435,37 +441,27 @@ def _difference_shell_sums(
     return shell_sum_at
 
 
-def _vladimirov_at(params: OperatorParams, nu: int | None, u) -> Callable[[Digits | None, int | None], ComplexValue]:
-    """(d, e) -> the difference integral, whole (nu None) or truncated to |z| >= q**(-nu), at the point u's core located at (d, e)."""
+def _vladimirov_at(params: OperatorParams, nu: int | None, u) -> Callable[[Point, Digits | None, int | None], ComplexValue]:
+    """(x, d, e) -> the difference integral at x, whole (nu None) or truncated to |z| >= q**(-nu); (d, e) is where u's core located x."""
     if nu is not None:
         _check_truncation(nu)
     ue = _as_extended(u)
+    _check_field(params.fp, ue, "the operator")
     k = ue.constancy_level
     return _difference_shell_sums(params, ue, k - 1 if nu is None else min(nu, k - 1), constants(params).c)
 
 
-def _vladimirov(params: OperatorParams, nu: int | None, u) -> Callable[[Point], ComplexValue]:
-    """x -> the difference integral at x, whole (nu None) or truncated to |z| >= q**(-nu).
+def _held_route(build, params: OperatorParams, nu: int | None, f, x: Point) -> ComplexValue:
+    """The located route ``build(params, nu, f)`` at x, held on the function f: a per-point caller builds each route once per function.
 
-    The per-point calls hold this route on u (``_held_route``);
-    ``vladimirov_on_window`` builds its located form once per call.
-    """
-    at = _vladimirov_at(params, nu, u)
-    locate = _as_extended(u).core._locate
-    return lambda x: at(*locate(x))
-
-
-def _held_route(build, params: OperatorParams, nu: int | None, f) -> Callable[[Point], ComplexValue]:
-    """``build(params, nu, f)``, held on the function f: a per-point caller builds each route once per function.
-
-    The key (build, params, nu) holds no float: params is frozen with a
-    Fraction order and nu is an int or None.  Each builder keys its own
-    routes, so an averaging route never serves a truncated call.  The
-    truncation check runs on every call, before the lookup, and a build
-    that raises holds nothing, so every call raises again.  Window loops
-    build their route per call instead: held on a transient function, such
-    as a Riesz potential, the route would make a cycle f -> route -> f that
-    only the cyclic garbage collector frees.
+    The one per-point locate of this module: f's core's ``_locate``, taken
+    at build time.  The key (build, params, nu) holds no float: params is
+    frozen with a Fraction order and nu is an int or None.  Each builder
+    keys its own routes, so an averaging route never serves a truncated
+    call.  The truncation check runs on every call, and a build that raises
+    holds nothing, so every call raises again.  Window loops build their
+    route per call instead: held on a transient function, such as a Riesz
+    potential, it would make a cycle that only the cyclic GC frees.
     """
     if nu is not None:
         _check_truncation(nu)
@@ -474,8 +470,9 @@ def _held_route(build, params: OperatorParams, nu: int | None, f) -> Callable[[P
         return build(params, nu, f)
     key = (build, params, nu)
     if key not in routes:
-        routes[key] = build(params, nu, f)
-    return routes[key]
+        at, locate = build(params, nu, f), _as_extended(f).core._locate
+        routes[key] = lambda x: at(x, *locate(x))
+    return routes[key](x)
 
 
 def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValue:
@@ -485,7 +482,7 @@ def vladimirov_hypersingular(params: OperatorParams, u, x: Point) -> ComplexValu
     identically, so the principal-value limit equals the finite truncation
     at that scale; far shells use the exact tail algebra.
     """
-    return _held_route(_vladimirov, params, None, u)(x)
+    return _held_route(_vladimirov_at, params, None, u, x)
 
 
 def _check_truncation(nu: int) -> None:
@@ -495,7 +492,7 @@ def _check_truncation(nu: int) -> None:
 
 def truncated_vladimirov(params: OperatorParams, nu: int, u, x: Point) -> ComplexValue:
     """Difference integral truncated to |z| >= q**(-nu) (nu a positive integer)."""
-    return _held_route(_vladimirov, params, nu, u)(x)
+    return _held_route(_vladimirov_at, params, nu, u, x)
 
 
 def vladimirov_on_window(
@@ -516,7 +513,7 @@ def vladimirov_on_window(
     w = (ue.window_level - 1) if window_level is None else window_level
     at = _vladimirov_at(params, nu, ue)
     located = _window_locations(fp, w, ue.window_level, k)
-    return [(x, at(d, e)) for (_, x), (_, d, e) in zip(coset_walk(fp, w, k), located)]
+    return [(x, at(x, d, e)) for (_, x), (_, d, e) in zip(coset_walk(fp, w, k), located)]
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +544,19 @@ def _averaging_levels(nu: int, k: int) -> range:
     return range(nu + 1, nu + max(1, k - nu))
 
 
-def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], ComplexValue]:
-    """x -> averaging_apply at x.
+def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point, Digits | None, int | None], ComplexValue]:
+    """(x, d, e) -> averaging_apply at x; (d, e) is where phi's core located x.
 
     A point of a rational core that sees no tail sums its spheres, each a
     ball less a ball of ``TestFunction._pair_levels``, on the ``mixed_sum``
-    lane; every other point walks them.  ``averaging_apply`` holds this
-    route on phi (``_held_route``); ``inversion_residual`` builds it once
-    per call.  The zero-mean check runs in the build, so a refused input
-    holds nothing.
+    lane; every other point walks them around x, in its own order.
+    ``averaging_apply`` holds this route on phi (``_held_route``);
+    ``inversion_residual`` builds it once per call.  The field and zero-mean
+    checks run in the build, so a refused input holds nothing.
     """
     _check_truncation(nu)
     pe = _as_extended(phi)
+    _check_field(params.fp, pe, "the operator")
     if params.gamma > 1 and (pe.tail.terms or not pe.core.integral().is_exact_zero()):
         raise HypothesisViolationError(
             "orders above the critical exponent require a zero-mean input"
@@ -569,8 +567,7 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point], Comple
     weights = _averaging_weights(params, nu, k)
     weighted = mixed_sum(_averaging_weights, (params, nu, k), core._integer_view)
 
-    def average_at(x: Point) -> ComplexValue:
-        d, e = core._locate(x)
+    def average_at(x: Point, d: Digits | None, e: int | None) -> ComplexValue:
         if weighted is not None and (not pe.tail.terms or d is not None and nu + 1 >= window):
             return weighted(core._prefix_spheres(d, e, levels))
         total = CV_ZERO
@@ -597,7 +594,7 @@ def averaging_apply(params: OperatorParams, nu: int, phi, x: Point) -> ComplexVa
     need explicit coset sums, so exact recovery of phi(x) emerges whenever
     nu >= constancy_level - 1.
     """
-    return _held_route(_averaging, params, nu, phi)(x)
+    return _held_route(_averaging, params, nu, phi, x)
 
 
 def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
@@ -607,9 +604,9 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     q**(-nu-1) (the averaging kernel is compactly supported), so the norm is
     a finite coset sum.  It is exactly zero once nu >= constancy_level - 1.
 
-    A rational phi without a tail, under exact averaging weights, sums
-    average - phi at each coset as one integer sum by address, with -1
-    folded into the weight of phi(x): no Point and no locate.  The powers
+    Every coset is located from its digits.  A rational phi without a tail,
+    under exact averaging weights, sums average - phi there as one integer
+    sum, with -1 folded into the weight of phi(x): no Point.  The powers
     add in ``coset_walk`` order, as on every other input.
     """
     p = _lp_exponent(p)
@@ -634,15 +631,15 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
         )
     fp, core, k = params.fp, pe.core, pe.constancy_level
     w = min(pe.window_level, nu + 1)
+    located = _window_locations(fp, w, core.support_level, k)
     lane = None if pe.tail.terms else mixed_sum(_inversion_weights, (params, nu, k), core._integer_view)
-    if not isinstance(lane, IntegerSum):
-        residual = lp_window_sum(fp, w, k, p, lambda x: average(x) - pe.evaluate(x))
-    else:
+    if isinstance(lane, IntegerSum):
         levels = _averaging_levels(nu, k)
-        located = _window_locations(fp, w, core.support_level, k)
         diffs = [lane.numerators(core._prefix_spheres(d, e, levels)) for _, d, e in located]
-        residual = lp_numerator_sum(fp, k, p, lane.denominator, diffs)
-    return residual ** (1.0 / p)
+        return lp_numerator_sum(fp, k, p, lane.denominator, diffs) ** (1.0 / p)
+    diffs = [average(x, d, e) - (core.values[d] if d is not None else pe.tail_value_at_exponent(e))
+             for (_, x), (_, d, e) in zip(coset_walk(fp, w, k), located)]
+    return lp_window_sum(fp, k, p, diffs) ** (1.0 / p)
 
 
 def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> float:
@@ -654,6 +651,7 @@ def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> fl
     p = _lp_exponent(p)
     _check_truncation(nu)
     fp = params.fp
+    _check_field(fp, phi, "the operator")
     k = phi.constancy_level
     coset_meas = float(Fraction(fp.q) ** (nu - k))  # every shell below has j < k - nu
     total = 0.0

@@ -10,11 +10,12 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ultrafrac
@@ -65,18 +66,21 @@ def function_files(tmp_path_factory):
     command=st.sampled_from(["integrate", "kernel", "invert"]),
     value=st.integers(-3000, 3000),
     alpha=st.fractions(Fraction(1, 8), 8, max_denominator=12),
-    p=st.sampled_from([2, 3]),
-    degree=st.sampled_from([1, 2]),
+    p=st.sampled_from([2, 3, 2**61 - 1]),
+    degree=st.integers(1, 4),
 )
 @settings(max_examples=60, deadline=None)
 def test_exit_code_contract(function_files, command, value, alpha, p, degree):
     """No exception escapes, the code is 0, 1 or 2, and 1 means a row failed.
 
-    q = p**degree stays at most 9: no guard yet predicts the work size
-    before coset enumeration, so a large q can still exhaust memory.
+    ``integrate`` and ``kernel`` run up to p = 2**61 - 1 and degree 4: the
+    enumeration guard and the oracles' predicted work refuse, with exit 2,
+    what would exhaust memory or run for minutes.  ``invert`` reads the
+    function files, which cover p in {2, 3} at degree 1 and 2.
     """
     args = [command, "--p", str(p), "--degree", str(degree), "--alpha", str(alpha)]
     if command == "invert":
+        assume((p, degree) in function_files)
         args += ["--fn", function_files[p, degree], "--nu-min", str(value), "--nu-max", str(value)]
     else:
         args += ["--levels" if command == "integrate" else "--shells", str(value)]
@@ -122,13 +126,25 @@ def _one_gigabyte_address_space():
         "apply --p 2 --fn one_O.json --op riesz --alpha 1/2 --window -40",
         "apply --p 2 --fn one_O.json --op vladimirov --alpha 1/2 --window -30",
         "kernel --p 2305843009213693951 --alpha 1/2 --shells 0..0",
+        "integrate --p 2 --alpha 30000 --levels 0..1",
+        "integrate --p 2 --alpha 100000 --levels 0..1",
+        "integrate --p 2305843009213693951 --degree 4 --alpha 11 --levels -2513",
+        "kernel --p 2 --alpha 1/2 --shells 0..0 --depth 8000",
+        "kernel --p 2 --alpha 1/100 --shells 0..0",
     ],
 )
 def test_oversized_walks_exit_2_before_enumerating(command):
-    # 2**40 and 2**30 window cosets, and the p - 1 cosets of a sphere over
-    # p = 2**61 - 1: each walk is refused from its size before any digit list
-    # is built, so a 1 GB address space (set in the child only) is no MemoryError
+    # 2**40 and 2**30 window cosets: each walk is refused from its size before
+    # any digit list is built, so a 1 GB address space (set in the child only)
+    # is no MemoryError.  The oracles predict their exact work before their
+    # first term: the kernel refinement over p = 2**61 - 1 (p - 1 cosets a
+    # level), an integer order of 30000 or 100000 and a far level over a
+    # huge q (11.8 s, over a minute and 56 s without the bound), and a
+    # refinement 8000 or 4800 levels deep (over a minute, and 15 s)
+    start = time.perf_counter()
     done = _cli_child(command.split(), preexec_fn=_one_gigabyte_address_space)
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert "Traceback" not in done.stderr and "walk of" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert ("walk of" if command.startswith("apply") else "bits of exact work") in done.stderr
+    assert time.perf_counter() - start < 10

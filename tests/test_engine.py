@@ -38,7 +38,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_value_fingerprint import _part
-from ultrafrac import field, fourier, integrate, multidim, operators
+from ultrafrac import field, fourier, functions, integrate, multidim, operators
 from ultrafrac.errors import (
     HypothesisBoundaryWarning,
     HypothesisViolationError,
@@ -458,7 +458,7 @@ def shell_case(params, u, widen, cut):
         x = digits_to_point(fp, d, w)
         for j_hi in sorted({k - 1, k - 1 - cut}):
             want = difference_shell_sum_oracle(params, u, x, j_hi)
-            assert_same(_difference_shell_sums(params, u, j_hi, NV_ONE)(*u.core._locate(x)), want, slack)
+            assert_same(_difference_shell_sums(params, u, j_hi, NV_ONE)(x, *u.core._locate(x)), want, slack)
 
 
 PROFILES = [LogProfile()] + [
@@ -651,11 +651,9 @@ def residual_cases(draw, kinds):
 def residual_per_point(params, p, phi, nu):
     """The residual as one ``averaging_apply`` per point of its window."""
     pe = _as_extended(phi)
-    w = min(pe.window_level, nu + 1)
-    total = lp_window_sum(
-        params.fp, w, pe.constancy_level, p, lambda x: averaging_apply(params, nu, phi, x) - pe.evaluate(x)
-    )
-    return total ** (1 / p)
+    w, k = min(pe.window_level, nu + 1), pe.constancy_level
+    diffs = [averaging_apply(params, nu, phi, x) - pe.evaluate(x) for _, x in coset_walk(params.fp, w, k)]
+    return lp_window_sum(params.fp, k, p, diffs) ** (1 / p)
 
 
 def residual_case(params, phi, nu, lp):
@@ -717,10 +715,9 @@ def rational_windows(draw):
 
 def residual_oracle(params, p, phi, nu):
     """The residual as an lp sum of the coset walk's averages less phi."""
-    total = lp_window_sum(
-        params.fp, min(phi.support_level, nu + 1), phi.constancy_level, p, lambda x: averaging_oracle(params, nu, phi, x) - phi.evaluate(x)
-    )
-    return total ** (1 / p)
+    w, k = min(phi.support_level, nu + 1), phi.constancy_level
+    diffs = [averaging_oracle(params, nu, phi, x) - phi.evaluate(x) for _, x in coset_walk(params.fp, w, k)]
+    return lp_window_sum(params.fp, k, p, diffs) ** (1 / p)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -997,7 +994,7 @@ def test_per_point_routes_are_built_once_per_function(monkeypatch):
     # the window loops build their route per call, so they are the reference
     want = [(vladimirov_on_window(params, h, 0, 1), vladimirov_on_window(bridge.ext_params, h, 0)) for h in (f, g)]
     averaging = _counting(monkeypatch, operators, "_averaging")
-    vladimirov = _counting(monkeypatch, operators, "_vladimirov")
+    vladimirov = _counting(monkeypatch, operators, "_vladimirov_at")
     for h, (truncated, whole) in zip((f, g), want):
         for x, t, w in zip(points, truncated, whole, strict=True):
             assert t[0] == w[0] == x
@@ -1027,7 +1024,7 @@ def test_taibleson_direct_holds_one_lane_per_table(monkeypatch):
     ]
     assert set(f._routes) == {
         *((multidim._direct_weights, bridge, 0) for bridge in bridges),
-        *((operators._vladimirov, bridge.ext_params, None) for bridge in bridges),
+        *((operators._vladimirov_at, bridge.ext_params, None) for bridge in bridges),
     }
     assert len({id(route) for route in f._routes.values()}) == 4
 
@@ -1043,7 +1040,7 @@ def test_held_averaging_routes_are_keyed_by_order_and_truncation():
     # an averaging route never serves a truncated call
     params = OperatorParams(f.fp, 1)
     for x in points[::8]:
-        assert same_parts(truncated_vladimirov(params, 1, f, x), operators._vladimirov(params, 1, f)(x)), x
+        assert same_parts(truncated_vladimirov(params, 1, f, x), operators._vladimirov_at(params, 1, f)(x, *f._locate(x))), x
 
 
 @pytest.mark.parametrize("nu", [0, True, 1.0], ids=repr)
@@ -1255,6 +1252,71 @@ def test_engine_window_locates_no_point(monkeypatch, alpha):
     assert calls == []
     assert sorted(spheres) == [(None, 1), (None, 1), (None, 2), (None, 2)]
     assert len(lanes) == (0 if alpha == 1 else 128)
+
+
+def _counting_lookups(monkeypatch):
+    """Record every ``TestFunction._locate``, every ``evaluate`` of either function class, and every ``abs_exponent``, wherever imported."""
+    events = []
+    for cls in (TestFunction, ExtendedFunction):
+        for name in ("_locate", "evaluate") if cls is TestFunction else ("evaluate",):
+            inner = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, x, inner=inner, name=name: events.append(name) or inner(self, x))
+    for module in (field, functions, integrate, operators, multidim, fourier):
+        if hasattr(module, "abs_exponent"):
+            _counting(monkeypatch, module, "abs_exponent", events)
+    return events
+
+
+def _float_workload_table():
+    """The operators-float table shape: p = 2, complex rational entries, levels -2 .. 4, N = 64."""
+    rng = random.Random(29)
+    values = [ComplexValue.from_rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(64)]
+    return _table(FieldParams(2), -2, 4, values)
+
+
+def test_window_loops_locate_no_point(monkeypatch):
+    # the residual at nu = 1 and the multiplier route on the operators-float
+    # table shape at alpha = 1/2 read every coset's location from its digits:
+    # no locate, no evaluate and no abs_exponent; the values are the per-point ones
+    f = _float_workload_table()
+    params = OperatorParams(f.fp, Fraction(1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        events = _counting_lookups(mp)
+        residual = inversion_residual(params, 1, f, 1)
+        rows = multiplier_vladimirov(f.fp, params.gamma, f)
+    assert events == []
+    assert residual.hex() == residual_per_point(params, 1.0, f, 1).hex()
+    want = multiplier_oracle(f.fp, params.gamma, f)
+    assert [x for x, _ in rows] == [x for x, _ in want]
+    scale = max([1.0] + [abs(b) for _, b in want])
+    assert all(abs(a - b) <= 1e-12 * scale for (_, a), (_, b) in zip(rows, want))
+    # a per-point call locates its point once, on a table whose route is built under the count
+    g = _float_workload_table()
+    events = _counting_lookups(monkeypatch)
+    for x, _ in rows[:8]:
+        events.clear()
+        averaging_apply(params, 1, g, x)
+        assert events == ["_locate"], x
+
+
+@pytest.mark.parametrize("alpha", [1, Fraction(1, 2)], ids=str)
+def test_taibleson_window_locates_no_point(monkeypatch, alpha):
+    # both columns of the max-norm window on an N = 64 rational table over
+    # Q_2 squared read one location per coset; each is the per-point route's
+    # value, and a per-point call locates its point once (taking the size of
+    # a point beyond the support there) and evaluates nothing
+    f = _table(FieldParams(2, 2), 0, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(64)])
+    bridge = DimensionBridge(2, 2, alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        events = _counting_lookups(mp)
+        rows = multidim.taibleson_on_window(bridge, f)
+    assert events == [] and len(rows) == 256
+    events = _counting_lookups(monkeypatch)
+    for x, direct, via_ext in rows:
+        for route, want in ((taibleson_direct, direct), (taibleson_via_extension, via_ext)):
+            events.clear()
+            assert same_parts(route(bridge, f, x), want), x
+            assert events.count("_locate") == 1 and "evaluate" not in events, x
 
 
 @pytest.mark.parametrize("order_free", [True, False], ids=["rational", "float entry"])
@@ -1571,7 +1633,7 @@ def test_point_outside_window_sees_root_sum_and_tail(tail):
     assert isinstance(u.tail, PowerTail if tail == "power" else LogTail)
     x = point(fp, Fraction(1, 9))
     for j_hi in range(-3, 1):
-        assert_same(_difference_shell_sums(params, u, j_hi, NV_ONE)(*core._locate(x)), difference_shell_sum_oracle(params, u, x, j_hi), 1e-12)
+        assert_same(_difference_shell_sums(params, u, j_hi, NV_ONE)(x, *core._locate(x)), difference_shell_sum_oracle(params, u, x, j_hi), 1e-12)
 
 
 def test_sphere_sums_are_sibling_ball_sums():

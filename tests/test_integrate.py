@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_test_function
-from ultrafrac.errors import DivergentIntegralError, RegionMismatchError
+from ultrafrac.errors import DivergentIntegralError, RegionMismatchError, WorkSizeError
 from ultrafrac.field import FieldParams, point
 from ultrafrac.functions import (
     ExtendedFunction,
@@ -99,6 +99,31 @@ class TestClosedVsOracleGrid:
                 oracle_shifted_power_over_sphere(fp, alpha, n, depth=60),
             )
             assert float(c) == pytest.approx(float(o), rel=1e-8)
+
+
+class TestOracleWork:
+    def test_order_ten_thousand_runs_and_thirty_thousand_is_refused(self, fp2):
+        # about 0.7 s of exact series at alpha = 10000; three times the order
+        # ran 11.8 s in the CLI before failing on its output
+        assert power_over_ball(fp2, 10000, 0).exact == oracle_power_over_ball(fp2, 10000, 0).exact
+        for route in (oracle_power_over_ball, oracle_shifted_power_over_sphere):
+            with pytest.raises(WorkSizeError, match="bits of exact work"):
+                route(fp2, 30000, 0)
+
+    def test_far_level_is_refused_before_the_series(self):
+        fp = FieldParams(2**61 - 1, 4)
+        with pytest.raises(WorkSizeError, match="power series at alpha = 11 over levels 2513 .. 2553"):
+            oracle_power_over_ball(fp, 11, -2513)
+        with pytest.raises(WorkSizeError, match="log series"):
+            oracle_log_over_ball(fp, -2513, depth=100)
+
+    def test_only_exact_terms_count(self, fp2):
+        # q**alpha is irrational, yet every third term of alpha = 30001/3 is an
+        # exact power of 2: 22 s of Fractions at depth 2000, so it is refused,
+        # while alpha = 1/2 counts only its small exact even terms
+        assert not oracle_power_over_ball(fp2, Fraction(1, 2), 0, depth=2000).is_exact
+        with pytest.raises(WorkSizeError, match="bits of exact work"):
+            oracle_power_over_ball(fp2, Fraction(30001, 3), 0, depth=2000)
 
 
 class TestIntegrateProduct:

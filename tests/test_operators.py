@@ -12,6 +12,8 @@ from ultrafrac.errors import (
     HypothesisBoundaryWarning,
     HypothesisViolationError,
     InvalidPointError,
+    UltrafracError,
+    WorkSizeError,
 )
 from ultrafrac.field import FieldParams, Point, digits_to_point, enumerate_digits, point, zero_point
 from ultrafrac.functions import (
@@ -118,6 +120,13 @@ class TestKernel:
         pr = params(q, alpha)
         for j in range(-3, 7):
             assert float(kernel_r(pr, j)) == pytest.approx(kernel_r_oracle(pr, j), abs=1e-10)
+
+    def test_oracle_refinement_is_bounded_before_it_starts(self):
+        # depth 2000 runs, in about 0.1 s; depth 8000, over a minute once, is refused
+        pr = params(2, Fraction(1, 2))
+        assert kernel_r_oracle(pr, 0, depth=2000) == pytest.approx(float(kernel_r(pr, 0)), abs=1e-10)
+        with pytest.raises(WorkSizeError, match="refinement to depth 8000"):
+            kernel_r_oracle(pr, 0, depth=8000)
 
     def test_oracle_spot_values(self):
         assert kernel_r_oracle(params(2, Fraction(1, 2)), 1) == pytest.approx(
@@ -339,6 +348,36 @@ class TestOperatorWindow:
         fp = FieldParams(2)
         rows = vladimirov_on_window(params(2, Fraction(1, 2)), constant_on_ball(fp, 700, 0))
         assert len(rows) == 2 and all(v.is_exact_zero() for _, v in rows)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda pr, f, x: vladimirov_on_window(pr, f),
+        lambda pr, f, x: vladimirov_hypersingular(pr, f, x),
+        lambda pr, f, x: truncated_vladimirov(pr, 1, f, x),
+        lambda pr, f, x: averaging_apply(pr, 1, f, x),
+        lambda pr, f, x: inversion_residual(pr, 1, f, 1),
+        lambda pr, f, x: minkowski_bound(pr, 1, f, 1),
+        lambda pr, f, x: riesz_potential(pr, f),
+        lambda pr, f, x: multiplier_vladimirov(pr.fp, pr.gamma, f),
+    ],
+    ids=[
+        "vladimirov_on_window", "vladimirov_hypersingular", "truncated_vladimirov", "averaging_apply",
+        "inversion_residual", "minkowski_bound", "riesz_potential", "multiplier_vladimirov",
+    ],
+)
+def test_function_over_another_field_is_refused(route):
+    # a table over Q_2 against an order over Q_3: without the check these
+    # returned values (0.7149... at 0, 0.4999..., a residual of 3.9e-16 and a
+    # bound of 0.0), or raised a bare KeyError or a ValueError about the
+    # table size.  A refused per-point call holds nothing, so it raises again
+    f = random_test_function(FieldParams(2), 0, 2, random.Random(29))
+    pr, x = params(3, Fraction(1, 2)), zero_point(f.fp)
+    for _ in range(2):
+        with pytest.raises(UltrafracError, match="needs a table over"):
+            route(pr, f, x)
+    assert f._routes == {}
 
 
 def test_readme_library_example():
