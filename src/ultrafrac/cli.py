@@ -4,11 +4,13 @@ experiments and emit machine-readable tables.
 Every subcommand writes deterministic CSV (or the same rows as JSON):
 fixed column sets, canonical row order, floats at 15 significant digits.
 Exit codes: 0 all in-run assertions pass, 1 an assertion failed, 2 bad
-configuration, an unreadable input file or unwritable output, or a value
-beyond float range.  The environment variable ``ULTRA_TOL`` (a decimal
-string) overrides every tolerance; the ``integrate`` rows and the
-``kernel`` shell rows scale it by max(1, |closed form|).  Hypothesis-range
-warnings go to the ``warnings`` column, never to the exit code.
+configuration, an unreadable input file or unwritable output, a value
+beyond float range, work refused by a size bound (an exact value of more
+than 4300 digits among them) or a run out of memory.  The environment
+variable ``ULTRA_TOL`` (a decimal string) overrides every tolerance; the
+``integrate`` rows and the ``kernel`` shell rows scale it by
+max(1, |closed form|).  Hypothesis-range warnings go to the ``warnings``
+column, never to the exit code.
 """
 
 from __future__ import annotations
@@ -60,9 +62,20 @@ def _fmt(x) -> str:
     return f"{float(x):.15g}"
 
 
+_EXACT_DIGITS = 4300  # the exact columns' bound on a numerator or denominator, in decimal digits
+_EXACT_LIMIT = 10**_EXACT_DIGITS
+
+
+def _bounded(v):
+    """v, unless it is exact with a numerator or denominator beyond ``_EXACT_DIGITS``, whatever the interpreter's own limit."""
+    if v.is_exact and any(max(abs(x.numerator), x.denominator) >= _EXACT_LIMIT for x in (v.exact.a, v.exact.b, v.exact.c)):
+        raise UltrafracError(f"an exact value has more than {_EXACT_DIGITS} decimal digits, the CLI's bound on the exact column")
+    return v
+
+
 def _exact(v) -> str:
     """Exact form of a value, or empty when it took the float path."""
-    return str(v.exact) if v.is_exact else ""
+    return str(_bounded(v).exact) if v.is_exact else ""
 
 
 def _check(delta: float, tol: float, scale: float = 1.0) -> dict:
@@ -267,6 +280,8 @@ def apply_cmd(fp, op, alpha, fn, nu, window):
     for pt, v in values:
         yield {**head, "point": str(pt), "re": _fmt(v.re), "im": _fmt(v.im), "exact": _exact(v.re)}
     if op == "riesz":
+        for c, _, _ in u.tail.terms:  # the tail row's exact values meet the same bound
+            _bounded(c.re), _bounded(c.im)
         yield {**head, "point": "tail", "exact": str(u.tail)}
 
 
@@ -358,6 +373,8 @@ def run(argv: list[str] | None = None) -> int:
         message, code = exc.format_message(), exc.exit_code
     except OverflowError as exc:
         message, code = f"a value is beyond float range (about 1.8e308): {exc}", 2
+    except MemoryError:
+        message, code = "the run ran out of memory", 2
     except (UltrafracError, ValueError, OSError) as exc:
         message, code = str(exc), 2
     click.echo(f"error: {message}", err=True)

@@ -198,7 +198,7 @@ class TestFunction:
 
     @cached_property
     def _routes(self) -> dict:
-        """Per-point routes built on this table, keyed by builder first; see ``operators._held_route``, ``multidim.taibleson_direct``."""
+        """Per-point routes held on this table, by (builder, params, nu): the operators' and the max-norm route; see ``operators._held_route``."""
         return {}
 
     __getstate__ = _state_without_routes

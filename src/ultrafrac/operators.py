@@ -152,7 +152,6 @@ def kernel_r1(params: OperatorParams, j: int) -> NumericValue:
     return constants(params).cd * kernel_r(params, j)
 
 
-@lru_cache(maxsize=1024)
 def kernel_normalization_tail(params: OperatorParams, j_from: int) -> NumericValue:
     """Closed form of sum over shells j >= j_from of R1 times the shell measure."""
     fp = params.fp
@@ -330,13 +329,11 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 # hypersingular operator and its truncation
 
 
-@lru_cache(maxsize=1024)
 def _shell_weight(params: OperatorParams, k: int, j: int) -> NumericValue:
     """|z|**(-gamma-1) on the shell |z| = q**(-j), times the measure of a level-k coset."""
     return q_pow(params.fp, (params.gamma + 1) * j) * Fraction(params.fp.q) ** (-k)
 
 
-@lru_cache(maxsize=1024)
 def _far_weight(params: OperatorParams, j_far: int) -> NumericValue:
     """Measure of the shells j <= j_far against |z|**(-gamma-1)."""
     return (1 - Fraction(1, params.fp.q)) * geometric_tail(params.fp, params.gamma, -j_far)
@@ -373,10 +370,10 @@ def _difference_shell_sums(
 
     The shell weights depend on j alone and the far terms on j0 alone: every
     point of u's window has j0 = window, a point beyond it at |x| = q**(-l)
-    has j0 = l.  The weights are built once per process and looked up once
-    per call, the far sums once per call.  Beyond the window the value
-    depends on e alone (the whole core's ball sum and u's tail at e), so it
-    is summed once per exponent.
+    has j0 = l.  The weights and far sums are built once per route and
+    looked up once per call.  Beyond the window the value depends on e
+    alone (the whole core's ball sum and u's tail at e), so it is summed
+    once per exponent.
 
     At a point of the window of a rational core whose weights, far sum and
     c are exact rationals, the shells sum in integers on ``mixed_sum``'s
@@ -451,12 +448,13 @@ def _vladimirov_at(params: OperatorParams, nu: int | None, u) -> Callable[[Point
     return _difference_shell_sums(params, ue, k - 1 if nu is None else min(nu, k - 1), constants(params).c)
 
 
-def _held_route(build, params: OperatorParams, nu: int | None, f, x: Point) -> ComplexValue:
+def _held_route(build, params, nu: int | None, f, x: Point) -> ComplexValue:
     """The located route ``build(params, nu, f)`` at x, held on the function f: a per-point caller builds each route once per function.
 
-    The one per-point locate of this module: f's core's ``_locate``, taken
-    at build time.  The key (build, params, nu) holds no float: params is
-    frozen with a Fraction order and nu is an int or None.  Each builder
+    The one holder of route state and the one per-point locate: f's core's
+    ``_locate``, taken at build time.  The key (build, params, nu) holds no
+    float: params, an ``OperatorParams`` or a ``multidim.DimensionBridge``,
+    is frozen with a Fraction order and nu is an int or None.  Each builder
     keys its own routes, so an averaging route never serves a truncated
     call.  The truncation check runs on every call, and a build that raises
     holds nothing, so every call raises again.  Window loops build their

@@ -23,6 +23,8 @@ from conftest import random_test_function
 from ultrafrac.cli import run
 from ultrafrac.field import FieldParams
 from ultrafrac.funcfile import write_function
+from ultrafrac.functions import TestFunction
+from ultrafrac.numerics import ComplexValue
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden_cli.json").read_text())["sha256"]
 
@@ -49,13 +51,16 @@ def test_golden_stdout(command, monkeypatch):
     assert [{k: str(v) for k, v in r.items()} for r in rows] == table
 
 
+FILE_LEVELS = {(2, 1): 3, (2, 2): 2, (3, 1): 2, (3, 2): 1}  # constancy level of each function file, support level 0
+
+
 @pytest.fixture(scope="module")
 def function_files(tmp_path_factory):
     """One random function file per field, each with at most 16 cosets."""
     root = tmp_path_factory.mktemp("functions")
     rng = random.Random(5)
     files = {}
-    for (p, n), k in {(2, 1): 3, (2, 2): 2, (3, 1): 2, (3, 2): 1}.items():
+    for (p, n), k in FILE_LEVELS.items():
         path = root / f"f_{p}_{n}.json"
         write_function(random_test_function(FieldParams(p, n), 0, k, rng), path)
         files[p, n] = str(path)
@@ -63,31 +68,91 @@ def function_files(tmp_path_factory):
 
 
 @given(
-    command=st.sampled_from(["integrate", "kernel", "invert"]),
+    command=st.sampled_from(["integrate", "kernel", "invert", "apply", "fourier-check", "multidim-check"]),
     value=st.integers(-3000, 3000),
     alpha=st.fractions(Fraction(1, 8), 8, max_denominator=12),
     p=st.sampled_from([2, 3, 2**61 - 1]),
     degree=st.integers(1, 4),
+    op=st.sampled_from(["riesz", "vladimirov", "truncated", "multiplier"]),
+    window=st.none() | st.integers(-24, 4),
 )
 @settings(max_examples=60, deadline=None)
-def test_exit_code_contract(function_files, command, value, alpha, p, degree):
+def test_exit_code_contract(function_files, command, value, alpha, p, degree, op, window):
     """No exception escapes, the code is 0, 1 or 2, and 1 means a row failed.
 
     ``integrate`` and ``kernel`` run up to p = 2**61 - 1 and degree 4: the
     enumeration guard and the oracles' predicted work refuse, with exit 2,
-    what would exhaust memory or run for minutes.  ``invert`` reads the
-    function files, which cover p in {2, 3} at degree 1 and 2.
+    what would exhaust memory or run for minutes.  ``invert``, ``apply``,
+    ``fourier-check`` and ``multidim-check`` read the function files, which
+    cover p in {2, 3} at degree 1 and 2.  An ``apply`` window has at most
+    2**12 rows, q**(k - window), or more than 2**20, which the walk guard
+    refuses; ``--nu`` of ``--op truncated`` is the drawn value.
     """
-    args = [command, "--p", str(p), "--degree", str(degree), "--alpha", str(alpha)]
-    if command == "invert":
-        assume((p, degree) in function_files)
-        args += ["--fn", function_files[p, degree], "--nu-min", str(value), "--nu-max", str(value)]
-    else:
+    args = [command, "--p", str(p), "--degree", str(degree)]
+    if command != "fourier-check":
+        args += ["--alpha", str(alpha)]
+    if command in ("integrate", "kernel"):
         args += ["--levels" if command == "integrate" else "--shells", str(value)]
+    else:
+        assume((p, degree) in function_files)
+        args += ["--fn", function_files[p, degree]]
+    if command == "invert":
+        args += ["--nu-min", str(value), "--nu-max", str(value)]
+    if command == "apply":
+        args += ["--op", op, *(["--nu", str(value)] if op == "truncated" else [])]
+        if window is not None:
+            rows = p ** (degree * max(0, FILE_LEVELS[p, degree] - window))
+            assume(rows <= 2**12 or rows > 2**20)
+            args += ["--window", str(window)]
     code, out = _run(args)
     assert code in (0, 1, 2)
-    failed = any(r["status"] == "fail" for r in csv.DictReader(io.StringIO(out)))
+    failed = any(r.get("status") == "fail" for r in csv.DictReader(io.StringIO(out)))
     assert (code == 1) == failed
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "integrate --p 2 --alpha 10000 --levels -2..0",
+        "integrate --p 3 --degree 4 --alpha 23/5 --levels -2919",
+        "kernel --p 2 --alpha 10000 --shells 3",
+        "kernel --p 2 --alpha 3 --shells 20000",
+        "apply --op riesz --p 2 --alpha 20001 --fn one_O.json",
+        "apply --op riesz --p 2 --alpha 20001 --fn {i_O}",
+    ],
+)
+@pytest.mark.parametrize("int_digits", [None, 0], ids=["interpreter-limit", "no-limit"])
+def test_exact_column_refuses_values_beyond_its_bound(command, int_digits, tmp_path):
+    # a numerator or denominator of more than 4300 digits in the exact
+    # column: exit 2 with the CLI's own bound, decided before str(), and the
+    # same with the interpreter's integer-string limit lifted (0).  On i
+    # times the indicator of O only the Riesz tail row's value is huge: the
+    # core rows' exact column shows their real parts, which are 0
+    i_O = tmp_path / "i_O.json"
+    write_function(TestFunction.tabulate(FieldParams(2), 0, 0, lambda x: ComplexValue.from_rational(0, 1)), i_O)
+    command = command.format(i_O=i_O)
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if int_digits is not None and saved is not None:
+        sys.set_int_max_str_digits(int_digits)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(command.split())
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == "error: an exact value has more than 4300 decimal digits, the CLI's bound on the exact column\n"
+
+
+def test_exact_column_writes_values_within_its_bound():
+    # numerators and denominators of about 3000 digits, within the bound,
+    # in an exact column of over 4300 characters: the stdout written before
+    # the bound existed, byte for byte
+    code, out = _run("integrate --p 2 --alpha 10000 --levels 0".split())
+    assert code == 0
+    assert max(len(r["exact"]) for r in csv.DictReader(io.StringIO(out))) > 4300
+    assert hashlib.sha256(out.encode()).hexdigest() == "7c7b177901d7db95094d16d0b192f1e4cc5257aba0b73be6903c9b793bf32e93"
 
 
 def test_cli_import_does_not_load_numpy():
@@ -118,6 +183,20 @@ def test_far_out_kernel_shell_fails_fast(alpha):
 
 def _one_gigabyte_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_out_of_memory_exits_2_without_a_traceback():
+    # 2**18 rows, a walk inside the 2**20-coset budget, under a 256 MB
+    # address space set in the child only: the row list runs out of memory,
+    # which is exit 2, since exit 1 means only that a row failed
+    start = time.perf_counter()
+    done = _cli_child(
+        "apply --p 2 --fn one_O.json --op vladimirov --alpha 1/2 --window -18".split(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)),
+    )
+    assert done.returncode == 2
+    assert done.stderr == "error: the run ran out of memory\n"
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize(

@@ -995,23 +995,27 @@ def test_per_point_routes_are_built_once_per_function(monkeypatch):
     want = [(vladimirov_on_window(params, h, 0, 1), vladimirov_on_window(bridge.ext_params, h, 0)) for h in (f, g)]
     averaging = _counting(monkeypatch, operators, "_averaging")
     vladimirov = _counting(monkeypatch, operators, "_vladimirov_at")
+    direct = _counting(monkeypatch, multidim, "_direct")
     for h, (truncated, whole) in zip((f, g), want):
         for x, t, w in zip(points, truncated, whole, strict=True):
             assert t[0] == w[0] == x
             assert same_parts(averaging_apply(params, 1, h, x), averaging_oracle(params, 1, h, x)), x
             assert same_parts(truncated_vladimirov(params, 1, h, x), t[1]), x
             assert same_parts(taibleson_via_extension(bridge, h, x), w[1]), x
+            assert same_parts(taibleson_direct(bridge, h, x), taibleson_direct_oracle(bridge, h, x)), x
     # 64 points of each table: one build per (function, params, nu)
     assert [(a, nu) for a, nu, _ in averaging] == [(params, 1)] * 2
     assert [(a, nu) for a, nu, _ in vladimirov] == [(params, 1), (bridge.ext_params, None)] * 2
+    assert [(b, nu) for b, nu, _ in direct] == [(bridge, None)] * 2
     assert [id(h) for *_, h in averaging] == [id(f), id(g)]
     assert [id(h) for *_, h in vladimirov] == [id(f), id(f), id(g), id(g)]
+    assert [id(h) for *_, h in direct] == [id(f), id(g)]
 
 
 def test_taibleson_direct_holds_one_lane_per_table(monkeypatch):
-    # the 64 support points of a table share one lane per bridge, held on
-    # the table under the direct route's own key, beside the extension
-    # route that it checks
+    # the 64 support points of a table share one route per bridge, and it
+    # builds one lane; the route is held on the table under the key of its
+    # own builder, beside the extension route that it checks
     f, points = _held_route_case()
     builds = _counting(monkeypatch, multidim, "mixed_sum")
     bridges = [DimensionBridge(2, 2, alpha) for alpha in (1, 2)]
@@ -1023,7 +1027,7 @@ def test_taibleson_direct_holds_one_lane_per_table(monkeypatch):
         (multidim._direct_weights, (bridge, 3, 0, 0)) for bridge in bridges
     ]
     assert set(f._routes) == {
-        *((multidim._direct_weights, bridge, 0) for bridge in bridges),
+        *((multidim._direct, bridge, None) for bridge in bridges),
         *((operators._vladimirov_at, bridge.ext_params, None) for bridge in bridges),
     }
     assert len({id(route) for route in f._routes.values()}) == 4
@@ -1061,6 +1065,8 @@ def test_refused_input_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(HypothesisViolationError, match="zero-mean"):
             averaging_apply(params, 1, f, points[0])
+        with pytest.raises(UltrafracError, match="max-norm operator needs a table over"):
+            taibleson_direct(DimensionBridge(2, 3, 1), f, points[0])  # f is over FieldParams(2, 2)
     assert f._routes == {}
     # an argument that is no function has nowhere to hold a route, and is refused as before
     for route in (averaging_apply, truncated_vladimirov):
@@ -1076,11 +1082,12 @@ def test_functions_pickle_after_per_point_calls():
         (f, lambda h, x: averaging_apply(params, 1, h, x)),
         (f, lambda h, x: truncated_vladimirov(params, 2, h, x)),
         (f, lambda h, x: taibleson_via_extension(bridge, h, x)),
+        (f, lambda h, x: taibleson_direct(bridge, h, x)),
         (u, lambda h, x: averaging_apply(params, 1, h, x)),
         (u, lambda h, x: vladimirov_hypersingular(params, h, x)),
     ]
     before = [[route(h, x) for x in points[::4]] for h, route in cases]
-    assert len(f._routes) == 3 and len(u._routes) == 2
+    assert len(f._routes) == 4 and len(u._routes) == 2
     copies = {id(h): pickle.loads(pickle.dumps(h)) for h in (f, u)}
     for h, copy in ((f, copies[id(f)]), (u, copies[id(u)])):
         assert copy == h and "_routes" not in copy.__dict__ and h._routes

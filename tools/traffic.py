@@ -1,6 +1,6 @@
 """Line traffic of the library: which statements each source of work reaches.
 
-    python3 tools/traffic.py [--cycles N] [--smoke] [FILE:LINE ...]
+    python3 tools/traffic.py [--cycles N] [--smoke] [--caches] [FILE:LINE ...]
 
 Five sources run in one process, each under its own ``trace.Trace``, and
 only the counts of ``src/ultrafrac`` are kept:
@@ -21,6 +21,11 @@ With FILE:LINE arguments (FILE relative to ``src/ultrafrac``, for example
 lines.  Without them it prints every executable line of the library that
 no source reaches, as FILE:LINE and its code (the lines ``trace`` reports
 as missing).
+
+With ``--caches`` it prints, instead of that list, the traffic of every
+module-level ``functools`` cache of ``ultrafrac``: each cache is cleared
+before each source, and its ``hits/misses`` after that source are one cell
+of the row ``module.function,<import>,<operators-exact>,...``.
 """
 
 from __future__ import annotations
@@ -98,6 +103,17 @@ def _fingerprint():
     return work
 
 
+def _caches() -> dict[str, object]:
+    """Every module-level ``functools`` cache of the loaded library, as module.function, each under the module that defines it."""
+    return {
+        f"{name.rpartition('.')[2]}.{attr}": fn
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("ultrafrac.")
+        for attr, fn in vars(module).items()
+        if callable(getattr(fn, "cache_clear", None)) and getattr(fn, "__module__", None) == name
+    }
+
+
 def _unreached(hits: dict[str, Counter]) -> list[str]:
     """FILE:LINE and its code for every executable line of the library that no source reaches."""
     reached = {key for counter in hits.values() for key in counter}
@@ -115,6 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--cycles", type=int, default=2, help="cycles of each operator workload (default 2)")
     ap.add_argument("--smoke", action="store_true", help="the workloads' small smoke tables")
+    ap.add_argument("--caches", action="store_true", help="print each module-level cache's hits/misses per source")
     ap.add_argument("lines", nargs="*", metavar="FILE:LINE", help="lines to count, FILE relative to src/ultrafrac")
     args = ap.parse_args(argv)
     wanted = []
@@ -125,17 +142,29 @@ def main(argv: list[str] | None = None) -> int:
         wanted.append((name, int(line)))
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
-    hits = {"import": _traced(_import)}
-    for name in ("operators-exact", "operators-float"):
-        hits[name] = _traced(_workload(name, args.cycles, args.smoke))
-    hits["cli"] = _traced(_cli())
-    hits["fingerprint"] = _traced(_fingerprint())
+    hits, traffic = {}, {}
 
+    def run(source: str, work) -> None:
+        for fn in _caches().values():
+            fn.cache_clear()
+        hits[source] = _traced(work)
+        traffic[source] = {name: fn.cache_info() for name, fn in _caches().items()}
+
+    run("import", _import)
+    for name in ("operators-exact", "operators-float"):
+        run(name, _workload(name, args.cycles, args.smoke))
+    run("cli", _cli())
+    run("fingerprint", _fingerprint())
+
+    if args.caches:
+        print("cache," + ",".join(traffic))
+        for name in traffic["fingerprint"]:
+            print(name + "," + ",".join(f"{info[name].hits}/{info[name].misses}" for info in traffic.values()))
     if wanted:
         print("line," + ",".join(hits))
         for key in wanted:
             print(f"{key[0]}:{key[1]}," + ",".join(str(counter[key]) for counter in hits.values()))
-    else:
+    elif not args.caches:
         for row in _unreached(hits):
             print(row)
     return 0
