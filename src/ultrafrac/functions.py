@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import DivergentIntegralError, UltrafracError
 from .field import (
@@ -40,6 +40,7 @@ from .numerics import (
     ZERO_NUMERATORS,
     ComplexValue,
     FloatView,
+    IntegerSum,
     IntegerView,
     Numerators,
     as_fraction,
@@ -159,10 +160,6 @@ class TestFunction:
             return None
         return list(product(*([by_int[(a - s) % modulus] for a in ints] for s in shifts)))
 
-    def _ball_index(self, d: Digits | None) -> int | None:
-        """Position of the coset at address d in the ball-sum layout (``field._ball_indices``); None for d None."""
-        return None if d is None else _ball_indices(self.fp, self.constancy_level - self.support_level)[d]
-
     def _ball_levels(self, leaves: Mapping[Digits, object], add) -> list[list]:
         """Sums of ``leaves`` over every ball, as ``[level - support_level][ball index]``.
 
@@ -182,13 +179,13 @@ class TestFunction:
         return levels
 
     def _sibling_sums(self, levels: list[list], i: int, add) -> list:
-        """Sums over the spheres around the coset at ball index i, from ``_ball_levels``: the q - 1 siblings of its ball at each level."""
+        """Sums over the spheres around the coset at ball index i, from ``_ball_levels``: the q - 1 siblings of its ball at each level, in index order."""
         q = self.fp.q
         out = []
         for t in range(1, len(levels)):
             own = i // q ** (len(levels) - 1 - t)
             first = own - own % q
-            out.append(reduce(add, (levels[t][b] for b in range(first, first + q) if b != own)))
+            out.append(reduce(add, levels[t][first:own] + levels[t][own + 1 : first + q]))
         return out
 
     @cached_property
@@ -217,55 +214,54 @@ class TestFunction:
     def _pair_levels(self) -> list[list[Numerators]]:
         """The table's one ball pyramid: ``_ball_levels`` of its integer numerator pairs, or float pairs on an all-float table.
 
-        The engine reads sphere sums from it and, on a rational table, the
-        prefix routes read ball sums.  A float sum is the one its ``BallSum``
-        makes, addition for addition.
+        The exact lanes read it top down, once per window, and the per-point
+        routes read each point's spheres.  A float sum is the one its
+        ``BallSum`` makes, addition for addition.
         """
         view = self._integer_view
         return self._ball_levels(view.numerators if view is not None else self._float_view.pairs, _add_numerators)
 
-    @cached_property
-    def _integer_spheres(self) -> dict[Digits, list[Numerators]]:
-        """Pairs of ``sphere_sums(d)``, then of the entry at d, at every address d, read from ``_pair_levels``."""
-        levels = self._pair_levels
-        index = _ball_indices(self.fp, self.constancy_level - self.support_level)
-        return {d: [*self._sibling_sums(levels, i, _add_numerators), levels[-1][i]] for d, i in index.items()}
+    def _lane_numerators(self, lane: IntegerSum) -> dict[Digits, Numerators]:
+        """``lane.numerators(self._prefix_spheres(d, None, levels))`` at every address d, levels k + 1 - count .. k - 1, in one pass down ``_pair_levels``.
 
-    def _difference_spheres(self, d: Digits) -> list[Numerators]:
-        """Pairs of the sums of f(z) - f(x) over the spheres of ``sphere_sums(d)``: each sphere sum less its coset count times the entry.
-
-        On an all-float table each is s - count * x, an int times a float:
-        the ring's float operations on the ``BallSum`` values, in their order.
+        With W_t the lane's weight at level t (f(x)'s at k, 0 above its first
+        level) and B_t the ball at level t around x, the sum telescopes to
+        constant + W_s * B_s + sum over t > s of (W_t - W_{t-1}) * B_t, B_s
+        the whole table: each ball adds one multiply-add to its parent's sum.
         """
-        *spheres, v = self._integer_spheres[d]
-        q, k = self.fp.q, self.constancy_level
-        return [
-            tuple(s - (q - 1) * q ** (k - j - 1) * x for s, x in zip(sphere, v))
-            for j, sphere in zip(range(self.support_level, k), spheres)
-        ]
+        s, k, q = self.support_level, self.constancy_level, self.fp.q
+        first, weights = k + 1 - lane.count, dict(lane.terms)
+        w = [weights.get(t - first, 0) for t in range(s, k + 1)]
+        (c_re, c_im), (x, y) = lane.constant, self._pair_levels[0][0]
+        sums = [(c_re + w[0] * x, c_im + w[0] * y)]
+        for a, row in zip(map(operator.sub, w[1:], w), self._pair_levels[1:]):
+            sums = [(re + a * x, im + a * y) for (re, im), b in zip(sums, range(0, len(row), q)) for x, y in row[b : b + q]]
+        return {d: sums[i] for d, i in _ball_indices(self.fp, k - s).items()}
 
-    def _ball_around(self, i: int | None, e: int | None, level: int) -> Numerators:
-        """Numerators of the table sum over {|z - x| <= q**(-level)}, for x at ball index i, or (i None) beyond the support at |x| = q**e."""
-        t = level - self.support_level
-        if t >= 0:
-            return ZERO_NUMERATORS if i is None else self._pair_levels[t][i // self.fp.q ** (self.constancy_level - level)]
-        return self._pair_levels[0][0] if i is not None or e <= -level else ZERO_NUMERATORS
+    def _prefix_spheres(self, d: Digits | None, e: int | None, levels) -> list[Numerators]:
+        """Numerators of the sums over the spheres at ``levels`` around x, then of f(x): its own coset.
 
-    def _prefix_spheres(self, d: Digits | None, e: int | None, levels) -> Iterator[Numerators]:
-        """Numerators of the sums over the spheres at ``levels`` around x, each the ball at the level less the ball one level down, then of f(x): its own coset."""
-        i = self._ball_index(d)
-        for level in levels:
-            yield tuple(map(operator.sub, self._ball_around(i, e, level), self._ball_around(i, e, level + 1)))
-        yield self._ball_around(i, e, self.constancy_level)
+        At address d a sphere is its ball less the ball one level down, or,
+        on an all-float table, where that would round, its sibling balls
+        added as ``sphere_sums`` adds them.  Beyond the support, at
+        |x| = q**e, the sphere at level -e is the whole table, the rest empty.
+        """
+        pyramid, s, k, q = self._pair_levels, self.support_level, self.constancy_level, self.fp.q
+        if d is None:
+            return [pyramid[0][0] if level == -e else ZERO_NUMERATORS for level in levels] + [ZERO_NUMERATORS]
+        i = _ball_indices(self.fp, k - s)[d]
+        if self._integer_view is None:
+            spheres = self._sibling_sums(pyramid, i, _add_numerators)
+            return [spheres[level - s] for level in levels] + [pyramid[-1][i]]
+        balls = [pyramid[t][i // q ** (k - s - t)] for t in range(k - s + 1)]  # around x, the whole table first
+        return [tuple(map(operator.sub, balls[max(level - s, 0)], balls[max(level + 1 - s, 0)])) for level in levels] + [balls[-1]]
 
-    def _prefix_differences(self, d: Digits | None, e: int | None, levels) -> Iterator[Numerators]:
+    def _prefix_differences(self, d: Digits | None, e: int | None, levels) -> list[Numerators]:
         """Numerators of the sums of f(z) - f(x) over the spheres at ``levels`` around x (each sphere sum less its coset count times f(x)), then of f(x)."""
         q, k = self.fp.q, self.constancy_level
-        *spheres, fx = self._prefix_spheres(d, e, levels)
-        for level, sphere in zip(levels, spheres):
-            count = (q - 1) * q ** (k - level - 1)
-            yield tuple(s - count * x for s, x in zip(sphere, fx))
-        yield fx
+        *spheres, (x, y) = self._prefix_spheres(d, e, levels)
+        counts = ((q - 1) * q ** (k - level - 1) for level in levels)
+        return [(re - n * x, im - n * y) for (re, im), n in zip(spheres, counts)] + [(x, y)]
 
     def ball_sum(self) -> BallSum:
         """Sum of the whole table (the support ball)."""
@@ -278,7 +274,7 @@ class TestFunction:
         the sphere at level j is the q - 1 sibling balls of x's own ball at
         level j + 1, so a point costs O(q * depth) once the table is summed.
         """
-        return self._sibling_sums(self._ball_sums, self._ball_index(d), operator.add)
+        return self._sibling_sums(self._ball_sums, _ball_indices(self.fp, self.constancy_level - self.support_level)[d], operator.add)
 
     def integral(self) -> ComplexValue:
         """Exact Haar integral: the sum of the table times the coset measure."""

@@ -733,8 +733,10 @@ class IntegerSum(NamedTuple):
         return re, im
 
     def __call__(self, vectors: Iterable[Sequence[int]]) -> ComplexValue:
-        re, im = self.numerators(vectors)
-        return ComplexValue(_rational(re, self.denominator), _rational(im, self.denominator))
+        return self.value(self.numerators(vectors))
+
+    def value(self, nums: Numerators) -> ComplexValue:
+        return ComplexValue(_rational(nums[0], self.denominator), _rational(nums[1], self.denominator))
 
     def folded(self, factor: NumericValue, constant: ComplexValue) -> IntegerSum | None:
         """The lane of factor * (this sum + constant), or None unless factor and both parts of constant are exact rationals.

@@ -287,12 +287,13 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     The kernel is constant on each sphere |c - x| = q**(-j), so a core value
     is sum_j K_j * (sum of phi over that sphere) plus the singular coset's
     ball integral times phi(x).  Each window coset is located from its
-    address, with no Point.  At a point of phi's support, a rational phi
-    whose kernels times d are exact rationals sums its address's integer
-    spheres against them on ``mixed_sum``'s exact lane, so on the default
-    window the core is built from ``_integer_spheres`` alone; elsewhere d
-    multiplies the ring's sum, which keeps the float 0.0 of a cancelled
-    sphere that a mixed lane would skip.
+    address, with no Point.  A rational phi whose kernels times d are exact
+    rationals sums every point of its support at once, in one pass of
+    ``mixed_sum``'s exact lane down phi's ball pyramid
+    (``TestFunction._lane_numerators``); elsewhere d multiplies the ring's
+    sum, which keeps the float 0.0 of a cancelled sphere that a mixed lane
+    would skip.  Beyond the support |x - y| = |x| for every y in it, so the
+    value there depends on |x| alone and is summed once per exponent.
     """
     fp = params.fp
     g = params.gamma
@@ -307,14 +308,19 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
 
     fe = ExtendedFunction(phi)
     lane = mixed_sum(_riesz_weights, (params, s, k), phi._integer_view)
-    weighted = lane if isinstance(lane, IntegerSum) else None
+    pairs = phi._lane_numerators(lane) if isinstance(lane, IntegerSum) else None
 
-    def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
-        if weighted is not None and addr is not None:
-            return weighted(phi._integer_spheres[addr])
+    def ring_value(addr: Digits | None, e: int | None) -> ComplexValue:
         j0, sums, value = fe._sphere_sums_at(addr, e)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
+
+    beyond = cache(partial(ring_value, None))
+
+    def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
+        if addr is None:
+            return beyond(e)
+        return ring_value(addr, e) if pairs is None else lane.value(pairs[addr])
 
     core = TestFunction(fp, w, k, {x: core_value(addr, e) for x, addr, e in _window_locations(fp, w, s, k)})
     total = phi.integral()
@@ -340,8 +346,8 @@ def _far_weight(params: OperatorParams, j_far: int) -> NumericValue:
 
 
 def _shell_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[NumericValue]:
-    """The weights of the spheres j = lo .. k - 1, zero past the truncation hi."""
-    return [_shell_weight(params, k, j) if j <= hi else NV_ZERO for j in range(lo, k)]
+    """The weights of the spheres j = lo .. k - 1, zero past the truncation hi, then a zero for u(x): ``_prefix_differences``' last pair."""
+    return [*(_shell_weight(params, k, j) if j <= hi else NV_ZERO for j in range(lo, k)), NV_ZERO]
 
 
 def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[NumericValue]:
@@ -352,7 +358,7 @@ def _engine_weights(params: OperatorParams, k: int, lo: int, hi: int) -> list[Nu
     minus sign of the difference u(x + z) - u(x).
     """
     q = params.fp.q
-    shells = _shell_weights(params, k, lo, hi)
+    *shells, _ = _shell_weights(params, k, lo, hi)
     counted = sum((w * ((q - 1) * q ** (k - j - 1)) for j, w in zip(range(lo, k), shells)), NV_ZERO)
     return [*shells, -counted - _far_weight(params, min(lo - 1, hi))]
 
@@ -375,18 +381,18 @@ def _difference_shell_sums(
     alone (the whole core's ball sum and u's tail at e), so it is summed
     once per exponent.
 
-    At a point of the window of a rational core whose weights, far sum and
-    c are exact rationals, the shells sum in integers on ``mixed_sum``'s
-    ``IntegerSum``, u(x)'s share of every shell, far shells included, folded
-    into one weight, with c folded into every weight and c times the far sum
-    added (``IntegerSum.folded``): one numerator pair per point, read by
-    address, and one exact rational per part.  Every other core with a view
-    sums each shell's difference on ``mixed_sum``, then adds the far part,
-    as the ring loop below does: a float term sees u(x)'s share of its own
-    shell.  On an all-float core's float view the difference sums are float
-    pairs, made by the ring loop's float operations in its order, and the
-    lane adds their terms in shell order.  Off the integer lane, c
-    multiplies the sum last.
+    On a rational core whose weights, far sum and c are exact rationals,
+    the shells sum in integers on ``mixed_sum``'s ``IntegerSum``, u(x)'s
+    share of every shell, far shells included, folded into one weight, with
+    c folded into every weight and c times the far sum added
+    (``IntegerSum.folded``): the build runs one pass of it over the core
+    (``TestFunction._lane_numerators``) and holds a numerator pair per point.
+    Every other core with a view sums each shell's difference on
+    ``mixed_sum``, then adds the far part, as the ring loop below does: a
+    float term sees u(x)'s share of its own shell.  On an all-float core's
+    float view the difference sums are float pairs, made by the ring loop's
+    float operations in its order, and the lane adds their terms in shell
+    order.  Off the integer lane, c multiplies the sum last.
     """
     fp = params.fp
     g = params.gamma
@@ -423,16 +429,17 @@ def _difference_shell_sums(
     rational_far = far is not None and all(part.exact is not None and part.exact.is_rational for part in (far.re, far.im))
     lane = mixed_sum(_engine_weights, (params, k, window, j_hi), core._integer_view) if rational_far else None
     folded = lane.folded(c, far) if isinstance(lane, IntegerSum) else None
+    pairs = None if folded is None else core._lane_numerators(folded)
     view = core._integer_view if core._integer_view is not None else core._float_view
     mixed = None if folded is not None else mixed_sum(_shell_weights, (params, k, window, j_hi), view)
 
     def shell_sum_at(x: Point, d: Digits | None, e: int | None) -> ComplexValue:
         if d is None:
             return beyond(e)
-        if folded is not None:
-            return folded(core._integer_spheres[d])
+        if pairs is not None:
+            return folded.value(pairs[d])
         if mixed is not None:
-            return (mixed(core._difference_spheres(d)) + far_part(core.values[d], j_far)) * c
+            return (mixed(core._prefix_differences(d, None, range(window, k))) + far_part(core.values[d], j_far)) * c
         return ring_sum(d, e)
 
     return shell_sum_at
@@ -503,8 +510,8 @@ def vladimirov_on_window(
 
     Each coset is located from its address; the only Points built are the
     ones returned.  On a rational core under exact weights, c and far sum,
-    each coset of the core is one integer sum by address, and the cosets
-    beyond it share one value per |x| (see ``_difference_shell_sums``).
+    the cosets of the core read one pass of the integer lane, and the
+    cosets beyond it share one value per |x| (see ``_difference_shell_sums``).
     """
     ue = _as_extended(u)
     fp, k = ue.fp, ue.constancy_level
@@ -603,9 +610,10 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     a finite coset sum.  It is exactly zero once nu >= constancy_level - 1.
 
     Every coset is located from its digits.  A rational phi without a tail,
-    under exact averaging weights, sums average - phi there as one integer
-    sum, with -1 folded into the weight of phi(x): no Point.  The powers
-    add in ``coset_walk`` order, as on every other input.
+    under exact averaging weights, sums average - phi on one integer lane,
+    -1 folded into the weight of phi(x), in one pass over phi's support
+    (``TestFunction._lane_numerators``): no Point.  The powers add in
+    ``coset_walk`` order, as on every other input.
     """
     p = _lp_exponent(p)
     average = _averaging(params, nu, phi)
@@ -632,8 +640,8 @@ def inversion_residual(params: OperatorParams, p, phi, nu: int) -> float:
     located = _window_locations(fp, w, core.support_level, k)
     lane = None if pe.tail.terms else mixed_sum(_inversion_weights, (params, nu, k), core._integer_view)
     if isinstance(lane, IntegerSum):
-        levels = _averaging_levels(nu, k)
-        diffs = [lane.numerators(core._prefix_spheres(d, e, levels)) for _, d, e in located]
+        levels, pairs = _averaging_levels(nu, k), core._lane_numerators(lane)
+        diffs = [pairs[d] if d is not None else lane.numerators(core._prefix_spheres(d, e, levels)) for _, d, e in located]
         return lp_numerator_sum(fp, k, p, lane.denominator, diffs) ** (1.0 / p)
     diffs = [average(x, d, e) - (core.values[d] if d is not None else pe.tail_value_at_exponent(e))
              for (_, x), (_, d, e) in zip(coset_walk(fp, w, k), located)]
@@ -651,9 +659,9 @@ def minkowski_bound(params: OperatorParams, p, phi: TestFunction, nu: int) -> fl
     fp = params.fp
     _check_field(fp, phi, "the operator")
     k = phi.constancy_level
-    coset_meas = float(Fraction(fp.q) ** (nu - k))  # every shell below has j < k - nu
     total = 0.0
     for j in range(1, k - nu):
+        coset_meas = float(Fraction(fp.q) ** (nu - k))  # of a level k - nu coset; in the loop, so a far-out nu with no shell builds no float
         r1 = float(kernel_r1(params, j))
         inner = 0.0
         for rep in sphere_coset_reps(fp, j, k - nu):

@@ -17,10 +17,12 @@ routes sum in integers (``numerics.mixed_sum``'s exact lane, an
 ``IntegerSum``, or its mixed lane against partly float weights or a far
 sum that is not an exact rational), and the hypersingular engine sums an
 all-float core on ``mixed_sum`` through its float view, bit for bit the
-ring loop.  A rational window sums by address: the hypersingular window
-with c and the far sum folded into its integer lane, the Riesz core and
-the inversion residual are checked against the coset walks, and build no
-Point but the ones they return;
+ring loop.  A rational window sums in one pass of its integer lane down
+the table's ball pyramid, checked at every address against the lane on
+that point's own spheres: the hypersingular window with c and the far sum
+folded into its integer lane, the Riesz core and the inversion residual
+are checked against the coset walks, and build no Point but the ones
+they return;
 the encoding's round trip, the exactness gate's refusals and guards on which
 path runs are checked here too, as is the holding of each per-point route
 on its function: one build per (function, params, nu), and none pickled.
@@ -1120,6 +1122,43 @@ def test_prefix_table_is_the_engine_ball_sums(case):
             assert _over(want, view.denominator) == (s.re.exact, s.im.exact)
 
 
+@st.composite
+def rational_pyramids(draw):
+    """A complex rational table over Q_p or its degree-2 model, p = 2 or 3, at support level -1 .. 3, of at most 81 cosets."""
+    fp = FieldParams(draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2])))
+    s = draw(st.integers(-1, 3))
+    k = s + draw(st.integers(0, {2: 4, 3: 3, 4: 3, 9: 2}[fp.q]))
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+    return TestFunction(fp, s, k, {d: ComplexValue.from_rational(draw(part), draw(part)) for d in enumerate_digits(fp, s, k)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=rational_pyramids(), alpha=st.sampled_from([1, 2]))
+def test_lane_pass_is_each_points_reading(f, alpha):
+    # one pass down the ball pyramid gives, at every address, the numerators
+    # the lane sums from that point's own spheres.  The lanes: the Riesz lane
+    # from the support level; the folded engine lane, whole and truncated at
+    # nu = 1; the inversion lane at each nu = 1 .. k + 1, whose first level
+    # nu + 1 lies below the support level, inside the support, or past it at
+    # nu >= k - 1, where the lane is f(x)'s weight alone
+    fp, s, k = f.fp, f.support_level, f.constancy_level
+    params, view = OperatorParams(fp, alpha), f._integer_view
+    c = constants(params).c
+    lanes = [(mixed_sum(operators._riesz_weights, (params, s, k), view), range(s, k))]
+    for j_hi in (k - 1, min(1, k - 1)):
+        engine = mixed_sum(operators._engine_weights, (params, k, s, j_hi), view)
+        far = _closed_far_sum(fp, PowerProfile(-params.gamma - 1), ExtendedFunction(f), min(s - 1, j_hi))
+        lanes.append((engine.folded(c, far) if isinstance(engine, IntegerSum) else None, range(s, k)))
+    for nu in range(1, max(k, 1) + 2):
+        lanes.append((mixed_sum(operators._inversion_weights, (params, nu, k), view), operators._averaging_levels(nu, k)))
+    lanes = [(lane, levels) for lane, levels in lanes if isinstance(lane, IntegerSum)]
+    assert lanes
+    for lane, levels in lanes:
+        assert lane.count == len(levels) + 1
+        want = {d: lane.numerators(f._prefix_spheres(d, None, levels)) for d in f.values}
+        assert f._lane_numerators(lane) == want
+
+
 def _over(nums, den) -> tuple[ExactScalar, ExactScalar]:
     """A numerator pair over den as the exact rational of each part."""
     return tuple(ExactScalar(Fraction(n, den)) for n in nums)
@@ -1153,16 +1192,17 @@ def test_integer_view_round_trips(case):
 
 
 @pytest.mark.parametrize("base", [2, 3], ids=["ln_q_entries", "foreign_ln_3"])
-def test_log_kernel_refuses_log_entries(base):
+def test_log_kernel_refuses_log_entries(monkeypatch, base):
     # at gamma = 1 the Riesz kernels are ln 2 multiples: against ln 2 entries
     # their products leave the ring, against ln 3 entries they meet a second
-    # log base.  A table with a log part has no integer view, so it sums no
-    # integer sphere and the pair loop's exact-versus-float decisions hold
+    # log base.  A table with a log part has no integer view, so no lane pass
+    # runs on it and the pair loop's exact-versus-float decisions hold
+    passes = _counting(monkeypatch, TestFunction, "_lane_numerators")
     fp = FieldParams(2)
     f = _table(fp, 0, 3, [ExactScalar(Fraction(i % 3), Fraction(i % 4 - 1, 2), Fraction(0), base) for i in range(8)])
     assert f._integer_view is None
     riesz_case(OperatorParams(fp, 1), f, 1)
-    assert "_integer_spheres" not in f.__dict__
+    assert passes == []
 
 
 def _has_inv_ln(v: NumericValue) -> bool:
@@ -1259,6 +1299,21 @@ def test_engine_window_locates_no_point(monkeypatch, alpha):
     assert calls == []
     assert sorted(spheres) == [(None, 1), (None, 1), (None, 2), (None, 2)]
     assert len(lanes) == (0 if alpha == 1 else 128)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=str)
+def test_dilated_riesz_window_sums_once_per_exponent(monkeypatch, alpha):
+    # beyond phi's support |x - y| = |x| for every y in it, so a Riesz window
+    # dilated by 4 levels sums each of the 4 exponents there once, and every
+    # value of its 64 cosets is the pair loop's
+    located = ExtendedFunction._sphere_sums_at
+    calls = []
+    monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
+    fp = FieldParams(2)
+    phi = _table(fp, 0, 2, [1, Fraction(-1, 2), 0, Fraction(3, 4)])
+    assert dilated_window(phi, 4) == -4
+    riesz_case(OperatorParams(fp, alpha), phi, 4)
+    assert sorted(e for d, e in calls if d is None) == [1, 2, 3, 4]
 
 
 def _counting_lookups(monkeypatch):
@@ -1405,8 +1460,9 @@ def test_float_weights_take_the_mixed_lane(monkeypatch):
     # alpha = 1/2 over Q_2: q**(3j/2) is irrational at odd j, so the engine
     # weights fail the exactness check; the engine and the averaging route
     # sum the rational table on the mixed lane instead, the Riesz core keeps
-    # its path, and every value is the oracle's
+    # its path, with no lane pass, and every value is the oracle's
     lanes = _counting_lanes(monkeypatch)
+    passes = _counting(monkeypatch, TestFunction, "_lane_numerators")
     fp = FieldParams(2)
     f = _table(fp, -1, 3, [Fraction(i % 7 - 3, 1 + i % 4) for i in range(16)])
     params = OperatorParams(fp, Fraction(1, 2))
@@ -1414,7 +1470,7 @@ def test_float_weights_take_the_mixed_lane(monkeypatch):
     got = riesz_potential(params, f).core.values
     for d, want in riesz_core_oracle(params, f).items():
         assert_same(got[d], want, slack)
-    assert "_integer_spheres" not in f.__dict__
+    assert passes == []
     c = constants(params).c
     for nu in (None, 1, 2):
         j_hi = f.constancy_level - 1 if nu is None else nu
@@ -1523,9 +1579,10 @@ def test_float_tables_keep_the_ring_off_the_engine(monkeypatch):
     located = ExtendedFunction._sphere_sums_at
     calls = []
     monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
+    passes = _counting(monkeypatch, TestFunction, "_lane_numerators")
     riesz_potential(params, f)
     assert len(calls) == 64
-    assert "_integer_spheres" not in f.__dict__ and "_pair_levels" not in f.__dict__
+    assert passes == [] and "_pair_levels" not in f.__dict__
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -139,6 +139,14 @@ class TestCli:
         assert len(rows) == 5
         assert all(",pass," in r for r in rows[1:])
 
+    def test_invert_at_a_far_out_nu(self, capsys):
+        # the Minkowski bound's shell loop is empty past nu = k - 1: no float
+        # of q**(nu - k) overflows, and the row reads residual 0, bound 0
+        code = run(["invert", "--p", "2", "--alpha", "1", "--fn", "one_O.json", "--nu-min", "2000", "--nu-max", "2000"])
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in capsys.readouterr().out.strip().splitlines())))
+        assert (row["nu"], row["residual"], row["bound"]) == ("2000", "0", "0")
+
     def test_kernel_with_normalization(self, capsys):
         code = run(["kernel", "--p", "2", "--alpha", "1/2", "--shells", "-3..6", "--check-integral"])
         out = capsys.readouterr().out

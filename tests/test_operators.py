@@ -478,6 +478,15 @@ class TestInversionResidual:
                 bound = minkowski_bound(pr, 1, phi, nu)
                 assert resid <= bound + 1e-10
 
+    @pytest.mark.parametrize("alpha", [1, Fraction(1, 2)], ids=str)
+    def test_far_out_nu_has_no_shell_to_overflow(self, fp2, alpha):
+        # at nu = 2000 on a table constant at level 0 the bound's shell loop is
+        # empty, so it is 0.0 with no float of q**(nu - k) built; the residual
+        # there vanishes too (to rounding at alpha 1/2)
+        phi = indicator_ball(fp2, 0)
+        assert minkowski_bound(params(2, alpha), 1, phi, 2000) == 0.0
+        assert inversion_residual(params(2, alpha), 1, phi, 2000) <= 1e-12
+
     def test_each_level_weight_is_built_once_per_residual(self, monkeypatch):
         # nu = 1 on a table down to level 5: levels j = 1, 2, 3 over 32 window points
         phi = random_test_function(FieldParams(2), 0, 5, random.Random(43))

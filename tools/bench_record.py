@@ -22,11 +22,14 @@ claiming an improvement: the change wins at least nine tenths of the pairs
 by more than the parent's interquartile range.  A workload with fewer
 than two pairs has no quartiles and reads ``too few pairs``.
 
-``sweep`` times ``operators.minkowski_bound`` in a fresh interpreter per
-side and size: p = 2, n = 1, alpha = 1, L^2, nu = 1, on a random exact table
-with support level 0 and N = 16, 64, 256, 1024 cosets, alternating the sides.
-It prints the seconds per call (best of the repeats), the log-log slope in N
-and whether both sides give the same value in every bit.
+``sweep`` times three routes in a fresh interpreter per side and size, on
+one random exact table per size (p = 2, n = 1, support level 0, N = 16, 64,
+256, 1024 cosets) at alpha = 1, alternating the sides:
+``operators.minkowski_bound`` (L^2, nu = 1), ``operators.riesz_potential``
+and ``operators.vladimirov_on_window`` on the table's own window.  Per
+route it prints the seconds per call (best of the repeats), the log-log
+slope in N, the speedup and whether both sides give the same values in
+every bit.
 """
 
 from __future__ import annotations
@@ -118,8 +121,12 @@ def summary(args) -> None:
     print(json.dumps(out, indent=1))
 
 
+SWEEP_ROUTES = ("minkowski_bound", "riesz_potential", "vladimirov_on_window")
+
+
 def _sweep_point(level: int, repeats: int) -> None:
-    """One size in this interpreter: print seconds per call (best of the repeats) and the value's bits."""
+    """One size in this interpreter: print, per route, seconds per call (best of the repeats) and a digest of its values' bits."""
+    import hashlib
     import random
     import time
     from fractions import Fraction
@@ -127,18 +134,27 @@ def _sweep_point(level: int, repeats: int) -> None:
     from ultrafrac.field import FieldParams, enumerate_digits
     from ultrafrac.functions import TestFunction
     from ultrafrac.numerics import ComplexValue
-    from ultrafrac.operators import OperatorParams, minkowski_bound
+    from ultrafrac.operators import OperatorParams, minkowski_bound, riesz_potential, vladimirov_on_window
 
     fp = FieldParams(2)
+    params = OperatorParams(fp, 1)
     rng = random.Random(level)
     values = {d: ComplexValue.from_rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for d in enumerate_digits(fp, 0, level)}
-    best, value = math.inf, None
-    for _ in range(repeats):
-        phi = TestFunction(fp, 0, level, dict(values))  # a new table each time: no cached view is reused
-        t0 = time.perf_counter()
-        value = minkowski_bound(OperatorParams(fp, 1), 2, phi, 1)
-        best = min(best, time.perf_counter() - t0)
-    print(json.dumps({"seconds": best, "value": value.hex()}))
+    routes = {
+        "minkowski_bound": lambda phi: minkowski_bound(params, 2, phi, 1).hex(),
+        "riesz_potential": lambda phi: [str(v) for v in riesz_potential(params, phi).core.values.values()],
+        "vladimirov_on_window": lambda phi: [str(v) for _, v in vladimirov_on_window(params, phi, 0)],
+    }
+    out = {}
+    for name in SWEEP_ROUTES:
+        best, value = math.inf, None
+        for _ in range(repeats):
+            phi = TestFunction(fp, 0, level, dict(values))  # a new table each time: no cached view is reused
+            t0 = time.perf_counter()
+            value = routes[name](phi)
+            best = min(best, time.perf_counter() - t0)
+        out[name] = {"seconds": best, "value": hashlib.sha256(json.dumps(value).encode()).hexdigest()}
+    print(json.dumps(out))
 
 
 def _slope(levels, seconds) -> float:
@@ -160,11 +176,14 @@ def sweep(args) -> None:
             out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
             points[side][level] = json.loads(out)
     result = {"N": [2**k for k in SWEEP_LEVELS]}
-    for side, by_level in points.items():
-        seconds = [by_level[k]["seconds"] for k in SWEEP_LEVELS]
-        result[side] = {"seconds": [round(s, 6) for s in seconds], "n_slope": round(_slope(SWEEP_LEVELS, seconds), 3)}
-    result["speedup"] = [round(p / c, 2) for p, c in zip(result["parent"]["seconds"], result["change"]["seconds"])]
-    result["same_bits"] = all(points["parent"][k]["value"] == points["change"][k]["value"] for k in SWEEP_LEVELS)
+    for route in SWEEP_ROUTES:
+        table = {}
+        for side, by_level in points.items():
+            seconds = [by_level[k][route]["seconds"] for k in SWEEP_LEVELS]
+            table[side] = {"seconds": [round(s, 6) for s in seconds], "n_slope": round(_slope(SWEEP_LEVELS, seconds), 3)}
+        table["speedup"] = [round(p / c, 2) for p, c in zip(table["parent"]["seconds"], table["change"]["seconds"])]
+        table["same_bits"] = all(points["parent"][k][route]["value"] == points["change"][k][route]["value"] for k in SWEEP_LEVELS)
+        result[route] = table
     print(json.dumps(result, indent=1))
 
 
