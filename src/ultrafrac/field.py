@@ -122,9 +122,7 @@ def point(fp: FieldParams, *values) -> Point:
     for v in values:
         fr = v if isinstance(v, Fraction) else Fraction(v)
         den = fr.denominator
-        while den % fp.p == 0:
-            den //= fp.p
-        if den != 1:
+        if den != fp.p ** _int_valuation(den, fp.p):
             raise InvalidPointError(f"coordinate {fr} has a denominator not a power of {fp.p}")
         coords.append(fr)
     return Point(tuple(coords))

@@ -221,6 +221,17 @@ class TestFunction:
         view = self._integer_view
         return self._ball_levels(view.numerators if view is not None else self._float_view.pairs, _add_numerators)
 
+    @cached_property
+    def _nonzero_levels(self) -> list[list[Numerators]]:
+        """``_ball_levels`` of (1 if the real numerator is nonzero, same for the imaginary one): per ball, how many entries are not an exact zero; rational tables only.
+
+        Read like ``_pair_levels``, ball less ball, it tells a sphere whose
+        entries cancel from one with none: ``scale_sum`` keeps a float zero
+        for the first against a float kernel, and skips the second.
+        """
+        nonzero = {d: (int(x != 0), int(y != 0)) for d, (x, y) in self._integer_view.numerators.items()}
+        return self._ball_levels(nonzero, _add_numerators)
+
     def _lane_numerators(self, lane: IntegerSum) -> dict[Digits, Numerators]:
         """``lane.numerators(self._prefix_spheres(d, None, levels))`` at every address d, levels k + 1 - count .. k - 1, in one pass down ``_pair_levels``.
 
@@ -238,15 +249,18 @@ class TestFunction:
             sums = [(re + a * x, im + a * y) for (re, im), b in zip(sums, range(0, len(row), q)) for x, y in row[b : b + q]]
         return {d: sums[i] for d, i in _ball_indices(self.fp, k - s).items()}
 
-    def _prefix_spheres(self, d: Digits | None, e: int | None, levels) -> list[Numerators]:
+    def _prefix_spheres(self, d: Digits | None, e: int | None, levels, pyramid: list[list[Numerators]] | None = None) -> list[Numerators]:
         """Numerators of the sums over the spheres at ``levels`` around x, then of f(x): its own coset.
 
         At address d a sphere is its ball less the ball one level down, or,
         on an all-float table, where that would round, its sibling balls
         added as ``sphere_sums`` adds them.  Beyond the support, at
         |x| = q**e, the sphere at level -e is the whole table, the rest empty.
+        ``pyramid`` (default ``_pair_levels``) is read the same way, as
+        ``_nonzero_levels`` is for the count of nonzero entries per sphere.
         """
-        pyramid, s, k, q = self._pair_levels, self.support_level, self.constancy_level, self.fp.q
+        s, k, q = self.support_level, self.constancy_level, self.fp.q
+        pyramid = self._pair_levels if pyramid is None else pyramid
         if d is None:
             return [pyramid[0][0] if level == -e else ZERO_NUMERATORS for level in levels] + [ZERO_NUMERATORS]
         i = _ball_indices(self.fp, k - s)[d]
@@ -254,7 +268,8 @@ class TestFunction:
             spheres = self._sibling_sums(pyramid, i, _add_numerators)
             return [spheres[level - s] for level in levels] + [pyramid[-1][i]]
         balls = [pyramid[t][i // q ** (k - s - t)] for t in range(k - s + 1)]  # around x, the whole table first
-        return [tuple(map(operator.sub, balls[max(level - s, 0)], balls[max(level + 1 - s, 0)])) for level in levels] + [balls[-1]]
+        spheres = [(x - u, y - v) for (x, y), (u, v) in zip(balls, balls[1:])]  # at levels s .. k - 1
+        return [spheres[level - s] if level >= s else ZERO_NUMERATORS for level in levels] + [balls[-1]]
 
     def _prefix_differences(self, d: Digits | None, e: int | None, levels) -> list[Numerators]:
         """Numerators of the sums of f(z) - f(x) over the spheres at ``levels`` around x (each sphere sum less its coset count times f(x)), then of f(x)."""

@@ -624,7 +624,7 @@ def _cached_weights(weights_of: Callable, args: tuple, bits: tuple):
 
 def mixed_sum(
     weights_of: Callable, args: tuple, view: IntegerView | FloatView | None
-) -> Callable[[Iterable[Sequence]], ComplexValue] | None:
+) -> Callable[..., ComplexValue] | None:
     """The sum of a route's weights times a table's pairs: integer numerators on a rational table, floats on an all-float one.
 
     ``weights_of(*args)`` lists the weights.  It is a route's module-level
@@ -646,7 +646,14 @@ def mixed_sum(
     zero absorbs), and so is one whose numerator is; exact terms add in
     integers until the first float term; from there every term adds in
     order as a float, a float-weight term as (n / L) * w and an exact one
-    as the float of its exact product.  On a float view every term is the
+    as the float of its exact product.  On an integer view the function
+    takes, as an optional second argument, one (re, im) pair per weight
+    counting the entries with a nonzero numerator that each pair sums.
+    With them a float-weight term is skipped only where its count is 0, as
+    ``scale_sum`` skips only a sum with no nonzero term: entries that
+    cancel give a float zero against a float weight.  An exact-weight term
+    keeps the numerator skip, as its exact zero product absorbs.  Without
+    counts the numerator decides for both.  On a float view every term is the
     float n * w, an exact weight taken as its float w / W, and every term
     adds in order, a float zero included: the ring keeps a float zero, so a
     cancelling sum stays a float.  Int true division rounds correctly, like
@@ -664,7 +671,7 @@ def mixed_sum(
     if view.__class__ is FloatView:
         float_terms = [(i, w if w.__class__ is float else w / w_den) for i, w in terms]
 
-        def part_sum(values: list[float]) -> NumericValue:
+        def part_sum(values: list[float], _nonzero) -> NumericValue:
             total = None
             for i, w in float_terms:
                 t = values[i] * w
@@ -675,14 +682,16 @@ def mixed_sum(
         den_v = view.denominator
         den = w_den * den_v
 
-        def part_sum(nums: list[int]) -> NumericValue:
+        def part_sum(nums: list[int], nonzero: list[int]) -> NumericValue:
             acc, total = 0, None
             for i, w in terms:
                 n = nums[i]
-                if not n:
-                    continue
                 if w.__class__ is float:
+                    if not nonzero[i]:
+                        continue
                     t = n / den_v * w
+                elif not n:
+                    continue
                 elif total is None:
                     acc += n * w
                     continue
@@ -696,11 +705,15 @@ def mixed_sum(
                 return _numeric_value(None, total)
             return _rational(acc, den)
 
-    def weighted_sum(vectors: Iterable[Sequence]) -> ComplexValue:
+    def weighted_sum(vectors: Iterable[Sequence], counts: Iterable[Sequence[int]] | None = None) -> ComplexValue:
         vectors = list(vectors)
         if len(vectors) != count:
             raise ValueError(f"{len(vectors)} vectors for {count} weights")
-        return ComplexValue(part_sum([v[0] for v in vectors]), part_sum([v[1] for v in vectors]))
+        re, im = [v[0] for v in vectors], [v[1] for v in vectors]
+        if counts is None:
+            return ComplexValue(part_sum(re, re), part_sum(im, im))
+        counts = list(counts)
+        return ComplexValue(part_sum(re, [c[0] for c in counts]), part_sum(im, [c[1] for c in counts]))
 
     return weighted_sum
 

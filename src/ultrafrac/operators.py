@@ -290,10 +290,16 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     address, with no Point.  A rational phi whose kernels times d are exact
     rationals sums every point of its support at once, in one pass of
     ``mixed_sum``'s exact lane down phi's ball pyramid
-    (``TestFunction._lane_numerators``); elsewhere d multiplies the ring's
-    sum, which keeps the float 0.0 of a cancelled sphere that a mixed lane
-    would skip.  Beyond the support |x - y| = |x| for every y in it, so the
-    value there depends on |x| alone and is summed once per exponent.
+    (``TestFunction._lane_numerators``).  Against float kernels (an
+    irrational q**gamma) a rational phi sums each point of its support on
+    the mixed lane of the kernels alone, reading its spheres' numerators
+    and their counts of nonzero entries (``TestFunction._nonzero_levels``),
+    so that a sphere whose entries cancel keeps the ring's float 0.0; d
+    then multiplies the sum, as it multiplies the ring's, since folding a
+    float d into the kernels would round them apart.  Any other phi sums
+    on the ring.  Beyond the support |x - y| = |x| for every y in it, so
+    the value there depends on |x| alone and is summed once per exponent,
+    on the ring.
     """
     fp = params.fp
     g = params.gamma
@@ -307,8 +313,11 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     *shell_kernels, inner_kernel = _riesz_kernels(params, w, k)
 
     fe = ExtendedFunction(phi)
-    lane = mixed_sum(_riesz_weights, (params, s, k), phi._integer_view)
+    view = phi._integer_view
+    lane = mixed_sum(_riesz_weights, (params, s, k), view)
     pairs = phi._lane_numerators(lane) if isinstance(lane, IntegerSum) else None
+    mixed = mixed_sum(_riesz_kernels, (params, s, k), view) if pairs is None else None
+    levels = range(s, k)
 
     def ring_value(addr: Digits | None, e: int | None) -> ComplexValue:
         j0, sums, value = fe._sphere_sums_at(addr, e)
@@ -320,7 +329,12 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
         if addr is None:
             return beyond(e)
-        return ring_value(addr, e) if pairs is None else lane.value(pairs[addr])
+        if pairs is not None:
+            return lane.value(pairs[addr])
+        if mixed is None:
+            return ring_value(addr, e)
+        counts = phi._prefix_spheres(addr, None, levels, phi._nonzero_levels)
+        return mixed(phi._prefix_spheres(addr, None, levels), counts) * d
 
     core = TestFunction(fp, w, k, {x: core_value(addr, e) for x, addr, e in _window_locations(fp, w, s, k)})
     total = phi.integral()

@@ -181,6 +181,17 @@ def test_far_out_kernel_shell_fails_fast(alpha):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_far_out_integrate_level_fails_fast():
+    # a level of 200000 makes a coordinate with a 200000-bit denominator,
+    # which the point check tests with one valuation, not one division per
+    # factor of p; the closed form then leaves float range
+    start = time.perf_counter()
+    done = _cli_child("integrate --p 2 --alpha 3 --levels 200000".split())
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert time.perf_counter() - start < 10
+
+
 def _one_gigabyte_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -15,7 +15,9 @@ ball sums and sum on ``numerics.mixed_sum``, are checked bit for bit
 against the coset walks they replaced.  On rational tables the engine
 routes sum in integers (``numerics.mixed_sum``'s exact lane, an
 ``IntegerSum``, or its mixed lane against partly float weights or a far
-sum that is not an exact rational), and the hypersingular engine sums an
+sum that is not an exact rational; the Riesz core's mixed lane skips a
+float-kernel sphere by its count of nonzero entries, checked bit for bit
+against the ring with the integer view masked), and the hypersingular engine sums an
 all-float core on ``mixed_sum`` through its float view, bit for bit the
 ring loop.  A rational window sums in one pass of its integer lane down
 the table's ball pyramid, checked at every address against the lane on
@@ -1450,7 +1452,7 @@ def _counting_lanes(monkeypatch, module=operators, calls=None):
                     return IntegerSum.__call__(self, vectors)
 
             return CountedSum(*lane)
-        return lane and (lambda vectors: calls.append(weights_of.__name__) or lane(vectors))
+        return lane and (lambda vectors, counts=None: calls.append(weights_of.__name__) or lane(vectors, counts))
 
     monkeypatch.setattr(module, "mixed_sum", counted)
     return calls
@@ -1458,9 +1460,10 @@ def _counting_lanes(monkeypatch, module=operators, calls=None):
 
 def test_float_weights_take_the_mixed_lane(monkeypatch):
     # alpha = 1/2 over Q_2: q**(3j/2) is irrational at odd j, so the engine
-    # weights fail the exactness check; the engine and the averaging route
-    # sum the rational table on the mixed lane instead, the Riesz core keeps
-    # its path, with no lane pass, and every value is the oracle's
+    # weights fail the exactness check; the Riesz core, the engine and the
+    # averaging route sum the rational table on the mixed lane instead, the
+    # Riesz core against its kernels alone and with no lane pass, and every
+    # value is the oracle's
     lanes = _counting_lanes(monkeypatch)
     passes = _counting(monkeypatch, TestFunction, "_lane_numerators")
     fp = FieldParams(2)
@@ -1476,8 +1479,9 @@ def test_float_weights_take_the_mixed_lane(monkeypatch):
         j_hi = f.constancy_level - 1 if nu is None else nu
         for x, value in vladimirov_on_window(params, f, window_level=-2, nu=nu):
             assert_same(value, difference_shell_sum_oracle(params, ExtendedFunction(f), x, j_hi) * c, slack)
-    # 16 of the 32 window points lie in the core, once per truncation
-    assert lanes == ["_shell_weights"] * 48
+    # the Riesz core's 16 points, then 16 of the 32 window points lie in the
+    # core, once per truncation
+    assert lanes == ["_riesz_kernels"] * 16 + ["_shell_weights"] * 48
     lanes.clear()
     bridge = DimensionBridge(2, 1, Fraction(1, 2))
     for _, x in coset_walk(fp, -2, 3):
@@ -1685,6 +1689,63 @@ def test_cancelling_sphere_still_demotes(alpha):
     assert not at_origin.re.is_exact and float(at_origin.re) == 0.0
     assert at_origin.im.is_exact_zero()
     riesz_case(params, phi, 0)
+
+
+@st.composite
+def cancelling_tables(draw):
+    """(params, phi): parts in {0, 1, -1} over Q_p or its degree-2 model, p = 2 or 3, so that spheres often cancel, at an order whose kernels are partly or wholly irrational."""
+    fp = FieldParams(draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2])))
+    s = draw(st.integers(-1, 1))
+    k = s + draw(st.integers(0, {2: 4, 3: 3, 4: 3, 9: 2}[fp.q]))
+    part = st.sampled_from([0, 1, -1])
+    values = {d: ComplexValue.from_rational(draw(part), draw(part)) for d in enumerate_digits(fp, s, k)}
+    alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]))
+    return OperatorParams(fp, alpha), TestFunction(fp, s, k, values)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cancelling_tables(), widen=st.integers(0, 2))
+@example(case=(OperatorParams(FieldParams(2), Fraction(1, 2)), _table(FieldParams(2), -1, 1, (0, 0, 1, -1))), widen=0)
+def test_rational_riesz_core_takes_the_mixed_lane_bit_for_bit(case, widen):
+    # against float kernels a rational table sums every point of its support
+    # on the mixed lane, which skips a float-kernel sphere only where none of
+    # its entries is nonzero: every bit, and every exact-versus-float
+    # decision, is the ring's, run with the integer view masked
+    params, phi = case
+    w = dilated_window(phi, widen)
+    with pytest.MonkeyPatch.context() as mp:
+        lanes = _counting_lanes(mp)
+        got = riesz_potential(params, phi, w).core.values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TestFunction, "_integer_view", property(lambda self: None))
+        want = riesz_potential(params, phi, w).core.values
+    assert _value_bits(list(got.items())) == _value_bits(list(want.items()))
+    assert lanes == ["_riesz_kernels"] * len(phi.values)
+
+
+def test_rational_riesz_core_sums_no_sphere_values(monkeypatch):
+    # the operators-float table shape at alpha = 1/2: the kernels 2**(j/2)
+    # are irrational at odd j, yet no point of the support sums a BallSum
+    # sphere or calls radial_sum.  Dilated by two levels, the window sums
+    # each exponent beyond the support once, and a table with ln entries
+    # still sums every point on the ring
+    located = ExtendedFunction._sphere_sums_at
+    calls = []
+    monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
+    radial = _counting(monkeypatch, operators, "radial_sum")
+    phi = _float_workload_table()
+    params = OperatorParams(phi.fp, Fraction(1, 2))
+    assert len(riesz_potential(params, phi).core.values) == 64
+    assert calls == [] and radial == []
+    assert len(riesz_potential(params, phi, phi.support_level - 2).core.values) == 256
+    assert sorted(calls) == [(None, 3), (None, 4)] and len(radial) == 2
+    calls.clear()
+    radial.clear()
+    one = NumericValue.from_exact(ExactScalar.ln_q(phi.fp))
+    logs = _table(phi.fp, -1, 1, (0, 0, one, -one))
+    assert logs._integer_view is None
+    riesz_potential(params, logs)
+    assert len(calls) == len(radial) == 4
 
 
 @pytest.mark.parametrize("tail", ["power", "log"])

@@ -22,14 +22,18 @@ claiming an improvement: the change wins at least nine tenths of the pairs
 by more than the parent's interquartile range.  A workload with fewer
 than two pairs has no quartiles and reads ``too few pairs``.
 
-``sweep`` times three routes in a fresh interpreter per side and size, on
+``sweep`` times four routes in a fresh interpreter per side and size, on
 one random exact table per size (p = 2, n = 1, support level 0, N = 16, 64,
-256, 1024 cosets) at alpha = 1, alternating the sides:
+256, 1024 cosets), alternating the sides: at alpha = 1
 ``operators.minkowski_bound`` (L^2, nu = 1), ``operators.riesz_potential``
-and ``operators.vladimirov_on_window`` on the table's own window.  Per
-route it prints the seconds per call (best of the repeats), the log-log
-slope in N, the speedup and whether both sides give the same values in
-every bit.
+and ``operators.vladimirov_on_window`` on the table's own window, and
+``operators.riesz_potential`` at alpha = 1/2, whose kernels are partly
+irrational.  Each route is timed over a loop of calls, each on a new copy
+of the table, grown until the loop lasts at least SWEEP_MIN_SECONDS, since
+a single call below about a millisecond is timer and scheduler noise.  Per
+route it prints the seconds per call (the best loop of the repeats), the
+log-log slope in N, the speedup and whether both sides give the same
+values in every bit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from pathlib import Path
 WORKLOADS = ("operators-exact", "operators-float", "cli-oneshot")
 FIRST_SEED = 41
 SWEEP_LEVELS = (4, 6, 8, 10)  # N = 2**k
+SWEEP_MIN_SECONDS = 0.2  # the shortest timed loop of one route at one size
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -121,14 +126,34 @@ def summary(args) -> None:
     print(json.dumps(out, indent=1))
 
 
-SWEEP_ROUTES = ("minkowski_bound", "riesz_potential", "vladimirov_on_window")
+SWEEP_ROUTES = ("minkowski_bound", "riesz_potential", "vladimirov_on_window", "riesz_potential_half")
+
+
+def _seconds_per_call(route, fresh, repeats: int) -> tuple[float, object]:
+    """route over a loop of new tables from ``fresh``: the loop's length doubles until it lasts SWEEP_MIN_SECONDS, then the best of ``repeats`` loops of that length, per call, and the last call's value."""
+    import time
+
+    def loop(calls: int) -> tuple[float, object]:
+        tables = [fresh() for _ in range(calls)]
+        t0 = time.perf_counter()
+        for phi in tables:
+            value = route(phi)
+        return time.perf_counter() - t0, value
+
+    calls = 1
+    elapsed, value = loop(calls)
+    while elapsed < SWEEP_MIN_SECONDS:
+        calls *= 2
+        elapsed, value = loop(calls)
+    for _ in range(repeats - 1):
+        elapsed = min(elapsed, loop(calls)[0])
+    return elapsed / calls, value
 
 
 def _sweep_point(level: int, repeats: int) -> None:
-    """One size in this interpreter: print, per route, seconds per call (best of the repeats) and a digest of its values' bits."""
+    """One size in this interpreter: print, per route, seconds per call and a digest of its values' bits."""
     import hashlib
     import random
-    import time
     from fractions import Fraction
 
     from ultrafrac.field import FieldParams, enumerate_digits
@@ -137,23 +162,20 @@ def _sweep_point(level: int, repeats: int) -> None:
     from ultrafrac.operators import OperatorParams, minkowski_bound, riesz_potential, vladimirov_on_window
 
     fp = FieldParams(2)
-    params = OperatorParams(fp, 1)
+    params, half = OperatorParams(fp, 1), OperatorParams(fp, Fraction(1, 2))
     rng = random.Random(level)
     values = {d: ComplexValue.from_rational(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for d in enumerate_digits(fp, 0, level)}
     routes = {
         "minkowski_bound": lambda phi: minkowski_bound(params, 2, phi, 1).hex(),
         "riesz_potential": lambda phi: [str(v) for v in riesz_potential(params, phi).core.values.values()],
         "vladimirov_on_window": lambda phi: [str(v) for _, v in vladimirov_on_window(params, phi, 0)],
+        "riesz_potential_half": lambda phi: [str(v) for v in riesz_potential(half, phi).core.values.values()],
     }
     out = {}
     for name in SWEEP_ROUTES:
-        best, value = math.inf, None
-        for _ in range(repeats):
-            phi = TestFunction(fp, 0, level, dict(values))  # a new table each time: no cached view is reused
-            t0 = time.perf_counter()
-            value = routes[name](phi)
-            best = min(best, time.perf_counter() - t0)
-        out[name] = {"seconds": best, "value": hashlib.sha256(json.dumps(value).encode()).hexdigest()}
+        # a new table per call: no cached view or pyramid is reused
+        seconds, value = _seconds_per_call(routes[name], lambda: TestFunction(fp, 0, level, dict(values)), repeats)
+        out[name] = {"seconds": seconds, "value": hashlib.sha256(json.dumps(value).encode()).hexdigest()}
     print(json.dumps(out))
 
 
@@ -170,8 +192,7 @@ def sweep(args) -> None:
     for i, level in enumerate(SWEEP_LEVELS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            repeats = args.repeats if level < SWEEP_LEVELS[-1] or side == "change" else 1
-            cmd = [sys.executable, __file__, "sweep-point", "--level", str(level), "--repeats", str(repeats)]
+            cmd = [sys.executable, __file__, "sweep-point", "--level", str(level), "--repeats", str(args.repeats)]
             env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
             out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
             points[side][level] = json.loads(out)
