@@ -36,6 +36,7 @@ from .field import (
 )
 from .numerics import (
     CV_ZERO,
+    KIND_NONZERO,
     NV_ZERO,
     ZERO_NUMERATORS,
     ComplexValue,
@@ -43,6 +44,7 @@ from .numerics import (
     IntegerSum,
     IntegerView,
     Numerators,
+    _rational,
     as_fraction,
     float_view,
     geometric_tail,
@@ -190,7 +192,7 @@ class TestFunction:
 
     @cached_property
     def _ball_sums(self) -> list[list[BallSum]]:
-        """Sums over every ball, run once per table; sums are only ever added, so each is exact iff all its entries are."""
+        """Sums over every ball, run once per table with no view; sums are only ever added, so each is exact iff all its entries are."""
         return self._ball_levels({d: BallSum.of(v) for d, v in self.values.items()}, operator.add)
 
     @cached_property
@@ -278,9 +280,27 @@ class TestFunction:
         counts = ((q - 1) * q ** (k - level - 1) for level in levels)
         return [(re - n * x, im - n * y) for (re, im), n in zip(spheres, counts)] + [(x, y)]
 
+    def _pyramid_sums(self, read) -> list[BallSum]:
+        """``read(pyramid, add)``, a list of ball or sphere sums of a pyramid, as ``BallSum``s.
+
+        A table with a view reads its one pyramid, ``_pair_levels``.  On an
+        integer view a part is exact, of kind ``KIND_NONZERO`` iff it sums a
+        nonzero entry (``_nonzero_levels``); on a float view it is the float
+        its ``BallSum`` makes.  Only a table with no view builds ``_ball_sums``.
+        """
+        view = self._integer_view
+        if view is None and self._float_view is None:
+            return read(self._ball_sums, operator.add)
+        pairs = read(self._pair_levels, _add_numerators)
+        if view is None:
+            return [BallSum.of(ComplexValue.from_complex(complex(*pair))) for pair in pairs]
+        nums = zip(pairs, read(self._nonzero_levels, _add_numerators))
+        den = view.denominator
+        return [BallSum(ComplexValue(_rational(x, den), _rational(y, den)), KIND_NONZERO if u else 0, KIND_NONZERO if v else 0) for (x, y), (u, v) in nums]
+
     def ball_sum(self) -> BallSum:
-        """Sum of the whole table (the support ball)."""
-        return self._ball_sums[0][0]
+        """Sum of the whole table (the support ball): the root of its pyramid."""
+        return self._pyramid_sums(lambda levels, _: [levels[0][0]])[0]
 
     def sphere_sums(self, d: Digits) -> list[BallSum]:
         """Sums over the spheres {|z - x| = q**(-j)} around the coset x with address d.
@@ -289,7 +309,8 @@ class TestFunction:
         the sphere at level j is the q - 1 sibling balls of x's own ball at
         level j + 1, so a point costs O(q * depth) once the table is summed.
         """
-        return self._sibling_sums(self._ball_sums, _ball_indices(self.fp, self.constancy_level - self.support_level)[d], operator.add)
+        i = _ball_indices(self.fp, self.constancy_level - self.support_level)[d]
+        return self._pyramid_sums(lambda levels, add: self._sibling_sums(levels, i, add))
 
     def integral(self) -> ComplexValue:
         """Exact Haar integral: the sum of the table times the coset measure."""
@@ -492,15 +513,10 @@ class ExtendedFunction:
     def translated(self, h: Point) -> "ExtendedFunction":
         """The function x -> f(x - h); the window grows to hold the translated core.
 
-        For h inside the window the core's own values move to their shifted
-        addresses; f beyond the window is unchanged, as |x - h| = |x| there.
+        For h inside the window the table holds the core's own value objects
+        at shifted cosets; f beyond the window is unchanged, as |x - h| = |x| there.
         """
-        point(self.fp, *h.coords)  # the coordinate count and p-power denominators, checked on every path
-        sources = self.core._shifted_addresses(h)
-        if sources is not None:
-            values = self.core.values
-            table = {d: values[s] for d, s in zip(self.core.addresses(), sources)}
-            return ExtendedFunction(TestFunction(self.fp, self.window_level, self.constancy_level, table), self.tail)
+        point(self.fp, *h.coords)  # the coordinate count and p-power denominators, whatever the size of h
         e = abs_exponent(self.fp, h)
         window = self.window_level if e is None else min(self.window_level, -e)
         core = TestFunction.tabulate(self.fp, window, self.constancy_level, lambda x: self.evaluate(x - h))

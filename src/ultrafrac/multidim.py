@@ -27,7 +27,6 @@ from .field import (
     _window_locations,
     abs_exponent,
     coset_walk,
-    sphere_coset_reps,
 )
 from .functions import TestFunction, _check_field
 from .numerics import (
@@ -39,7 +38,7 @@ from .numerics import (
     mixed_sum,
     q_pow,
 )
-from .operators import OperatorParams, _held_route, _vladimirov_at, inversion_residual, kernel_r, vladimirov_hypersingular
+from .operators import OperatorParams, _held_route, _sphere_walk, _vladimirov_at, inversion_residual, kernel_r, vladimirov_hypersingular
 
 
 @dataclass(frozen=True)
@@ -115,16 +114,7 @@ def _direct(bridge: DimensionBridge, nu: None, f: TestFunction) -> Callable[[Poi
         if weighted is not None:
             return weighted(f._prefix_differences(d, e, finite_js)) * c
         fx = CV_ZERO if d is None else f.values[d]
-        total = CV_ZERO
-        for j, weight in zip(finite_js, weights):
-            shell_acc = CV_ZERO
-            for rep in sphere_coset_reps(bridge.ext, j, k):
-                dv = f.evaluate(x + rep) - fx
-                if dv.is_exact_zero():
-                    continue
-                shell_acc = shell_acc + dv
-            if not shell_acc.is_exact_zero():
-                total = total + shell_acc * weight
+        total = _sphere_walk(bridge.ext, finite_js, k, weights, lambda rep: f.evaluate(x + rep) - fx)
         # far shells: f vanishes there, the difference is -f(x) on every shell
         if not fx.is_exact_zero():
             total = total - fx * -weights[-1]

@@ -291,15 +291,15 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     rationals sums every point of its support at once, in one pass of
     ``mixed_sum``'s exact lane down phi's ball pyramid
     (``TestFunction._lane_numerators``).  Against float kernels (an
-    irrational q**gamma) a rational phi sums each point of its support on
-    the mixed lane of the kernels alone, reading its spheres' numerators
-    and their counts of nonzero entries (``TestFunction._nonzero_levels``),
-    so that a sphere whose entries cancel keeps the ring's float 0.0; d
-    then multiplies the sum, as it multiplies the ring's, since folding a
-    float d into the kernels would round them apart.  Any other phi sums
-    on the ring.  Beyond the support |x - y| = |x| for every y in it, so
-    the value there depends on |x| alone and is summed once per exponent,
-    on the ring.
+    irrational q**gamma) a rational phi sums each point on the mixed lane
+    of the kernels alone, reading its spheres' numerators and their counts
+    of nonzero entries (``TestFunction._nonzero_levels``), so that a sphere
+    whose entries cancel keeps the ring's float 0.0; d then multiplies the
+    sum, as it multiplies the ring's, since folding a float d into the
+    kernels would round them apart.  Any other phi sums on the ring.
+    Beyond the support |x - y| = |x| for every y in it, so the value there
+    depends on |x| alone and is summed once per exponent, on phi's path:
+    the lanes span the window's levels.
     """
     fp = params.fp
     g = params.gamma
@@ -313,30 +313,23 @@ def riesz_potential(params: OperatorParams, phi: TestFunction, window_level: int
     *shell_kernels, inner_kernel = _riesz_kernels(params, w, k)
 
     fe = ExtendedFunction(phi)
-    view = phi._integer_view
-    lane = mixed_sum(_riesz_weights, (params, s, k), view)
+    view, levels = phi._integer_view, range(w, k)
+    lane = mixed_sum(_riesz_weights, (params, w, k), view)
     pairs = phi._lane_numerators(lane) if isinstance(lane, IntegerSum) else None
-    mixed = mixed_sum(_riesz_kernels, (params, s, k), view) if pairs is None else None
-    levels = range(s, k)
+    mixed = mixed_sum(_riesz_kernels, (params, w, k), view) if pairs is None else None
 
-    def ring_value(addr: Digits | None, e: int | None) -> ComplexValue:
+    def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
+        if pairs is not None:
+            return lane.value(pairs[addr] if addr is not None else lane.numerators(phi._prefix_spheres(None, e, levels)))
+        if mixed is not None:
+            counts = phi._prefix_spheres(addr, e, levels, phi._nonzero_levels)
+            return mixed(phi._prefix_spheres(addr, e, levels), counts) * d
         j0, sums, value = fe._sphere_sums_at(addr, e)
         terms = [*zip(shell_kernels[j0 - w :], sums), (inner_kernel, BallSum.of(value))]
         return radial_sum(terms) * d
 
-    beyond = cache(partial(ring_value, None))
-
-    def core_value(addr: Digits | None, e: int | None) -> ComplexValue:
-        if addr is None:
-            return beyond(e)
-        if pairs is not None:
-            return lane.value(pairs[addr])
-        if mixed is None:
-            return ring_value(addr, e)
-        counts = phi._prefix_spheres(addr, None, levels, phi._nonzero_levels)
-        return mixed(phi._prefix_spheres(addr, None, levels), counts) * d
-
-    core = TestFunction(fp, w, k, {x: core_value(addr, e) for x, addr, e in _window_locations(fp, w, s, k)})
+    beyond = cache(partial(core_value, None))
+    core = TestFunction(fp, w, k, {x: core_value(addr, e) if addr is not None else beyond(e) for x, addr, e in _window_locations(fp, w, s, k)})
     total = phi.integral()
     if g == 1:
         tail = log_tail(CV_ZERO, total * d)
@@ -563,6 +556,16 @@ def _averaging_levels(nu: int, k: int) -> range:
     return range(nu + 1, nu + max(1, k - nu))
 
 
+def _sphere_walk(fp: FieldParams, levels, k: int, weights, term: Callable[[Point], ComplexValue]) -> ComplexValue:
+    """Sum over the spheres at ``levels`` of weight times the sum of term(rep) over the sphere's level-k cosets, exact zeros skipped as they absorb."""
+    total = CV_ZERO
+    for level, weight in zip(levels, weights):
+        inner = sum((v for v in map(term, sphere_coset_reps(fp, level, k)) if not v.is_exact_zero()), CV_ZERO)
+        if not inner.is_exact_zero():
+            total = total + inner * weight
+    return total
+
+
 def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point, Digits | None, int | None], ComplexValue]:
     """(x, d, e) -> averaging_apply at x; (d, e) is where phi's core located x.
 
@@ -589,16 +592,7 @@ def _averaging(params: OperatorParams, nu: int, phi) -> Callable[[Point, Digits 
     def average_at(x: Point, d: Digits | None, e: int | None) -> ComplexValue:
         if weighted is not None and (not pe.tail.terms or d is not None and nu + 1 >= window):
             return weighted(core._prefix_spheres(d, e, levels))
-        total = CV_ZERO
-        for level, weight in zip(levels, weights):
-            inner = CV_ZERO
-            for rep in sphere_coset_reps(fp, level, k):
-                v = pe.evaluate(x - rep)
-                if v.is_exact_zero():
-                    continue
-                inner = inner + v
-            if not inner.is_exact_zero():
-                total = total + inner * weight
+        total = _sphere_walk(fp, levels, k, weights, lambda rep: pe.evaluate(x - rep))
         return total + (core.values[d] if d is not None else pe.tail_value_at_exponent(e)) * weights[-1]
 
     return average_at

@@ -1,4 +1,4 @@
-"""``tools/bench_record.py summary`` on a small synthetic runs file."""
+"""``tools/bench_record.py`` summary and sweep tables on small synthetic runs."""
 
 import importlib.util
 import json
@@ -91,3 +91,33 @@ def test_one_pair_reads_too_few_pairs(bench_record, tmp_path, capsys):
     out = _summary(bench_record, tmp_path, capsys, {name: ([runs[0][0]], [runs[1][0]]) for name, runs in RUNS.items()})
     for workload in bench_record.WORKLOADS:
         assert out[workload] == {"pairs": 1, "all_correct": True, "verdict": "too few pairs"}
+
+
+def _sweep_points(bench_record, seconds_by_side, values_by_side):
+    """``points[side][level]``: one synthetic ``sweep-point`` output per process, the same at every size."""
+    return {
+        side: {
+            k: [{route: {"seconds": t, "value": v} for route in bench_record.SWEEP_ROUTES} for t, v in zip(seconds_by_side[side], values_by_side[side])]
+            for k in bench_record.SWEEP_LEVELS
+        }
+        for side in ("parent", "change")
+    }
+
+
+def test_sweep_reports_the_median_process_and_compares_the_values(bench_record):
+    seconds = {"parent": [3.0, 1.0, 2.0], "change": [1.0, 9.0, 1.5]}
+    same = _sweep_points(bench_record, seconds, {"parent": ["a"] * 3, "change": ["a"] * 3})
+    result = bench_record._sweep_result(same)
+    for route in bench_record.SWEEP_ROUTES:
+        assert result[route]["parent"]["seconds"] == [2.0] * len(bench_record.SWEEP_LEVELS)
+        assert result[route]["speedup"] == [round(2.0 / 1.5, 2)] * len(bench_record.SWEEP_LEVELS)
+        assert result[route]["same_bits"]
+    other = _sweep_points(bench_record, seconds, {"parent": ["a"] * 3, "change": ["b"] * 3})
+    assert not any(bench_record._sweep_result(other)[route]["same_bits"] for route in bench_record.SWEEP_ROUTES)
+
+
+def test_sweep_refuses_processes_that_disagree_on_the_values(bench_record):
+    seconds = {"parent": [1.0, 1.0, 1.0], "change": [1.0, 1.0, 1.0]}
+    varying = _sweep_points(bench_record, seconds, {"parent": ["a", "a", "b"], "change": ["a"] * 3})
+    with pytest.raises(SystemExit, match="parent gives 2 different values"):
+        bench_record._sweep_result(varying)

@@ -17,9 +17,10 @@ routes sum in integers (``numerics.mixed_sum``'s exact lane, an
 ``IntegerSum``, or its mixed lane against partly float weights or a far
 sum that is not an exact rational; the Riesz core's mixed lane skips a
 float-kernel sphere by its count of nonzero entries, checked bit for bit
-against the ring with the integer view masked), and the hypersingular engine sums an
+against the ring with the integer view masked, beyond the support too), and the hypersingular engine sums an
 all-float core on ``mixed_sum`` through its float view, bit for bit the
-ring loop.  A rational window sums in one pass of its integer lane down
+ring loop.  A table with a view is summed from its one pyramid, so no route
+builds its ``BallSum`` pyramid.  A rational window sums in one pass of its integer lane down
 the table's ball pyramid, checked at every address against the lane on
 that point's own spheres: the hypersingular window with c and the far sum
 folded into its integer lane, the Riesz core and the inversion residual
@@ -888,8 +889,7 @@ def test_order_free_tables_walk_no_sphere(monkeypatch):
     # sums apart, and every point sums on the lane, against exact weights
     # (alpha = 1, 2) and against float ones (alpha = 1/2: cd and the odd
     # direct shell weights are irrational over Q_2 squared)
-    walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
-    _counting(monkeypatch, operators, "sphere_coset_reps", walks)
+    walks = _counting(monkeypatch, operators, "sphere_coset_reps")
     lanes = _counting_lanes(monkeypatch, multidim)
     _counting_lanes(monkeypatch, operators, lanes)
     fp = FieldParams(2, 2)
@@ -918,8 +918,7 @@ def test_order_dependent_tables_walk_their_spheres(monkeypatch, kind):
     else:
         entries = [NumericValue.from_exact(ExactScalar(Fraction(0), Fraction(i), Fraction(0), 2 + i % 2)) for i in range(8)]
     f = _table(fp, 0, 3, entries)
-    walks = _counting(monkeypatch, multidim, "sphere_coset_reps")
-    _counting(monkeypatch, operators, "sphere_coset_reps", walks)
+    walks = _counting(monkeypatch, operators, "sphere_coset_reps")
     bridge, params = DimensionBridge(2, 1, Fraction(1, 2)), OperatorParams(fp, Fraction(1, 2))
     for x in [x for _, x in coset_walk(fp, -1, 3)]:
         assert same_parts(taibleson_direct(bridge, f, x), taibleson_direct_oracle(bridge, f, x))
@@ -1306,16 +1305,28 @@ def test_engine_window_locates_no_point(monkeypatch, alpha):
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=str)
 def test_dilated_riesz_window_sums_once_per_exponent(monkeypatch, alpha):
     # beyond phi's support |x - y| = |x| for every y in it, so a Riesz window
-    # dilated by 4 levels sums each of the 4 exponents there once, and every
-    # value of its 64 cosets is the pair loop's
+    # dilated by 4 levels sums each of the 4 exponents there once, on the
+    # lane and off the ring, and every value of its 64 cosets is the pair
+    # loop's.  The exact lane (alpha = 1) reads each exponent's spheres once,
+    # the mixed lane (alpha = 1/2) their numerators and their counts
     located = ExtendedFunction._sphere_sums_at
     calls = []
     monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
+    prefix = TestFunction._prefix_spheres
+    beyond = []
+
+    def counted(self, d, e, levels, pyramid=None):
+        if d is None:
+            beyond.append(e)
+        return prefix(self, d, e, levels, pyramid)
+
+    monkeypatch.setattr(TestFunction, "_prefix_spheres", counted)
     fp = FieldParams(2)
     phi = _table(fp, 0, 2, [1, Fraction(-1, 2), 0, Fraction(3, 4)])
     assert dilated_window(phi, 4) == -4
     riesz_case(OperatorParams(fp, alpha), phi, 4)
-    assert sorted(e for d, e in calls if d is None) == [1, 2, 3, 4]
+    assert calls == []
+    assert sorted(beyond) == sorted([1, 2, 3, 4] * (1 if alpha == 1 else 2))
 
 
 def _counting_lookups(monkeypatch):
@@ -1572,7 +1583,8 @@ def test_float_tables_keep_the_ring_off_the_engine(monkeypatch):
     # the averaging route reads no ball sum of an all-float table, since
     # a sphere as a ball minus a ball would reassociate float additions; the
     # Riesz potential of one walks every point's spheres through BallSums,
-    # since scale_sum keeps a float zero where the lane would skip a term
+    # since scale_sum keeps a float zero where the lane would skip a term,
+    # and reads them as its float pyramid's sibling sums, with no lane pass
     fp = FieldParams(2)
     f = _table(fp, -2, 4, [complex(0.25 * (i % 9) - 1.0, -0.0 if i % 5 else 0.0) for i in range(64)])
     assert f._float_view is not None
@@ -1586,7 +1598,54 @@ def test_float_tables_keep_the_ring_off_the_engine(monkeypatch):
     passes = _counting(monkeypatch, TestFunction, "_lane_numerators")
     riesz_potential(params, f)
     assert len(calls) == 64
-    assert passes == [] and "_pair_levels" not in f.__dict__
+    assert passes == [] and "_ball_sums" not in f.__dict__
+
+
+def _operator_routes(f: TestFunction, alpha) -> list[TestFunction]:
+    """Run every operator route on f at order alpha; return the tables they read beyond f: the Riesz potential's core."""
+    params, bridge = OperatorParams(f.fp, alpha), DimensionBridge(f.fp.p, f.fp.n, alpha)
+    points = [x for _, x in coset_walk(f.fp, f.support_level - 1, f.constancy_level)]
+    u = riesz_potential(params, f, f.support_level - 2)
+    vladimirov_on_window(params, f)
+    vladimirov_on_window(params, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", HypothesisBoundaryWarning)
+        inversion_residual(params, 1, f, 1)
+    minkowski_bound(params, 1, f, 1)
+    multiplier_vladimirov(f.fp, params.gamma, f)
+    lizorkin_project(f)
+    for x in points:
+        averaging_apply(params, 1, f, x)
+        taibleson_direct(bridge, f, x)
+        taibleson_via_extension(bridge, f, x)
+    with pytest.raises(HypothesisViolationError):  # the zero-mean check reads the whole table's sum
+        averaging_apply(OperatorParams(f.fp, 2 * f.fp.n), 1, f, points[0])
+    return [u.core]
+
+
+@pytest.mark.parametrize("kind", ["rational", "float"])
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1], ids=str)
+def test_tables_with_a_view_build_no_ball_sum_pyramid(kind, alpha):
+    # every route sums a table with a view from its one pyramid,
+    # _pair_levels: whole-table sums read its root and rows beyond the
+    # support read the lane, so no route builds the BallSum pyramid
+    rng = random.Random(3)
+    if kind == "rational":
+        parts = [(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(16)]
+    else:
+        parts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(16)]
+    f = _table(FieldParams(2), -1, 3, [ComplexValue._coerce(complex(*c)) if kind == "float" else ComplexValue.from_rational(*c) for c in parts])
+    assert (f._integer_view if kind == "rational" else f._float_view) is not None
+    for table in [f, *_operator_routes(f, alpha)]:
+        if table._integer_view is not None or table._float_view is not None:
+            assert "_ball_sums" not in table.__dict__
+    # a table with a ln part has no view: it sums on the ring, from BallSums
+    one = NumericValue.from_exact(ExactScalar.ln_q(f.fp))
+    logs = _table(f.fp, -1, 1, (0, one, -one, one))
+    with pytest.MonkeyPatch.context() as mp:
+        radial = _counting(mp, operators, "radial_sum")
+        riesz_potential(OperatorParams(f.fp, alpha), logs)
+    assert len(radial) == 4 and "_ball_sums" in logs.__dict__
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1693,13 +1752,13 @@ def test_cancelling_sphere_still_demotes(alpha):
 
 @st.composite
 def cancelling_tables(draw):
-    """(params, phi): parts in {0, 1, -1} over Q_p or its degree-2 model, p = 2 or 3, so that spheres often cancel, at an order whose kernels are partly or wholly irrational."""
+    """(params, phi): parts in {0, 1, -1} over Q_p or its degree-2 model, p = 2 or 3, so that spheres often cancel, at an order whose kernels are partly or wholly irrational, or rational (gamma = 1/2 at q = 4) or ln(q) multiples (gamma = 1)."""
     fp = FieldParams(draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2])))
     s = draw(st.integers(-1, 1))
     k = s + draw(st.integers(0, {2: 4, 3: 3, 4: 3, 9: 2}[fp.q]))
     part = st.sampled_from([0, 1, -1])
     values = {d: ComplexValue.from_rational(draw(part), draw(part)) for d in enumerate_digits(fp, s, k)}
-    alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4)]))
+    alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), 1, Fraction(3, 2)]))
     return OperatorParams(fp, alpha), TestFunction(fp, s, k, values)
 
 
@@ -1707,28 +1766,33 @@ def cancelling_tables(draw):
 @given(case=cancelling_tables(), widen=st.integers(0, 2))
 @example(case=(OperatorParams(FieldParams(2), Fraction(1, 2)), _table(FieldParams(2), -1, 1, (0, 0, 1, -1))), widen=0)
 def test_rational_riesz_core_takes_the_mixed_lane_bit_for_bit(case, widen):
-    # against float kernels a rational table sums every point of its support
-    # on the mixed lane, which skips a float-kernel sphere only where none of
-    # its entries is nonzero: every bit, and every exact-versus-float
-    # decision, is the ring's, run with the integer view masked
+    # against float kernels a rational table sums every point of its support,
+    # and each exponent beyond it, on the mixed lane, which skips a
+    # float-kernel sphere only where none of its entries is nonzero; against
+    # exact kernels times d it sums them on the exact lane.  Either way no row
+    # runs the ring, and every bit, and every exact-versus-float decision, is
+    # the ring's, run with the integer view masked
     params, phi = case
     w = dilated_window(phi, widen)
     with pytest.MonkeyPatch.context() as mp:
         lanes = _counting_lanes(mp)
+        radial = _counting(mp, operators, "radial_sum")
         got = riesz_potential(params, phi, w).core.values
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(TestFunction, "_integer_view", property(lambda self: None))
         want = riesz_potential(params, phi, w).core.values
     assert _value_bits(list(got.items())) == _value_bits(list(want.items()))
-    assert lanes == ["_riesz_kernels"] * len(phi.values)
+    exact = isinstance(mixed_sum(operators._riesz_weights, (params, w, phi.constancy_level), phi._integer_view), IntegerSum)
+    assert radial == []
+    assert lanes == ([] if exact else ["_riesz_kernels"] * (len(phi.values) + phi.support_level - w))
 
 
 def test_rational_riesz_core_sums_no_sphere_values(monkeypatch):
     # the operators-float table shape at alpha = 1/2: the kernels 2**(j/2)
     # are irrational at odd j, yet no point of the support sums a BallSum
     # sphere or calls radial_sum.  Dilated by two levels, the window sums
-    # each exponent beyond the support once, and a table with ln entries
-    # still sums every point on the ring
+    # each exponent beyond the support on the lane too, and a table with ln
+    # entries still sums every point on the ring
     located = ExtendedFunction._sphere_sums_at
     calls = []
     monkeypatch.setattr(ExtendedFunction, "_sphere_sums_at", lambda self, d, e: calls.append((d, e)) or located(self, d, e))
@@ -1738,7 +1802,7 @@ def test_rational_riesz_core_sums_no_sphere_values(monkeypatch):
     assert len(riesz_potential(params, phi).core.values) == 64
     assert calls == [] and radial == []
     assert len(riesz_potential(params, phi, phi.support_level - 2).core.values) == 256
-    assert sorted(calls) == [(None, 3), (None, 4)] and len(radial) == 2
+    assert calls == [] and radial == []
     calls.clear()
     radial.clear()
     one = NumericValue.from_exact(ExactScalar.ln_q(phi.fp))

@@ -22,18 +22,21 @@ claiming an improvement: the change wins at least nine tenths of the pairs
 by more than the parent's interquartile range.  A workload with fewer
 than two pairs has no quartiles and reads ``too few pairs``.
 
-``sweep`` times four routes in a fresh interpreter per side and size, on
-one random exact table per size (p = 2, n = 1, support level 0, N = 16, 64,
-256, 1024 cosets), alternating the sides: at alpha = 1
+``sweep`` times four routes in SWEEP_PROCESSES fresh interpreters per side
+and size, on one random exact table per size (p = 2, n = 1, support level
+0, N = 16, 64, 256, 1024 cosets), alternating the sides from one process to
+the next: at alpha = 1
 ``operators.minkowski_bound`` (L^2, nu = 1), ``operators.riesz_potential``
 and ``operators.vladimirov_on_window`` on the table's own window, and
 ``operators.riesz_potential`` at alpha = 1/2, whose kernels are partly
 irrational.  Each route is timed over a loop of calls, each on a new copy
 of the table, grown until the loop lasts at least SWEEP_MIN_SECONDS, since
 a single call below about a millisecond is timer and scheduler noise.  Per
-route it prints the seconds per call (the best loop of the repeats), the
-log-log slope in N, the speedup and whether both sides give the same
-values in every bit.
+route it prints the seconds per call (the best loop of the repeats in each
+process, then the median over the processes), the log-log slope in N, the
+speedup and whether both sides give the same values in every bit.  Every
+process of a side must give the same values at a size, else the sweep
+stops: a route whose bits vary between runs has no digest to compare.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ WORKLOADS = ("operators-exact", "operators-float", "cli-oneshot")
 FIRST_SEED = 41
 SWEEP_LEVELS = (4, 6, 8, 10)  # N = 2**k
 SWEEP_MIN_SECONDS = 0.2  # the shortest timed loop of one route at one size
+SWEEP_PROCESSES = 3  # interpreters per side and size, whose median a route reports
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -188,24 +192,35 @@ def _slope(levels, seconds) -> float:
 
 def sweep(args) -> None:
     sides = {"parent": Path(args.parent), "change": Path(args.change)}
-    points = {side: {} for side in sides}
+    points = {side: {level: [] for level in SWEEP_LEVELS} for side in sides}
     for i, level in enumerate(SWEEP_LEVELS):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            cmd = [sys.executable, __file__, "sweep-point", "--level", str(level), "--repeats", str(args.repeats)]
-            env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
-            out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
-            points[side][level] = json.loads(out)
+        for r in range(SWEEP_PROCESSES):
+            order = ("parent", "change") if (i * SWEEP_PROCESSES + r) % 2 == 0 else ("change", "parent")
+            for side in order:
+                cmd = [sys.executable, __file__, "sweep-point", "--level", str(level), "--repeats", str(args.repeats)]
+                env = {**os.environ, "PYTHONPATH": str(sides[side] / "src")}
+                out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env).stdout
+                points[side][level].append(json.loads(out))
+    print(json.dumps(_sweep_result(points), indent=1))
+
+
+def _sweep_result(points: dict) -> dict:
+    """The sweep's table from ``points[side][level]``, a list of one ``sweep-point`` output per process; SystemExit if a side's processes disagree on a route's values at a size."""
     result = {"N": [2**k for k in SWEEP_LEVELS]}
     for route in SWEEP_ROUTES:
-        table = {}
+        table, digests = {}, {}
         for side, by_level in points.items():
-            seconds = [by_level[k][route]["seconds"] for k in SWEEP_LEVELS]
+            seconds = [statistics.median(run[route]["seconds"] for run in by_level[k]) for k in SWEEP_LEVELS]
             table[side] = {"seconds": [round(s, 6) for s in seconds], "n_slope": round(_slope(SWEEP_LEVELS, seconds), 3)}
+            for k in SWEEP_LEVELS:
+                values = {run[route]["value"] for run in by_level[k]}
+                if len(values) != 1:
+                    raise SystemExit(f"{side} gives {len(values)} different values of {route} at N = {2**k} over {len(by_level[k])} processes")
+                digests[side, k] = values.pop()
         table["speedup"] = [round(p / c, 2) for p, c in zip(table["parent"]["seconds"], table["change"]["seconds"])]
-        table["same_bits"] = all(points["parent"][k][route]["value"] == points["change"][k][route]["value"] for k in SWEEP_LEVELS)
+        table["same_bits"] = all(digests["parent", k] == digests["change", k] for k in SWEEP_LEVELS)
         result[route] = table
-    print(json.dumps(result, indent=1))
+    return result
 
 
 def main(argv=None) -> None:
